@@ -60,8 +60,8 @@ def cmd_count(args, out):
 
 def cmd_weil(args, out):
     from .surface import three_way_counts
-    from .weil import (artin_tate_sqclass, solve_transcendental,
-                       spectrum_report, transcendental_traces, van_luijk)
+    from .weil import (solve_transcendental, spectrum_report,
+                       transcendental_traces, van_luijk)
     from .fixtures import load_surface
     fix = load_surface(args.surface)
     specs = []
@@ -223,7 +223,7 @@ def cmd_tate(args, out):
 
 def cmd_height(args, out):
     from . import models
-    from .tate import (min_positive_height_on_grid, mw_height, mw_pairing,
+    from .tate import (min_positive_height_on_grid, mw_height,
                        shioda_tate_disc, torsion_two_divisibility,
                        trivial_lattice_disc)
     if args.model != "e2":

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .fixtures import load_tower_constants
 from .numfield import TowerElement
-from .poly import Poly, QQ, RationalFunc, TOWER
-from .tate import EllipticSurface, SectionPoint, quartic_to_weierstrass
+from .poly import Poly, QQ, TOWER
+from .tate import EllipticSurface, SectionPoint
 
 
 def _poly(fieldad, ints):
@@ -161,11 +160,6 @@ def kummer_surface(a: TowerElement, b: TowerElement, c: TowerElement,
     laurent = {"x_coeff": p, "u2": q_u2, "const": q_0, "um2": q_um2,
                "disc_ab": D1, "disc_cd": D2}
     return surf, laurent
-
-
-def si_kummer_surface():
-    cst = load_tower_constants()
-    return kummer_surface(cst.a, cst.b, cst.c, cst.d)
 
 
 def rational_elliptic_test_surface(kind: str = "additive-inf") -> EllipticSurface:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 
 from .ffield import PrimeField, build_extension, find_roots, FqPoly, kronecker
 
@@ -254,17 +255,6 @@ class TowerElement:
                                sign2 * sign5 * c[3])
 
 
-def tower_arith(x: TowerElement, y: TowerElement, op: str) -> TowerElement:
-    """Dispatch wrapper: op in {'add', 'mul', 'inv'} ('inv' ignores y)."""
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    if op == "inv":
-        return x.inv()
-    raise ValueError(f"unknown op {op!r}")
-
-
 SQRT2 = TowerElement.monomial(1, 0, 0, 0)
 SQRT5 = TowerElement.monomial(0, 1, 0, 0)
 SQRT10 = TowerElement.monomial(1, 1, 0, 0)
@@ -427,15 +417,31 @@ def reduce_mod_p(x: TowerElement, emb: SplitEmbedding) -> int:
 # square roots inside real quadratic fields (used for splitness tests)
 
 
-def _rational_sqrt(q: Fraction):
+def rational_sqrt(q: Fraction):
+    """The nonnegative rational square root of q, or None."""
     if q < 0:
         return None
-    from math import isqrt
     num, den = q.numerator, q.denominator
     rn, rd = isqrt(num), isqrt(den)
     if rn * rn == num and rd * rd == den:
         return Fraction(rn, rd)
     return None
+
+
+def squarefree_kernel(n: int) -> int:
+    """The squarefree integer d > 0 with |n| = d * (a square)."""
+    n = abs(n)
+    out = 1
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e % 2:
+            out *= d
+        d += 1
+    return out * n
 
 
 def sqrt_in_quadratic(s: Fraction, t: Fraction, d: int):
@@ -446,19 +452,19 @@ def sqrt_in_quadratic(s: Fraction, t: Fraction, d: int):
     """
     s, t = Fraction(s), Fraction(t)
     if t == 0:
-        r = _rational_sqrt(s)
+        r = rational_sqrt(s)
         if r is not None:
             return (r, Fraction(0))
-        r = _rational_sqrt(s / d)
+        r = rational_sqrt(s / d)
         if r is not None:
             return (Fraction(0), r)
         return None
-    n = _rational_sqrt(s * s - d * t * t)
+    n = rational_sqrt(s * s - d * t * t)
     if n is None:
         return None
     for sign in (1, -1):
         u2 = (s + sign * n) / 2
-        u = _rational_sqrt(u2)
+        u = rational_sqrt(u2)
         if u is not None and u != 0:
             v = t / (2 * u)
             return (u, v)

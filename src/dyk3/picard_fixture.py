@@ -378,10 +378,6 @@ def _poly2_blowup_u(F):
     return {k: v for k, v in out.items() if not v.is_zero()}
 
 
-def _poly2_swap(F):
-    return {(j, i): c for (i, j), c in F.items()}
-
-
 def _mult_at_origin(F):
     return min((i + j for (i, j), c in F.items() if not c.is_zero()),
                default=10 ** 9)
@@ -540,37 +536,26 @@ def _land_node(F, germs, level, landings, meets):
 
 
 def _affine_chart(point):
-    """(chart_index, local_to_proj): local (u, v) -> projective triple."""
+    """x, y, z as (i, j) dicts in the local coordinates (u, v) at `point`."""
     x0, y0, z0 = point
     if not z0.is_zero():
         iz = ONE / z0
-        x0, y0 = x0 * iz, y0 * iz
-
-        def emb(u, v):
-            return (Ser.const(x0) + u, Ser.const(y0) + v, Ser.const(ONE))
-        return 2, emb
+        return {"x": {(0, 0): x0 * iz, (1, 0): ONE},
+                "y": {(0, 0): y0 * iz, (0, 1): ONE},
+                "z": {(0, 0): ONE}}
     if not y0.is_zero():
         iy = ONE / y0
-        x0, z0 = x0 * iy, z0 * iy
-
-        def emb(u, v):
-            return (Ser.const(x0) + u, Ser.const(ONE), Ser.const(z0) + v)
-        return 1, emb
+        return {"x": {(0, 0): x0 * iy, (1, 0): ONE},
+                "y": {(0, 0): ONE},
+                "z": {(0, 0): z0 * iy, (0, 1): ONE}}
     ix = ONE / x0
+    return {"x": {(0, 0): ONE},
+            "y": {(0, 0): y0 * ix, (1, 0): ONE},
+            "z": {(0, 0): z0 * ix, (0, 1): ONE}}
 
-    def emb(u, v):
-        return (Ser.const(ONE), Ser.const(y0 * ix) + u, Ser.const(z0 * ix) + v)
-    return 0, emb
 
-
-def _local_branch_poly(point):
-    """The sextic in the local (u, v) coordinates of the chart at `point`."""
-    f = sextic_poly()
-    chart, emb = _affine_chart(point)
-    # build exact bivariate dict by symbolic expansion with Ser in two vars is
-    # awkward; expand through polynomial substitution instead
-    out = {}
-    # represent u, v as formal: use dict-polynomial arithmetic in two vars
+def _localize(d, base):
+    """The ternary form d substituted into the chart `base`, as an (i, j) dict."""
     def pmul(A, B):
         C = {}
         for ka, va in A.items():
@@ -585,59 +570,15 @@ def _local_branch_poly(point):
             R = pmul(R, A)
         return R
 
-    x0, y0, z0 = point
-    if chart == 2:
-        iz = ONE / z0
-        base = {"x": {(0, 0): x0 * iz, (1, 0): ONE},
-                "y": {(0, 0): y0 * iz, (0, 1): ONE},
-                "z": {(0, 0): ONE}}
-    elif chart == 1:
-        iy = ONE / y0
-        base = {"x": {(0, 0): x0 * iy, (1, 0): ONE},
-                "y": {(0, 0): ONE},
-                "z": {(0, 0): z0 * iy, (0, 1): ONE}}
-    else:
-        ix = ONE / x0
-        base = {"x": {(0, 0): ONE},
-                "y": {(0, 0): y0 * ix, (1, 0): ONE},
-                "z": {(0, 0): z0 * ix, (0, 1): ONE}}
-    for (a, b, cdeg), coef in f.items():
+    out = {}
+    for (a, b, cdeg), coef in d.items():
         term = {(0, 0): coef}
         term = pmul(term, ppow(base["x"], a))
         term = pmul(term, ppow(base["y"], b))
         term = pmul(term, ppow(base["z"], cdeg))
         for k, v in term.items():
             out[k] = out.get(k, ZERO) + v
-    return {k: v for k, v in out.items() if not v.is_zero()}, base
-
-
-def _curve_local(cur: PlaneCurve, base):
-    """q and h of the curve in the local chart, as (i, j) dicts."""
-    def pmul(A, B):
-        C = {}
-        for ka, va in A.items():
-            for kb, vb in B.items():
-                k = (ka[0] + kb[0], ka[1] + kb[1])
-                C[k] = C.get(k, ZERO) + va * vb
-        return C
-
-    def ppow(A, e):
-        R = {(0, 0): ONE}
-        for _ in range(e):
-            R = pmul(R, A)
-        return R
-
-    def localize(d):
-        out = {}
-        for (a, b, cdeg), coef in d.items():
-            term = {(0, 0): coef}
-            term = pmul(term, ppow(base["x"], a))
-            term = pmul(term, ppow(base["y"], b))
-            term = pmul(term, ppow(base["z"], cdeg))
-            for k, v in term.items():
-                out[k] = out.get(k, ZERO) + v
-        return {k: v for k, v in out.items() if not v.is_zero()}
-    return localize(cur.q), localize(cur.h)
+    return {k: v for k, v in out.items() if not v.is_zero()}
 
 
 def _param_germ(qloc):
@@ -669,12 +610,13 @@ def _param_germ(qloc):
 
 def germs_at_point(curves, point):
     """Both lifts of every curve through the point, as local germs."""
-    Floc, base = _local_branch_poly(point)
+    base = _affine_chart(point)
+    Floc = _localize(sextic_poly(), base)
     germs = []
     for cur in curves:
         if not cur.eval_q(point).is_zero():
             continue
-        qloc, hloc = _curve_local(cur, base)
+        qloc, hloc = _localize(cur.q, base), _localize(cur.h, base)
         u, v = _param_germ(qloc)
         h_series = _poly2_eval_series(hloc, u, v)
         germs.append(Germ(cur.name + "+", u, v, h_series))
@@ -837,18 +779,11 @@ def _binary_from_poly3(d, A, B):
     return out
 
 
-def _eval_binary(form, s, t):
-    deg = len(form) - 1
-    acc = ZERO
-    for k, coef in enumerate(form):
-        acc = acc + coef * (s ** k) * (t ** (deg - k))
-    return acc
-
-
 def off_singular_line_line(curves_by_name, sing_pts):
     """Contributions to the curve-curve block from line-line intersections."""
     out = {}
     names = ["L%d" % i for i in range(1, 8)]
+    f = sextic_poly()
     for a in range(len(names)):
         for b in range(a + 1, len(names)):
             cA = curves_by_name[names[a]]
@@ -856,7 +791,6 @@ def off_singular_line_line(curves_by_name, sing_pts):
             P = _line_intersection(cA, cB)
             if any(_same_proj(P, sp) for sp in sing_pts):
                 continue
-            f = sextic_poly()
             fval = _eval_poly3(f, P)
             if fval.is_zero():
                 raise NotImplementedError("line-line meeting on the branch")
@@ -1095,7 +1029,7 @@ def derive_matrices(verbose=False):
         add(a, b, v)
 
     # Bezout audits
-    _audit_bezout(by_name, engine, M, idx)
+    _audit_bezout(engine, M, idx)
     # mirror symmetry
     for a in LABELS34:
         for b in LABELS34:
@@ -1149,7 +1083,7 @@ def derive_matrices(verbose=False):
             "labels24": lam_labels, "gram24": m24}
 
 
-def _audit_bezout(by_name, engine, M, idx):
+def _audit_bezout(engine, M, idx):
     """Total intersection numbers downstairs must match Bezout degrees."""
     lines = ["L%d" % i for i in range(1, 8)]
     conics = ["C1", "C2", "C3"]
@@ -1162,11 +1096,9 @@ def _audit_bezout(by_name, engine, M, idx):
                 tot += data["idown"][key]
         return tot
 
-    f = sextic_poly()
     for i in range(len(lines)):
         for j in range(i + 1, len(lines)):
             a, b = lines[i], lines[j]
-            P = _line_intersection(by_name[a], by_name[b])
             sing = sing_idown(a, b)
             off = 0 if sing else 1
             if sing + off != 1:
@@ -1184,8 +1116,7 @@ def _audit_bezout(by_name, engine, M, idx):
             for pname, data in engine.items():
                 for (g1, g2), m in data["meets"].items():
                     la, lb = _gid_to_label(g1), _gid_to_label(g2)
-                    if {la.replace("t", "", 1) if False else la, lb} and \
-                       {la, lb} <= {ln, "Lt" + ln[1:], cn, "Ct" + cn[1:]} and \
+                    if {la, lb} <= {ln, "Lt" + ln[1:], cn, "Ct" + cn[1:]} and \
                        ({la, lb} & {ln, "Lt" + ln[1:]}) and \
                        ({la, lb} & {cn, "Ct" + cn[1:]}):
                         off_total -= m

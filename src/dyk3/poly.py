@@ -376,8 +376,3 @@ class RationalFunc:
         for c in reversed(self.den.coeffs):
             den = den * other + RationalFunc(Poly.const(self.field, c))
         return num / den
-
-
-def poly_from_tower_consts(field, consts) -> Poly:
-    """Poly over the tower adapter from a low-to-high list of TowerElements."""
-    return Poly(field, list(consts))

@@ -56,7 +56,6 @@ def sqrt_in_k4(x: TowerElement):
         u2 = ((s[0] + sign * root[0]) / 2, (s[1] + sign * root[1]) / 2)
         u = sqrt_in_quadratic(u2[0], u2[1], 2)
         if u is not None and u != (0, 0):
-            vden = _q2_mul((2 * u[0], 2 * u[1]), (1, 0))
             v = _q2_div(t, (2 * u[0], 2 * u[1]))
             return TowerElement.k4(u[0], u[1], v[0], v[1])
     return None

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .elliptic import CurveOverFq, curve_with_j, is_supersingular
-from .ffield import ExtField, FqPoly, build_extension, find_roots, is_prime
+from .elliptic import curve_with_j, is_supersingular
+from .ffield import FqPoly, build_extension, find_roots, is_prime
 from .fixtures import load_tower_constants
 
 

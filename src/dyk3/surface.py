@@ -10,8 +10,10 @@ Two independent routes to |S(F_q)|:
     minimal-model fibre table (component count and rationality recomputed
     over F_q at each rational bad point).
 
-The kernels use numpy int64 arrays; all arithmetic stays far below the
-int64 overflow bound for the admissible q.
+For q = p and q = p^2 both routes run one set of numpy kernels on F_q
+elements held as int64 pairs a0 + a1*sqrt(r) mod p (_PairFq); larger
+degrees use the scalar ExtField routes, which the tests also use as the
+reference.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .fixtures import SurfaceFixture, load_surface
 from .poly import Poly, QQ
 from .tate import EllipticSurface, classify_tame
 
-_VEC_Q_LIMIT = 1 << 21   # q^2 must stay below 2^63 in intermediate products
+_VEC_Q_LIMIT = 1 << 21   # keeps p below 2^21, inside _PairFq's overflow bound
 
 
 @dataclass
@@ -58,6 +60,55 @@ def _nonresidue(p: int) -> int:
     while kronecker(r, p) != -1:
         r += 1
     return r
+
+
+class _PairFq:
+    """F_q, q = p or p^2, as pairs (a0, a1) = a0 + a1*sqrt(r) of int64 arrays mod p.
+
+    For q = p every a1 is zero, so the same products serve both degrees and
+    only the quadratic character depends on n.  mul, sub and smul mirror
+    ExtField, so _delta0 runs on either.
+    """
+
+    def __init__(self, field: ExtField):
+        p = field.p
+        # every operand lies in [0, p) and r < p, so the largest intermediate,
+        # a0*b0 + r*(a1*b1) + c in horner, is below p^3
+        assert p ** 3 < 2 ** 63, f"p = {p} overflows the int64 pair kernels"
+        self.p, self.n, self.q = p, field.n, field.q
+        self.chi_p = chi_table(p)
+        ar = np.arange(p, dtype=np.int64)
+        if field.n == 1:
+            self.r = 0
+            self.elements = (ar, np.zeros(p, dtype=np.int64))
+        else:
+            self.r = _nonresidue(p)
+            self.elements = (np.tile(ar, p), np.repeat(ar, p))
+
+    def mul(self, a, b):
+        (a0, a1), (b0, b1) = a, b
+        return (a0 * b0 + self.r * (a1 * b1)) % self.p, (a0 * b1 + a1 * b0) % self.p
+
+    def sub(self, a, b):
+        return (a[0] - b[0]) % self.p, (a[1] - b[1]) % self.p
+
+    def smul(self, k: int, a):
+        return k * a[0] % self.p, k * a[1] % self.p
+
+    def horner(self, coeffs, x):
+        """sum_k coeffs[k] * x^k, for pairs coeffs[k] of scalars or arrays mod p."""
+        (x0, x1), r, p = x, self.r, self.p
+        a0, a1 = np.zeros_like(x0), np.zeros_like(x1)
+        for c0, c1 in reversed(coeffs):
+            a0, a1 = (a0 * x0 + r * (a1 * x1) + c0) % p, (a0 * x1 + a1 * x0 + c1) % p
+        return a0, a1
+
+    def chi(self, a):
+        """Quadratic character of F_q: chi_p of the norm a0 or a0^2 - r*a1^2."""
+        a0, a1 = a
+        if self.n == 1:
+            return self.chi_p[a0]
+        return self.chi_p[(a0 * a0 - self.r * (a1 * a1)) % self.p]
 
 
 # ---------------------------------------------------------------------------
@@ -102,119 +153,34 @@ def _count_singular_scalar(fix: SurfaceFixture, field: ExtField) -> int:
     return total
 
 
+def _x_coeffs(monos, p: int):
+    """sum coef * x^a over (a, coef) as a dense list of constant pairs mod p."""
+    cs = [0] * (1 + max((a for a, _ in monos), default=-1))
+    for a, coef in monos:
+        cs[a] = (cs[a] + coef) % p
+    return [(c, 0) for c in cs]
+
+
 def _count_singular_np(fix: SurfaceFixture, field: ExtField) -> int:
-    p = field.p
-    chi_p = chi_table(p)
-    if field.n == 1:
-        return _count_singular_np_fp(fix, p, chi_p)
-    return _count_singular_np_fp2(fix, field, chi_p)
-
-
-def _sextic_y_coeffs(fix: SurfaceFixture):
-    """f(x, y, z) organized as y-power -> [(x_exp, z_exp, coef)]."""
-    by_y = {}
-    for (a, b, c), coef in fix.monomials:
-        by_y.setdefault(b, []).append((a, c, coef))
-    return by_y
-
-
-def _count_singular_np_fp(fix, p, chi_p) -> int:
-    by_y = _sextic_y_coeffs(fix)
-    ymax = max(by_y)
-    xs = np.arange(p, dtype=np.int64)
+    """count_singular on the pair kernels: one x per step, every y at once."""
+    K = _PairFq(field)
+    p, q = K.p, K.q
+    els = K.elements
+    mono = fix.monomials
+    ymax = max(b for (_, b, _), _ in mono)
+    # chart z = 1: f(x, y, 1) = sum_b C_b(x) y^b, each C_b evaluated at every x
+    C = [K.horner(_x_coeffs([(a, c) for (a, bb, _), c in mono if bb == b], p), els)
+         for b in range(ymax + 1)]
     total = 0
-    # chart z = 1: for each x, Horner in y over the vector of y values
-    xpow = {a: np.ones(p, dtype=np.int64) for a in range(7)}
-    for a in range(1, 7):
-        xpow[a] = xpow[a - 1] * xs % p
-    coeffs = []
-    for b in range(ymax + 1):
-        cvec = np.zeros(p, dtype=np.int64)
-        for a, c, coef in by_y.get(b, []):
-            cvec = (cvec + (coef % p) * xpow[a]) % p
-        coeffs.append(cvec)
-    ys = xs
-    for i in range(p):
-        acc = np.zeros(p, dtype=np.int64)
-        for b in range(ymax, -1, -1):
-            acc = (acc * ys[i] + coeffs[b]) % p
-        # acc[j] = f(x_j, y_i, 1)
-        total += p + int(chi_p[acc].sum())
+    for i in range(q):
+        acc = K.horner([(c0[i], c1[i]) for c0, c1 in C], els)
+        total += q + int(K.chi(acc).sum())
     # chart (x : 1 : 0)
-    accl = np.zeros(p, dtype=np.int64)
-    for (a, b, c), coef in sorted(fix.monomials, key=lambda mc: -mc[0][0]):
-        if c == 0:
-            accl = (accl + (coef % p) * xpow[a] * 1) % p
-    total += p + int(chi_p[accl % p].sum())
+    line = K.horner(_x_coeffs([(a, c) for (a, _, cz), c in mono if cz == 0], p), els)
+    total += q + int(K.chi(line).sum())
     # point (1 : 0 : 0)
-    v = 0
-    for (a, b, c), coef in fix.monomials:
-        if b == 0 and c == 0:
-            v = (v + coef) % p
-    total += 1 + int(chi_p[v % p])
-    return total
-
-
-def _pair_mul(a0, a1, b0, b1, r, p):
-    return (a0 * b0 + r * (a1 * b1)) % p, (a0 * b1 + a1 * b0) % p
-
-
-def _count_singular_np_fp2(fix, field: ExtField, chi_p) -> int:
-    """F_{p^2} as F_p[theta]/(theta^2 - r), chi via the norm map."""
-    p = field.p
-    r = _nonresidue(p)
-    q = p * p
-    by_y = _sextic_y_coeffs(fix)
-    ymax = max(by_y)
-    # all field elements as pairs
-    e0 = np.tile(np.arange(p, dtype=np.int64), p)
-    e1 = np.repeat(np.arange(p, dtype=np.int64), p)
-    total = 0
-    # chart z = 1: loop over x (scalar pairs), vectorize over y
-    xs = [(i % p, i // p) for i in range(q)]
-    # precompute x powers per x on the fly (scalar)
-    for x0, x1 in xs:
-        # coefficients of f(x, y, 1) as polynomial in y (pairs)
-        cs = []
-        xp0, xp1 = 1, 0
-        xpows = {0: (1, 0)}
-        for a in range(1, 7):
-            xp0, xp1 = (xp0 * x0 + r * xp1 * x1) % p, (xp0 * x1 + xp1 * x0) % p
-            xpows[a] = (xp0, xp1)
-        for b in range(ymax + 1):
-            c0 = c1 = 0
-            for a, c, coef in by_y.get(b, []):
-                pa0, pa1 = xpows[a]
-                c0 = (c0 + coef * pa0) % p
-                c1 = (c1 + coef * pa1) % p
-            cs.append((c0, c1))
-        acc0 = np.zeros(q, dtype=np.int64)
-        acc1 = np.zeros(q, dtype=np.int64)
-        for b in range(ymax, -1, -1):
-            acc0, acc1 = _pair_mul(acc0, acc1, e0, e1, r, p)
-            acc0 = (acc0 + cs[b][0]) % p
-            acc1 = (acc1 + cs[b][1]) % p
-        norm = (acc0 * acc0 - r * (acc1 * acc1)) % p
-        total += q + int(chi_p[norm].sum())
-    # chart (x : 1 : 0): f(x, 1, 0) over all x pairs
-    acc0 = np.zeros(q, dtype=np.int64)
-    acc1 = np.zeros(q, dtype=np.int64)
-    line = {}
-    for (a, b, c), coef in fix.monomials:
-        if c == 0:
-            line[a] = (line.get(a, 0) + coef) % p
-    amax = max(line) if line else 0
-    for a in range(amax, -1, -1):
-        acc0, acc1 = _pair_mul(acc0, acc1, e0, e1, r, p)
-        acc0 = (acc0 + line.get(a, 0)) % p
-    norm = (acc0 * acc0 - r * (acc1 * acc1)) % p
-    total += q + int(chi_p[norm].sum())
-    # point (1 : 0 : 0)
-    v = 0
-    for (a, b, c), coef in fix.monomials:
-        if b == 0 and c == 0:
-            v = (v + coef) % p
-    total += 1 + int(chi_p[v % p])
+    v = sum(c for (_, b, cz), c in mono if b == 0 and cz == 0) % p
+    total += 1 + int(K.chi((v, 0)))
     return total
 
 
@@ -313,17 +279,11 @@ def bad_fiber_points(field: ExtField, a2: FqPoly, a4: FqPoly, a6: FqPoly) -> int
             return n * q
         return 2 + 2 * q if n % 2 == 0 else 2 + q
     if sym == "I0*":
-        # legs from the step-6 cubic after the exact depression x -> x - a2/3
-        inv3 = F.inv(F.from_int(3))
-        s_poly = a2.scale_elt(inv3)
-        pmid = a4 - a2 * s_poly
-        qlow = a6 - a4 * s_poly + a2 * s_poly * s_poly \
-            - s_poly * s_poly * s_poly
-        p2 = pmid.shift_down(2).coeff0() if not pmid.is_zero() else F.zero
-        q3 = qlow.shift_down(3).coeff0() if not qlow.is_zero() else F.zero
-        cubic = FqPoly(F, [q3, p2, F.zero, F.one])
-        roots = find_roots(cubic, F) if not cubic.is_zero() else set()
-        return 1 + q * (2 + len(roots))
+        # legs from the step-6 cubic X^3 + (P/pi^2) X + Q/pi^3
+        P, Q = _depressed_cubic(F, a2, a4, a6)
+        cubic = FqPoly(F, [Q.shift_down(3).coeff0(), P.shift_down(2).coeff0(),
+                           F.zero, F.one])
+        return 1 + q * (2 + len(find_roots(cubic, F)))
     if sym == "II":
         return q + 1
     if sym == "III":
@@ -331,11 +291,8 @@ def bad_fiber_points(field: ExtField, a2: FqPoly, a4: FqPoly, a6: FqPoly) -> int
         return 1 + 2 * q
     if sym == "IV":
         # split iff a6/pi^2 is a square after depressing the cubic
-        inv3 = F.inv(F.from_int(3))
-        s_poly = a2.scale_elt(inv3)
-        qlow = a6 - a4 * s_poly + a2 * s_poly * s_poly - s_poly * s_poly * s_poly
-        q2 = qlow.shift_down(2).coeff0() if not qlow.is_zero() else F.zero
-        return 1 + 3 * q if F.chi(q2) == 1 else 1 + q
+        _, Q = _depressed_cubic(F, a2, a4, a6)
+        return 1 + 3 * q if F.chi(Q.shift_down(2).coeff0()) == 1 else 1 + q
     if sym == "II*":
         return 1 + 9 * q
     if sym == "III*":
@@ -345,12 +302,15 @@ def bad_fiber_points(field: ExtField, a2: FqPoly, a4: FqPoly, a6: FqPoly) -> int
     if sym == "IV*":
         # the two non-identity simple arm ends are swapped unless a6/pi^4 is
         # a square (Tate step 8) after depressing the cubic
-        inv3 = F.inv(F.from_int(3))
-        s_poly = a2.scale_elt(inv3)
-        qlow = a6 - a4 * s_poly + a2 * s_poly * s_poly - s_poly * s_poly * s_poly
-        q4 = qlow.shift_down(4).coeff0() if not qlow.is_zero() else F.zero
-        return 1 + 7 * q if F.chi(q4) == 1 else 1 + 3 * q
+        _, Q = _depressed_cubic(F, a2, a4, a6)
+        return 1 + 7 * q if F.chi(Q.shift_down(4).coeff0()) == 1 else 1 + 3 * q
     raise NotImplementedError(f"fibre counting for type {sym} not implemented")
+
+
+def _depressed_cubic(F, a2, a4, a6):
+    """(P, Q) with x^3 + a2 x^2 + a4 x + a6 = X^3 + P X + Q at X = x + a2/3."""
+    s = a2.scale_elt(F.inv(F.from_int(3)))
+    return a4 - a2 * s, a6 - a4 * s + a2 * s * s - s * s * s
 
 
 def count_via_fibration(surface: EllipticSurface, field: ExtField) -> int:
@@ -379,19 +339,16 @@ def count_via_fibration(surface: EllipticSurface, field: ExtField) -> int:
     ua2 = _shifted_fqpoly(field, a2u, None)
     ua4 = _shifted_fqpoly(field, a4u, None)
     ua6 = _shifted_fqpoly(field, a6u, None)
-    ddel = _delta0(field, ua2, ua4, ua6)
-    if ddel != field.zero:
-        total += _good_fiber_count_scalar(field, ua2.coeff0(), ua4.coeff0(),
-                                          ua6.coeff0())
+    U = ua2.coeff0(), ua4.coeff0(), ua6.coeff0()
+    if _delta0(field, *U) != field.zero:
+        total += _good_fiber_count_scalar(field, *U)
     else:
         total += bad_fiber_points(field, ua2, ua4, ua6)
     return total
 
 
-def _delta0(field, a2, a4, a6):
-    from .elliptic import CurveOverFq
-    F = field
-    A2, A4, A6 = a2.coeff0(), a4.coeff0(), a6.coeff0()
+def _delta0(F, A2, A4, A6):
+    """Discriminant of y^2 = x^3 + A2 x^2 + A4 x + A6 over an ExtField or _PairFq."""
     b2 = F.smul(4, A2)
     b4 = F.smul(2, A4)
     b6 = F.smul(4, A6)
@@ -425,7 +382,7 @@ def _fibration_good_scalar(field, a2, a4, a6):
 
     for t0 in F.elements():
         A2, A4, A6 = evalp(a2, t0), evalp(a4, t0), evalp(a6, t0)
-        if _delta0(F, FqPoly(F, [A2]), FqPoly(F, [A4]), FqPoly(F, [A6])) == F.zero:
+        if _delta0(F, A2, A4, A6) == F.zero:
             bad_ts.append(t0)
         else:
             good += _good_fiber_count_scalar(F, A2, A4, A6)
@@ -433,61 +390,21 @@ def _fibration_good_scalar(field, a2, a4, a6):
 
 
 def _fibration_good_np(field, a2, a4, a6):
-    p = field.p
-    chi_p = chi_table(p)
-    if field.n == 1:
-        ts = np.arange(p, dtype=np.int64)
-        A2 = _horner_np(a2, ts, p)
-        A4 = _horner_np(a4, ts, p)
-        A6 = _horner_np(a6, ts, p)
-        # Delta vector
-        D = _delta_np(A2, A4, A6, p)
-        bad_mask = D == 0
-        xs = np.arange(p, dtype=np.int64)
-        good = 0
-        for i in range(p):
-            if bad_mask[i]:
-                continue
-            rhs = (((xs + A2[i]) * xs + A4[i]) * xs + A6[i]) % p
-            good += p + 1 + int(chi_p[rhs].sum())
-        bad_ts = [field.from_int(int(t)) for t in ts[bad_mask]]
-        return good, bad_ts
-    # F_{p^2}
-    r = _nonresidue(p)
-    q = p * p
-    t0v = np.tile(np.arange(p, dtype=np.int64), p)
-    t1v = np.repeat(np.arange(p, dtype=np.int64), p)
-    A2 = _horner_np_pair(a2, t0v, t1v, r, p)
-    A4 = _horner_np_pair(a4, t0v, t1v, r, p)
-    A6 = _horner_np_pair(a6, t0v, t1v, r, p)
-    D0, D1 = _delta_np_pair(A2, A4, A6, r, p)
+    """_fibration_good_scalar on the pair kernels: one t per step, every x at once."""
+    K = _PairFq(field)
+    ts = xs = K.elements
+    A2, A4, A6 = (K.horner([(c, 0) for c in a], ts) for a in (a2, a4, a6))
+    D0, D1 = _delta0(K, A2, A4, A6)
     bad_mask = (D0 == 0) & (D1 == 0)
-    x0 = np.tile(np.arange(p, dtype=np.int64), p)
-    x1 = np.repeat(np.arange(p, dtype=np.int64), p)
     good = 0
-    for i in range(q):
-        if bad_mask[i]:
-            continue
-        a20, a21 = int(A2[0][i]), int(A2[1][i])
-        a40, a41 = int(A4[0][i]), int(A4[1][i])
-        a60, a61 = int(A6[0][i]), int(A6[1][i])
-        acc0 = (x0 + a20) % p
-        acc1 = (x1 + a21) % p
-        acc0, acc1 = _pair_mul(acc0, acc1, x0, x1, r, p)
-        acc0 = (acc0 + a40) % p
-        acc1 = (acc1 + a41) % p
-        acc0, acc1 = _pair_mul(acc0, acc1, x0, x1, r, p)
-        acc0 = (acc0 + a60) % p
-        acc1 = (acc1 + a61) % p
-        norm = (acc0 * acc0 - r * (acc1 * acc1)) % p
-        good += q + 1 + int(chi_p[norm].sum())
-    bad_ts = [(int(t0v[i]), int(t1v[i])) for i in range(q) if bad_mask[i]]
-    # translate encodings into ExtField tuples: theta^2 = r must match the
-    # lexicographic field modulus, so rebuild elements through the field
-    bad_elems = []
-    for (u0, u1) in bad_ts:
-        bad_elems.append(_pair_to_field_elem(field, u0, u1, r))
-    return good, bad_elems
+    for i in np.flatnonzero(~bad_mask):
+        rhs = K.horner([(A6[0][i], A6[1][i]), (A4[0][i], A4[1][i]),
+                        (A2[0][i], A2[1][i]), (1, 0)], xs)
+        good += K.q + 1 + int(K.chi(rhs).sum())
+    # t = u0 + u1*sqrt(r) back in ExtField form: r is not the field's generator
+    bad_ts = [_pair_to_field_elem(field, int(ts[0][i]), int(ts[1][i]), K.r)
+              for i in np.flatnonzero(bad_mask)]
+    return good, bad_ts
 
 
 def _pair_to_field_elem(field: ExtField, u0: int, u1: int, r: int):
@@ -498,54 +415,6 @@ def _pair_to_field_elem(field: ExtField, u0: int, u1: int, r: int):
     if s is None:
         raise AssertionError("nonresidue has no root in F_{p^2}?")
     return field.add(field.from_int(u0), field.smul(u1, s))
-
-
-def _horner_np(coeffs, xs, p):
-    acc = np.zeros_like(xs)
-    for c in reversed(coeffs):
-        acc = (acc * xs + c) % p
-    return acc
-
-
-def _delta_np(A2, A4, A6, p):
-    b2 = 4 * A2 % p
-    b4 = 2 * A4 % p
-    b6 = 4 * A6 % p
-    b8 = (4 * A2 * A6 - A4 * A4) % p
-    return (9 * b2 * b4 % p * b6 - b2 * b2 % p * b8 - 8 * b4 * b4 % p * b4
-            - 27 * b6 * b6) % p
-
-
-def _horner_np_pair(coeffs, x0, x1, r, p):
-    a0 = np.zeros_like(x0)
-    a1 = np.zeros_like(x1)
-    for c in reversed(coeffs):
-        a0, a1 = _pair_mul(a0, a1, x0, x1, r, p)
-        a0 = (a0 + c) % p
-    return a0, a1
-
-
-def _delta_np_pair(A2, A4, A6, r, p):
-    a20, a21 = A2
-    a40, a41 = A4
-    a60, a61 = A6
-    b20, b21 = 4 * a20 % p, 4 * a21 % p
-    b40, b41 = 2 * a40 % p, 2 * a41 % p
-    b60, b61 = 4 * a60 % p, 4 * a61 % p
-    t0, t1 = _pair_mul(a20, a21, a60, a61, r, p)
-    u0, u1 = _pair_mul(a40, a41, a40, a41, r, p)
-    b80, b81 = (4 * t0 - u0) % p, (4 * t1 - u1) % p
-    x0, x1 = _pair_mul(b20, b21, b40, b41, r, p)
-    x0, x1 = _pair_mul(x0, x1, b60, b61, r, p)
-    term1 = (9 * x0 % p, 9 * x1 % p)
-    y0, y1 = _pair_mul(b20, b21, b20, b21, r, p)
-    y0, y1 = _pair_mul(y0, y1, b80, b81, r, p)
-    z0, z1 = _pair_mul(b40, b41, b40, b41, r, p)
-    z0, z1 = _pair_mul(z0, z1, b40, b41, r, p)
-    w0, w1 = _pair_mul(b60, b61, b60, b61, r, p)
-    d0 = (term1[0] - y0 - 8 * z0 - 27 * w0) % p
-    d1 = (term1[1] - y1 - 8 * z1 - 27 * w1) % p
-    return d0, d1
 
 
 def _shifted_fqpoly(field: ExtField, int_coeffs, t0) -> FqPoly:

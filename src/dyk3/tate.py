@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numfield import TowerElement, sqrt_in_quadratic
+from .numfield import (TowerElement, rational_sqrt, sqrt_in_quadratic,
+                       squarefree_kernel)
 from .poly import Poly, QQ, RationalFunc, TOWER
 
 __all__ = [
@@ -118,8 +119,7 @@ def residue_is_square(c, pi: Poly, base_label: str = "QQ"):
 
 def _constant_is_square(c, base_label: str):
     if base_label == "QQ":
-        q = Fraction(c)
-        return q >= 0 and _is_square_fraction(q)
+        return rational_sqrt(Fraction(c)) is not None
     if isinstance(c, TowerElement):
         co = c.co
         if any(co[i] for i in range(4, len(co))):
@@ -135,36 +135,15 @@ def _constant_is_square(c, base_label: str):
     return None
 
 
-def _is_square_fraction(q: Fraction) -> bool:
-    from math import isqrt
-    q = Fraction(q)
-    if q < 0:
-        return False
-    a, b = q.numerator, q.denominator
-    ra, rb = isqrt(a), isqrt(b)
-    return ra * ra == a and rb * rb == b
-
-
 def _quad_square(s, t, D: Fraction):
     """Is s + t*sqrt(D) (D a positive rational non-square) a square in Q(sqrt D)?"""
-    # normalize D to a squarefree integer d with sqrt(D) = r*sqrt(d)
-    from math import isqrt
     D = Fraction(D)
     if D <= 0:
         return None
-    n = D.numerator * D.denominator
-    d = 1
-    k = 2
-    rest = n
-    while k * k <= rest:
-        while rest % (k * k) == 0:
-            rest //= k * k
-        k += 1
-    d = rest
-    r2 = D / d
-    ra, rb = isqrt(r2.numerator), isqrt(r2.denominator)
-    r = Fraction(ra, rb)
-    assert r * r == r2
+    # sqrt(D) = r*sqrt(d) with d the squarefree kernel of D
+    d = squarefree_kernel(D.numerator * D.denominator)
+    r = rational_sqrt(D / d)
+    assert r is not None
     return sqrt_in_quadratic(Fraction(s), Fraction(t) * r, d) is not None
 
 
@@ -492,47 +471,12 @@ class _KPoly:
         return _KPoly(self.pi, [_kmul(self.pi, c, inv) for c in a.coeffs])
 
     def count_rational_roots(self) -> int:
-        """Roots in kappa, counted without multiplicity (degree <= 3 here)."""
-        # try all candidate roots of the norm-form: for our uses kappa = Q or
-        # Q(sqrt d); count roots of the cubic by factoring over the base
-        # through resultants is overkill -- use a direct search on linear
-        # factors: x - r divides iff evaluation at r vanishes; candidate r's
-        # come from factoring the constant coefficient is fragile, so instead
-        # use the squarefree gcd cascade:
-        f = self
-        count = 0
-        # successive gcd with x^|kappa| - x is unavailable (infinite field);
-        # factor by the cubic formula discriminant tests instead
-        d = f.degree()
-        if d <= 0:
-            return 0
-        if d == 1:
-            return 1
-        # normalize monic
-        inv = f.kinv(f.coeffs[-1])
-        cs = [_kmul(self.pi, c, inv) for c in f.coeffs]
-        if d == 2:
-            b, c = cs[1], cs[0]
-            disc = (b * b - 4 * c) % self.pi
-            sq = _kappa_is_square(disc, self.pi)
-            if sq is None:
-                return 0
-            return 2 if sq else 0
-        if d == 3:
-            # rational root search via factorization of the cubic over kappa:
-            # a cubic has a kappa-root iff its resolvent... keep it concrete:
-            # count roots by testing the three roots of the depressed cubic
-            # through the discriminant + one explicit root via rational
-            # root extraction over Q / Q(sqrt d)
-            return _cubic_rational_roots(cs, self.pi)
-        raise NotImplementedError("root count only for degree <= 3")
-
-
-def _kappa_is_square(c: Poly, pi: Poly):
-    if pi.degree() == 1:
-        val = c.coeff(0)
-        return _constant_is_square(val, pi.field)
-    return residue_is_square(c, pi)
+        """kappa-roots of a cubic, counted without multiplicity."""
+        if self.degree() != 3:
+            raise NotImplementedError("root count only for cubics")
+        inv = self.kinv(self.coeffs[-1])
+        cs = [_kmul(self.pi, c, inv) for c in self.coeffs]
+        return _cubic_rational_roots(cs, self.pi)
 
 
 def _cubic_rational_roots(cs, pi: Poly) -> int:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ffield import kronecker
+from .numfield import rational_sqrt, squarefree_kernel
 
 
 def algebraic_trace(p: int, n: int, kron5: int) -> int:
@@ -77,17 +78,6 @@ class FrobeniusSpectrum:
         assert self.mu2 == p * p * (self.c * self.c - 1)
 
 
-def _rational_sqrt(q: Fraction):
-    from math import isqrt
-    if q < 0:
-        return None
-    a, b = q.numerator, q.denominator
-    ra, rb = isqrt(a), isqrt(b)
-    if ra * ra == a and rb * rb == b:
-        return Fraction(ra, rb)
-    return None
-
-
 def solve_transcendental(mu1: int, mu2: int, p: int,
                          kron5: int | None = None) -> FrobeniusSpectrum:
     """Recover (s, c) from the two transcendental traces.
@@ -100,7 +90,7 @@ def solve_transcendental(mu1: int, mu2: int, p: int,
         kron5 = kronecker(5, p)
     spec = FrobeniusSpectrum(p, kron5, mu1, mu2)
     c2 = Fraction(mu2, p * p) + 1
-    c0 = _rational_sqrt(c2)
+    c0 = rational_sqrt(c2)
     if c0 is None:
         raise ValueError("c^2 is not a rational square: inconsistent counts")
     sols = []
@@ -124,7 +114,7 @@ def resolve_ambiguity(spec: FrobeniusSpectrum, count3: int) -> FrobeniusSpectrum
     p = spec.p
     candidates = []
     c2 = Fraction(spec.mu2, p * p) + 1
-    c0 = _rational_sqrt(c2)
+    c0 = rational_sqrt(c2)
     for c in {c0, -c0}:
         s = Fraction(spec.mu1, p) - c
         if s in (1, -1) and abs(c) <= 2:
@@ -141,21 +131,6 @@ def reduction_rank(spec: FrobeniusSpectrum) -> int:
     return spec.rho
 
 
-def _squarefree_kernel(n: int) -> int:
-    n = abs(n)
-    out = 1
-    d = 2
-    while d * d <= n:
-        e = 0
-        while n % d == 0:
-            n //= d
-            e += 1
-        if e % 2:
-            out *= d
-        d += 1
-    return out * n
-
-
 def artin_tate_sqclass(spec: FrobeniusSpectrum) -> int:
     """Squarefree positive integer representing |disc Pic| mod squares.
 
@@ -165,7 +140,7 @@ def artin_tate_sqclass(spec: FrobeniusSpectrum) -> int:
         raise ValueError("square class only defined for rank-20 spectra")
     val = spec.p * (2 - spec.c)
     n = abs(val.numerator * val.denominator)
-    return _squarefree_kernel(n)
+    return squarefree_kernel(n)
 
 
 def van_luijk(spec_a: FrobeniusSpectrum, spec_b: FrobeniusSpectrum) -> int:

@@ -7,7 +7,9 @@ from dyk3.fixtures import SurfaceFixture, load_surface
 from dyk3.models import e2_surface, rational_elliptic_test_surface
 from dyk3.surface import (SurfaceCount, chi_table, count_singular,
                           count_smooth, count_via_fibration,
-                          _count_singular_scalar, three_way_counts)
+                          _count_singular_scalar, _fibration_good_np,
+                          _fibration_good_scalar, _poly_mod_p,
+                          three_way_counts)
 
 
 def test_chi_table():
@@ -54,9 +56,27 @@ def test_chart_decomposition_exactness():
 
 def test_numpy_matches_scalar():
     fix = load_surface()
-    for p, n in ((7, 1), (11, 1), (7, 2)):
+    for p, n in ((7, 1), (11, 1), (13, 1), (7, 2)):
         F = build_extension(p, n)
         assert count_singular(fix, F) == _count_singular_scalar(fix, F)
+    # f(1, 0, 0) = 3 is a non-square mod 7 but a square in F_49
+    x6 = SurfaceFixture({
+        "provenance": "derived", "name": "drell-yan",
+        "sextic_monomials": [[[6, 0, 0], 3], [[0, 6, 0], 1], [[0, 0, 6], 2],
+                             [[1, 2, 3], 5]],
+        "singular_profile": [], "bad_primes": []})
+    x6.name = "test-x6-nonsquare"
+    for p, n in ((7, 1), (7, 2)):
+        F = build_extension(p, n)
+        assert count_singular(x6, F) == _count_singular_scalar(x6, F), (p, n)
+    E = e2_surface()
+    for p, n in ((7, 1), (11, 1), (13, 1), (7, 2), (11, 2)):
+        F = build_extension(p, n)
+        coeffs = [_poly_mod_p(c, p) for c in (E.a2, E.a4, E.a6)]
+        good, bad = _fibration_good_np(F, *coeffs)
+        good_ref, bad_ref = _fibration_good_scalar(F, *coeffs)
+        assert good == good_ref, (p, n)
+        assert set(bad) == set(bad_ref), (p, n)
 
 
 def test_count_smooth_structure():

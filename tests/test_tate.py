@@ -51,6 +51,17 @@ def test_e1_bad_fibres():
     assert tab[_qq(-1, 1)].legs_rational == 4
 
 
+def test_residue_root_count_only_for_cubics():
+    # the I0* legs come from the step-6 cubic; any other degree is refused
+    from dyk3.tate import _KPoly
+    pi = Poly.from_ints(QQ, [0, 1])
+    x_minus_x3 = _KPoly(pi, [Poly.from_ints(QQ, [c]) for c in (0, -1, 0, 1)])
+    assert x_minus_x3.count_rational_roots() == 3
+    x2_minus_1 = _KPoly(pi, [Poly.from_ints(QQ, [c]) for c in (-1, 0, 1)])
+    with pytest.raises(NotImplementedError):
+        x2_minus_1.count_rational_roots()
+
+
 def test_e2_bad_fibres():
     E2 = models.e2_surface()
     tab = _table(E2)
