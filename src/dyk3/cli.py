@@ -144,37 +144,33 @@ def cmd_kodaira(args, out):
     except Exception as exc:
         _emit(out, {"op": "kodaira", "error": str(exc)})
         return EXIT_FIXTURE
-    S = CurveSet(fix.labels, fix.gram)
-    fibres = find_fibres(S, max_n=args.max_n)
-    kinds = {}
-    for f in fibres:
-        kinds[f.kind] = kinds.get(f.kind, 0) + 1
-    rec = {"op": "kodaira", "fixture": args.fixture, "fibres": len(fibres),
-           "by_type": dict(sorted(kinds.items())),
-           **_meta(fix.meta.get("provenance", "unknown"))}
-    fibs = group_fibrations(fibres, S)
-    rec["fibrations"] = len(fibs)
-    rec["with_section_in_set"] = sum(1 for f in fibs if f.has_section_in_set)
-    if args.group:
-        labels = fix.labels
+    try:
+        S = CurveSet(fix.labels, fix.gram)
         gens = []
-        swap = fix.meta.get("galois-swap")
-        if swap:
-            names = swap.split()
-            perm = list(range(len(labels)))
-            for a, b in zip(names[0::2], names[1::2]):
-                ia, ib = labels.index(a), labels.index(b)
-                perm[ia], perm[ib] = perm[ib], perm[ia]
-            gens.append(perm)
-        if fix.meta.get("mirror-swap"):
+        if args.group and fix.meta.get("galois-swap"):
+            gens.append(fix.galois_permutation())
+        if args.group and fix.meta.get("mirror-swap"):
             from .picard_fixture import _mirror_label
-            gens.append([labels.index(_mirror_label(l)) for l in labels])
+            gens.append([fix.labels.index(_mirror_label(l)) for l in fix.labels])
+        fibres = find_fibres(S, max_n=args.max_n)
+        kinds = {}
+        for f in fibres:
+            kinds[f.kind] = kinds.get(f.kind, 0) + 1
+        rec = {"op": "kodaira", "fixture": args.fixture, "fibres": len(fibres),
+               "by_type": dict(sorted(kinds.items())),
+               **_meta(fix.meta.get("provenance", "unknown"))}
+        fibs = group_fibrations(fibres, S)
+        rec["fibrations"] = len(fibs)
+        rec["with_section_in_set"] = sum(1 for f in fibs if f.has_section_in_set)
         if gens:
             rec["orbits"] = orbit_count(fibs, gens, S)
             rec["orbits_with_section"] = orbit_count(
                 fibs, gens, S, predicate=lambda f: f.has_section)
             rec["orbits_with_section_in_set"] = orbit_count(
                 fibs, gens, S, predicate=lambda f: f.has_section_in_set)
+    except ValueError as exc:       # the fixture's matrix or its symmetries
+        _emit(out, {"op": "kodaira", "error": str(exc)})
+        return EXIT_FIXTURE
     _emit(out, rec)
     return EXIT_OK
 
@@ -365,6 +361,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.cmd == "si-verify" and not args.system and args.prime is None:
         ap.error("si-verify needs --prime or --system")
+    if args.cmd == "kodaira" and args.max_n < 2:
+        ap.error("--max-n must be >= 2")
     if args.out:
         with open(args.out, "w") as fh:
             code = args.func(args, fh)

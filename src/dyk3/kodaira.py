@@ -5,15 +5,24 @@ D = sum m_i C_i whose support configuration matches an affine Dynkin
 diagram (I_n cycles, D~_n, E~_6/7/8) with the standard multiplicities,
 group them into genus-1 fibrations by their intersection key, detect
 sections, and count orbits under a small symmetry group.
+
+The search keeps vertex sets as int bitmasks, so every chordless and
+disjointness test is one `&`.  Checks, keys, grouping and orbits run on
+one (fibres x curves) int8 divisor matrix D and its key matrix D.G.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from fractions import Fraction
+from functools import cache
+from itertools import chain, combinations, islice, permutations
+from math import gcd, lcm
+
+import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FibreConfig:
     kind: str                 # "I3", "D4", "D5", ..., "E6", "E7", "E8"
     components: tuple         # ((index, multiplicity), ...) sorted by index
@@ -50,18 +59,49 @@ class CurveSet:
         return len(self.labels)
 
     def check_config(self, comps) -> bool:
-        """D.D = 0 and D.C_i = 0 for every component, recomputed from Gram."""
+        """D.C_i = 0 for every component (hence D.D = 0), recomputed from Gram."""
         g = self.gram
-        idx = {i: m for i, m in comps}
-        dd = 0
-        for i, mi in comps:
-            row = 0
-            for j, mj in comps:
-                row += g[i][j] * mj
-            if row != 0:
-                return False
-            dd += mi * row
-        return dd == 0
+        return all(sum(g[i][j] * mj for j, mj in comps) == 0 for i, _ in comps)
+
+
+# ---------------------------------------------------------------------------
+# divisor and key matrices
+
+
+def _divisors(fibres, n):
+    """The (fibres x n) int8 matrix whose rows are the fibre divisors."""
+    lens = [len(cfg.components) for cfg in fibres]
+    flat = np.fromiter(
+        chain.from_iterable(chain.from_iterable(cfg.components for cfg in fibres)),
+        dtype=np.int16, count=2 * sum(lens))
+    cols, mults = flat[0::2], flat[1::2]
+    if mults.size and int(np.abs(mults).max()) > 127:
+        raise AssertionError("fibre multiplicities must fit in int8")
+    D = np.zeros((len(fibres), n), dtype=np.int8)
+    D[np.repeat(np.arange(len(fibres), dtype=np.int32), lens), cols] = mults
+    return D
+
+
+def _keys(S: CurveSet, D):
+    """K = D.G, exact in int16: |K| <= max_f sum_i |D_fi| * max |G| < 2^15."""
+    G = np.array(S.gram, dtype=np.int64)
+    bound = int(np.abs(D).sum(axis=1).max(initial=0)) * int(np.abs(G).max(initial=0))
+    if bound >= 2 ** 15:
+        raise AssertionError(f"fibre keys may reach {bound}, beyond int16")
+    return D @ G.astype(np.int16)
+
+
+def _key_blocks(S: CurveSet, fibres):
+    """(start, D, K) over blocks of 8192 fibres, so that the int
+    temporaries stay a few MB however many fibres there are."""
+    for s in range(0, len(fibres), 8192):
+        D = _divisors(fibres[s:s + 8192], S.n)
+        yield s, D, _keys(S, D)
+
+
+def fibre_key(S: CurveSet, cfg: FibreConfig):
+    """Intersection vector (D.C_0, ..., D.C_{n-1}) of the fibre divisor D."""
+    return tuple(_keys(S, _divisors([cfg], S.n))[0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -69,56 +109,51 @@ class CurveSet:
 
 
 def _neighbors(S: CurveSet):
-    adj1 = [[] for _ in range(S.n)]
-    for i in range(S.n):
-        for j in range(S.n):
-            if i != j and S.gram[i][j] == 1:
-                adj1[i].append(j)
-    return adj1
+    """adj1[v]: the curves meeting v with intersection number 1, ascending."""
+    return [[u for u, x in enumerate(row) if u != v and x == 1]
+            for v, row in enumerate(S.gram)]
+
+
+def _nonzero_masks(S: CurveSet):
+    """nz[v]: bitmask of the curves u != v with a nonzero intersection with v."""
+    return [sum(1 << u for u, x in enumerate(row) if u != v and x != 0)
+            for v, row in enumerate(S.gram)]
 
 
 def find_fibres(S: CurveSet, max_n: int = 16):
     """All Kodaira fibres supported on S with I_n cycles up to length max_n.
 
     I2 = pairs meeting with intersection number 2; I_n (n >= 3) = chordless
-    unit-edge cycles; D~_n and E~_6/7/8 by explicit diagram matching.  Every
-    emitted configuration is re-verified against the Gram matrix.
+    unit-edge cycles; D~_n and E~_6/7/8 by explicit diagram matching.  Each
+    search finds every configuration once.  Every emitted configuration is
+    re-verified against the Gram matrix.
     """
     if max_n < 2:
         raise ValueError("max_n must be >= 2")
-    out = []
-    seen = set()
-
-    def emit(kind, comps):
-        comps = tuple(sorted(comps))
-        key = (kind, comps)
-        if key in seen:
-            return
-        cfg = FibreConfig(kind, comps)
-        if not S.check_config(comps):
-            raise AssertionError(f"enumerated config fails the invariants: {cfg}")
-        seen.add(key)
-        out.append(cfg)
-
     g = S.gram
     n = S.n
     # I2: intersection number exactly 2
-    for i in range(n):
-        for j in range(i + 1, n):
-            if g[i][j] == 2:
-                emit("I2", ((i, 1), (j, 1)))
+    out = [FibreConfig("I2", ((i, 1), (j, 1)))
+           for i in range(n) for j in range(i + 1, n) if g[i][j] == 2]
     # I_m cycles, m >= 3: chordless cycles in the unit graph, where
     # "chordless" forbids any nonzero intersection between non-neighbours
     adj1 = _neighbors(S)
-    for cyc in _chordless_cycles(S, adj1, max_n):
-        emit(f"I{len(cyc)}", tuple((i, 1) for i in cyc))
+    nz = _nonzero_masks(S)
+    for cyc in _chordless_cycles(S, adj1, nz, max_n):
+        out.append(FibreConfig(f"I{len(cyc)}", tuple(sorted((i, 1) for i in cyc))))
     # D~_n and E~ types
-    for kind, comps in _tree_fibres(S, adj1):
-        emit(kind, comps)
+    for kind, comps in _tree_fibres(S, adj1, nz):
+        out.append(FibreConfig(kind, tuple(sorted(comps))))
+    # D.C_i = 0 on every component (hence D.D = 0), a block at a time
+    for s, D, K in _key_blocks(S, out):
+        bad = ((D != 0) & (K != 0)).any(axis=1)
+        if bad.any():
+            raise AssertionError("enumerated config fails the invariants: "
+                                 f"{out[s + int(bad.argmax())]}")
     return out
 
 
-def _chordless_cycles(S, adj1, max_n):
+def _chordless_cycles(S, adj1, nz, max_n):
     """Each chordless unit-edge cycle of length 3..max_n, found exactly once.
 
     Canonical form: the cycle is rooted at its least vertex r with the
@@ -126,168 +161,152 @@ def _chordless_cycles(S, adj1, max_n):
     Interior vertices may touch nothing else on the path (zero intersection
     with all non-neighbours, including weight-2 contacts).
     """
-    g = S.gram
-    n = S.n
-    for r in range(n):
-        stack = [(r, (r,))]
+    for r in range(S.n):
+        gr = S.gram[r]
+        rbit = 1 << r
+        stack = [(r, (r,), rbit)]
         while stack:
-            v, path = stack.pop()
+            v, path, pm = stack.pop()
+            inner = pm & ~rbit & ~(1 << v)          # path[1:-1]
             for w in adj1[v]:
-                if w <= r or w in path:
-                    continue
-                if any(g[w][u] != 0 for u in path[1:-1]):
+                if w <= r or pm >> w & 1 or nz[w] & inner:
                     continue
                 if len(path) == 1:
                     # first step away from the root: the r-w edge is part of
                     # the cycle, not a chord
-                    stack.append((w, path + (w,)))
+                    stack.append((w, path + (w,), pm | 1 << w))
                     continue
-                grw = g[w][r]
+                grw = gr[w]
                 if grw != 0:
                     # w touches the root: only valid as the closing vertex
                     if grw == 1 and path[1] < w and len(path) + 1 <= max_n:
                         yield path + (w,)
                     continue
                 if len(path) < max_n:
-                    stack.append((w, path + (w,)))
+                    stack.append((w, path + (w,), pm | 1 << w))
 
 
-def _tree_fibres(S, adj1):
+def _tree_fibres(S, adj1, nz):
     """D~_n (n >= 4) and E~_6, E~_7, E~_8 configurations."""
-    g = S.gram
     n = S.n
-    disjoint = lambda i, j: g[i][j] == 0
-
     # D~_4: central c with four legs, pairwise disjoint
     for c in range(n):
-        nb = adj1[c]
-        if len(nb) < 4:
-            continue
-        from itertools import combinations
-        for legs in combinations(nb, 4):
-            if all(disjoint(a, b) for a in legs for b in legs if a < b):
+        for legs in combinations(adj1[c], 4):
+            lm = sum(1 << l for l in legs)
+            if not any(nz[l] & lm for l in legs):
                 yield "D4", ((c, 2),) + tuple((l, 1) for l in legs)
 
     # D~_m, m >= 5: chain c_1 .. c_{m-3} (multiplicity 2) with fork pairs
     # at both ends
-    for path in _chordless_paths(S, adj1):
+    for path, pm, left in _d_chains(adj1, nz, n):
+        right = _fork_pairs(adj1, nz, path[-1], pm)
+        chain2 = tuple((c, 2) for c in path)
         m = len(path) + 3
-        c1, cl = path[0], path[-1]
-        inner = set(path)
-        from itertools import combinations
-        left_opts = [v for v in adj1[c1] if v not in inner
-                     and all(g[v][u] == 0 for u in path[1:])]
-        right_opts = [v for v in adj1[cl] if v not in inner
-                      and all(g[v][u] == 0 for u in path[:-1])]
-        for l1, l2 in combinations(left_opts, 2):
-            if g[l1][l2] != 0:
-                continue
-            for r1, r2 in combinations(right_opts, 2):
-                if g[r1][r2] != 0:
+        for l1, l2, lreach in left:
+            for r1, r2, _ in right:
+                if lreach & (1 << r1 | 1 << r2):
                     continue
-                four = {l1, l2, r1, r2}
-                if len(four) != 4:
-                    continue
-                if any(g[a][b] != 0 for a in (l1, l2) for b in (r1, r2)):
-                    continue
-                yield (f"D{m}", tuple((c, 2) for c in path)
-                       + ((l1, 1), (l2, 1), (r1, 1), (r2, 1)))
+                yield (f"D{m}", chain2 + ((l1, 1), (l2, 1), (r1, 1), (r2, 1)))
 
     # E~ types by arm search from a central vertex
-    for kind, arms, mults in (
-        ("E6", (2, 2, 2), 3),
-        ("E7", (3, 3, 1), 4),
-        ("E8", (4, 2, 1), 6),
-    ):
-        yield from _e_type(S, adj1, kind, arms, mults)
+    for kind in _E_ARMS:
+        yield from _e_type(adj1, nz, n, kind)
 
 
-def _chordless_paths(S, adj1):
-    """Induced paths (length >= 2 vertices) with no extra adjacencies,
-    emitted once (first endpoint < last endpoint)."""
-    g = S.gram
-    n = S.n
+def _d_chains(adj1, nz, n):
+    """Induced paths (length 2..14 vertices) with no extra adjacencies,
+    emitted once (first endpoint < last endpoint), with their vertex masks
+    and the fork pairs left at the first vertex.  Those pairs only shrink
+    as the path grows, so a path without any is not extended."""
     for start in range(n):
-        stack = [(start, (start,))]
+        stack = [(start, (start,), 1 << start,
+                  _fork_pairs(adj1, nz, start, 1 << start))]
         while stack:
-            v, path = stack.pop()
+            v, path, pm, left = stack.pop()
             if len(path) >= 2 and path[0] < path[-1]:
-                yield path
+                yield path, pm, left
             if len(path) >= 14:
                 continue
+            before = pm & ~(1 << v)                 # path[:-1]
             for w in adj1[v]:
-                if w in path:
+                if pm >> w & 1 or nz[w] & before:
                     continue
-                if any(g[w][u] != 0 for u in path[:-1]):
-                    continue
-                stack.append((w, path + (w,)))
+                keep = [f for f in left if not f[2] >> w & 1]
+                if keep:
+                    stack.append((w, path + (w,), pm | 1 << w, keep))
 
 
-def _e_type(S, adj1, kind, arm_lengths, center_mult):
-    """Affine E diagrams: three chordless arms from a center.
+def _fork_pairs(adj1, nz, end, pm):
+    """Disjoint pairs of unit neighbours of the chain end `end` that miss
+    the rest of the chain (vertex mask pm), in combinations order.  Each
+    pair carries the mask of its vertices and of every curve they meet."""
+    rest = pm & ~(1 << end)
+    opts = [v for v in adj1[end] if not (pm >> v & 1 or nz[v] & rest)]
+    return [(a, b, 1 << a | 1 << b | nz[a] | nz[b])
+            for a, b in combinations(opts, 2) if not nz[a] >> b & 1]
 
-    Arm multiplicities decrease outward: E~6: center 3, arms (2,1) x3;
-    E~7: center 4, arms (3,2,1), (3,2,1), (2... ) -- encoded explicitly."""
-    g = S.gram
-    n = S.n
-    arm_mults = {
-        "E6": [(2, 1), (2, 1), (2, 1)],
-        "E7": [(3, 2, 1), (3, 2, 1), (2,)],
-        "E8": [(5, 4, 3, 2, 1), (4, 2), (3,)],
-    }[kind]
-    wanted = [len(a) for a in arm_mults]
-    mults_center = {"E6": 3, "E7": 4, "E8": 6}[kind]
-    from itertools import permutations
-    seen_local = set()
+
+# center multiplicity and arm multiplicities (outward) of the affine E diagrams
+_E_ARMS = {
+    "E6": (3, [(2, 1), (2, 1), (2, 1)]),
+    "E7": (4, [(3, 2, 1), (3, 2, 1), (2,)]),
+    "E8": (6, [(5, 4, 3, 2, 1), (4, 2), (3,)]),
+}
+
+
+def _e_type(adj1, nz, n, kind):
+    """Affine E diagrams: three disjoint, mutually untouching chordless arms
+    from a center.  Arms of equal length are taken in increasing list order,
+    so each diagram is found once, in the order of its first arm triple."""
+    center_mult, arm_mults = _E_ARMS[kind]
+    L1, L2, L3 = (len(a) for a in arm_mults)
     for c in range(n):
-        arms_by_len = {}
-        for L in set(wanted):
-            arms_by_len[L] = [p[1:] for p in _arms_from(S, adj1, c, L)]
-        for a1 in arms_by_len[wanted[0]]:
-            for a2 in arms_by_len[wanted[1]]:
-                if set(a1) & set(a2) or _touches(g, a1, a2):
+        arms = {L: _arms_from(adj1, nz, c, L) for L in {L1, L2, L3}}
+        A1, A2, A3 = arms[L1], arms[L2], arms[L3]
+        for i, (a1, _, r1) in enumerate(A1):
+            for j in range(i + 1 if L2 == L1 else 0, len(A2)):
+                a2, m2, r2 = A2[j]
+                if r1 & m2:
                     continue
-                for a3 in arms_by_len[wanted[2]]:
-                    if set(a3) & (set(a1) | set(a2)):
+                r12 = r1 | r2
+                for k in range(j + 1 if L3 == L2 else 0, len(A3)):
+                    a3, m3, _ = A3[k]
+                    if r12 & m3:
                         continue
-                    if _touches(g, a1, a3) or _touches(g, a2, a3):
-                        continue
-                    comps = [(c, mults_center)]
+                    comps = [(c, center_mult)]
                     for arm, mults in zip((a1, a2, a3), arm_mults):
-                        comps.extend((v, m) for v, m in zip(arm, mults))
-                    key = tuple(sorted(comps))
-                    if key in seen_local:
-                        continue
-                    seen_local.add(key)
-                    yield kind, key
+                        comps.extend(zip(arm, mults))
+                    yield kind, comps
 
 
-def _arms_from(S, adj1, c, length):
-    """Chordless paths of `length` vertices hanging off c (excluding c)."""
-    g = S.gram
-    stack = [(c, (c,))]
+def _arms_from(adj1, nz, c, length):
+    """Chordless paths of `length` vertices hanging off c (excluding c),
+    each with its vertex mask and that mask joined with every curve it meets."""
+    out = []
+    stack = [(c, (c,), 1 << c)]
     while stack:
-        v, path = stack.pop()
+        v, path, pm = stack.pop()
         if len(path) == length + 1:
-            yield path
+            arm = path[1:]
+            reach = pm & ~(1 << c)
+            mask = reach
+            for u in arm:
+                reach |= nz[u]
+            out.append((arm, mask, reach))
             continue
+        before = pm & ~(1 << v)
         for w in adj1[v]:
-            if w in path:
+            if pm >> w & 1 or nz[w] & before:
                 continue
-            if any(g[w][u] != 0 for u in path[:-1]):
-                continue
-            stack.append((w, path + (w,)))
-
-
-def _touches(g, arm_a, arm_b):
-    return any(g[u][v] != 0 for u in arm_a for v in arm_b)
+            stack.append((w, path + (w,), pm | 1 << w))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # grouping into fibrations
 
 
-@dataclass
+@dataclass(slots=True)
 class Fibration:
     key: tuple              # intersection vector of D against the curve set
     fibres: list
@@ -298,46 +317,47 @@ class Fibration:
 
     @property
     def has_section_in_set(self):
-        return any(v == 1 for v in self.key)
+        return 1 in self.key
 
     @property
     def has_section(self):
-        nz = [v for v in self.key if v != 0]
-        if not nz:
-            return False
-        g = 0
-        for v in nz:
-            g = gcd(g, v)
-        return g == 1
-
-
-def fibre_key(S: CurveSet, cfg: FibreConfig):
-    g = S.gram
-    vec = []
-    for i in range(S.n):
-        vec.append(sum(g[i][j] * m for j, m in cfg.components))
-    return tuple(vec)
+        return gcd(*self.key) == 1
 
 
 def group_fibrations(fibres, S: CurveSet):
-    """Group fibres by their intersection key; check pairwise disjointness."""
-    groups = {}
-    for cfg in fibres:
-        groups.setdefault(fibre_key(S, cfg), []).append(cfg)
+    """Group fibres by their intersection key; check pairwise disjointness.
+
+    Fibrations come out sorted by key, each listing its fibres in input
+    order.  Keys are compared as int8 byte strings: their entries are
+    asserted to lie in [0, 127], where byte order is numeric order.
+    """
+    if not fibres:
+        return []
+    n = S.n
+    K = np.empty((len(fibres), n), dtype=np.int8)
+    dd = np.empty(len(fibres), dtype=np.int64)          # D.D = D.key
+    for s, D, Kb in _key_blocks(S, fibres):
+        if Kb.min() < 0 or Kb.max() > 127:
+            raise AssertionError("fibre key entries must lie in [0, 127]")
+        K[s:s + len(Kb)] = Kb
+        dd[s:s + len(Kb)] = np.einsum("ij,ij->i", D, Kb, dtype=np.int64)
+    uniq, inv, counts = np.unique(K.view(np.dtype((np.void, n))).ravel(),
+                                  return_inverse=True, return_counts=True)
+    order = np.argsort(inv, kind="stable")
+    # each fibre a listed before a fibre b of its group must miss it; with
+    # one key per group, D_a.G.D_b = D_a.key_b = D_a.key_a = D_a.D_a
+    earlier = counts[inv] > 1
+    earlier[order[np.cumsum(counts) - 1]] = False
+    if dd[earlier].any():
+        raise ValueError(
+            "key collision with nonzero intersection: the curve "
+            "set does not span the ambient Picard lattice")
+    U = uniq.view(np.int8).reshape(-1, n)
+    members = map(fibres.__getitem__, order)
     out = []
-    for key, cfgs in groups.items():
-        for a in range(len(cfgs)):
-            da = cfgs[a].divisor(S.n)
-            for b in range(a + 1, len(cfgs)):
-                db = cfgs[b].divisor(S.n)
-                inter = sum(da[i] * S.gram[i][j] * db[j]
-                            for i in range(S.n) for j in range(S.n))
-                if inter != 0:
-                    raise ValueError(
-                        "key collision with nonzero intersection: the curve "
-                        "set does not span the ambient Picard lattice")
-        out.append(Fibration(key, cfgs))
-    out.sort(key=lambda f: f.key)
+    for s in range(0, len(U), 4096):        # key tuples in small chunks
+        for row, c in zip(U[s:s + 4096].tolist(), counts[s:s + 4096].tolist()):
+            out.append(Fibration(tuple(row), list(islice(members, c))))
     return out
 
 
@@ -350,22 +370,26 @@ def orbit_count(fibrations, generators, S: CurveSet,
     """Orbits of the induced action on fibration keys.
 
     generators: label permutations as index lists; must preserve the Gram.
-    The orbit representative is the lexicographically least permuted key.
+    The orbit representative is the lexicographically least permuted key;
+    keys are compared as byte strings, so their entries must lie in [0, 255].
     """
+    G = np.array(S.gram)
     for perm in generators:
-        for i in range(S.n):
-            for j in range(S.n):
-                if S.gram[perm[i]][perm[j]] != S.gram[i][j]:
-                    raise ValueError("generator does not preserve the Gram")
-    group = _generated_group(generators, S.n)
-    reps = set()
-    for fib in fibrations:
-        if predicate is not None and not predicate(fib):
-            continue
-        key = fib.key
-        canon = min(tuple(key[p[i]] for i in range(S.n)) for p in group)
-        reps.add(canon)
-    return len(reps)
+        if not np.array_equal(G[np.ix_(perm, perm)], G):
+            raise ValueError("generator does not preserve the Gram")
+    fibs = [f for f in fibrations if predicate is None or predicate(f)]
+    if not fibs:
+        return 0
+    n = S.n
+    keys = np.empty((len(fibs), n), dtype=np.uint8)
+    for s in range(0, len(fibs), 4096):
+        block = b"".join(bytes(f.key) for f in fibs[s:s + 4096])
+        keys[s:s + 4096] = np.frombuffer(block, dtype=np.uint8).reshape(-1, n)
+    canon = None
+    for p in _generated_group(generators, n):
+        moved = np.ascontiguousarray(keys[:, p]).view(f"S{n}").ravel()
+        canon = moved if canon is None else np.where(moved < canon, moved, canon)
+    return len(np.unique(canon))
 
 
 def _generated_group(generators, n):
@@ -387,37 +411,22 @@ def _generated_group(generators, n):
 # brute-force oracle (independent of the constructive search)
 
 
-_AFFINE_PATTERNS = {}
-
-
+@cache
 def _diagram(kind):
     """Adjacency + multiplicities of the affine diagram as a small graph."""
     if kind.startswith("I"):
         raise ValueError("cycles handled separately")
-    if kind in _AFFINE_PATTERNS:
-        return _AFFINE_PATTERNS[kind]
-    edges = []
     if kind.startswith("D"):
         m = int(kind[1:])
         # chain of m-3 double vertices, two forks each end
-        chain = list(range(m - 3))
-        mults = {v: 2 for v in chain}
-        nxt = m - 3
-        for v in range(m - 4):
-            edges.append((v, v + 1))
-        forks = []
-        for end in (0, m - 4):
-            for _ in range(2):
-                mults[nxt] = 1
-                edges.append((min(end, m - 4) if m > 4 else 0, nxt))
-                forks.append(nxt)
-                nxt += 1
-        _AFFINE_PATTERNS[kind] = (edges, mults)
+        mults = {v: 2 for v in range(m - 3)}
+        edges = [(v, v + 1) for v in range(m - 4)]
+        for k, end in enumerate((0, 0, m - 4, m - 4)):
+            mults[m - 3 + k] = 1
+            edges.append((end, m - 3 + k))
         return edges, mults
-    arms = {"E6": [(2, 1), (2, 1), (2, 1)],
-            "E7": [(3, 2, 1), (3, 2, 1), (2,)],
-            "E8": [(5, 4, 3, 2, 1), (4, 2), (3,)]}[kind]
-    center_m = {"E6": 3, "E7": 4, "E8": 6}[kind]
+    edges = []
+    center_m, arms = _E_ARMS[kind]
     mults = {0: center_m}
     nxt = 1
     for arm in arms:
@@ -427,7 +436,6 @@ def _diagram(kind):
             edges.append((prev, nxt))
             prev = nxt
             nxt += 1
-    _AFFINE_PATTERNS[kind] = (edges, mults)
     return edges, mults
 
 
@@ -439,7 +447,6 @@ def brute_force_fibres(S: CurveSet, max_mult: int = 6, max_n: int = 16):
     corank-1 subsets with a positive primitive kernel vector bounded by
     max_mult are then classified against the affine diagrams directly.
     """
-    from itertools import combinations
     n = S.n
     g = S.gram
     found = set()
@@ -470,7 +477,6 @@ def brute_force_fibres(S: CurveSet, max_mult: int = 6, max_n: int = 16):
 
 def _int_kernel(mat):
     """Primitive integer basis of the kernel of a small integer matrix."""
-    from fractions import Fraction
     n = len(mat)
     a = [[Fraction(x) for x in row] for row in mat]
     pivots = []
@@ -495,13 +501,9 @@ def _int_kernel(mat):
         v[fc] = Fraction(1)
         for ri, c in enumerate(pivots):
             v[c] = -a[ri][fc]
-        den = 1
-        for x in v:
-            den = den * x.denominator // __import__("math").gcd(den, x.denominator)
+        den = lcm(*(x.denominator for x in v))
         iv = [int(x * den) for x in v]
-        gg = 0
-        for x in iv:
-            gg = __import__("math").gcd(gg, x)
+        gg = gcd(*iv)
         out.append([x // gg for x in iv])
     return out
 
@@ -539,23 +541,16 @@ def _classify_config(S, comps, max_n):
             if all(d == 2 for d in deg.values()):
                 return f"I{size}"
         return None
-    # weighted tree types
-    for kind in [f"D{m}" for m in range(4, size)] + ["E6", "E7", "E8"]:
-        if kind.startswith("D") and int(kind[1:]) + 1 != size:
-            continue
-        if kind == "E6" and size != 7:
-            continue
-        if kind == "E7" and size != 8:
-            continue
-        if kind == "E8" and size != 9:
-            continue
+    # weighted tree types: D~_m has m + 1 vertices, E~_k has k + 1
+    if size < 5:
+        return None
+    for kind in [f"D{size - 1}"] + ([f"E{size - 1}"] if 7 <= size <= 9 else []):
         if _matches_diagram(S, comps, kind):
             return kind
     return None
 
 
 def _matches_diagram(S, comps, kind):
-    from itertools import permutations
     edges, mults = _diagram(kind)
     g = S.gram
     idx = [i for i, _ in comps]

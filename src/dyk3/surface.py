@@ -190,22 +190,25 @@ def count_smooth(fix: SurfaceFixture, field: ExtField) -> SurfaceCount:
         if not entry["rational_exceptional"]:
             raise NotImplementedError("non-rational exceptional profiles "
                                       "are not supported")
-        _assert_point_singular(fix, entry["point"], field.p)
+        _assert_point_singular(fix, entry["point"])
     raw = count_singular(fix, field)
     corr = field.q * fix.correction_sum
     return SurfaceCount(field.q, raw, corr, raw + corr)
 
 
-def _assert_point_singular(fix, point, p: int):
-    """The profile point must lie on the sextic mod p."""
+def _assert_point_singular(fix, point):
+    """The profile point must be singular on the sextic over Q:
+    f = df/dx = df/dy = df/dz = 0 there."""
     x, y, z = (Fraction(c) for c in point)
-    val = 0
-    for (a, b, c), coef in fix.monomials:
-        val += Fraction(coef) * x ** a * y ** b * z ** c
-    num = val.numerator
-    if num % p != 0 and val != 0:
-        raise ValueError("profile point does not lie on the branch sextic")
-    if val != 0:
+    vals = [0, 0, 0, 0]
+    for e, coef in fix.monomials:
+        vals[0] += coef * x ** e[0] * y ** e[1] * z ** e[2]
+        for k in range(3):
+            if e[k]:
+                d = list(e)
+                d[k] -= 1
+                vals[k + 1] += coef * e[k] * x ** d[0] * y ** d[1] * z ** d[2]
+    if any(vals):
         raise ValueError("profile point is not singular on the sextic")
 
 

@@ -1,11 +1,15 @@
 import json
+import os
 import subprocess
 import sys
 
+import pytest
 
-def run_cli(*args):
+
+def run_cli(*args, env=None):
     proc = subprocess.run([sys.executable, "-m", "dyk3.cli", *args],
-                          capture_output=True, text=True, timeout=600)
+                          capture_output=True, text=True, timeout=600,
+                          env=None if env is None else {**os.environ, **env})
     return proc
 
 
@@ -88,6 +92,25 @@ def test_kodaira_partial():
     rec = jsonl(p.stdout)[0]
     assert rec["by_type"]["I10"] >= 1
     assert rec["by_type"]["E8"] >= 2
+
+
+@pytest.mark.parametrize("text", [
+    "a b\na -3 1\nb 1 -2\n",
+    "# galois-swap: a z\na b\na -2 1\nb 1 -2\n",
+    "# galois-swap: a b\na b c\na -2 1 0\nb 1 -2 1\nc 0 1 -2\n",
+], ids=["diagonal", "unknown-label", "not-a-symmetry"])
+def test_kodaira_malformed_gram_exit_code(tmp_path, text):
+    (tmp_path / "bad.gram").write_text("# provenance: test\n" + text)
+    p = run_cli("kodaira", "--fixture", "bad", "--group",
+                env={"DYK3_FIXTURE_DIR": str(tmp_path)})
+    assert p.returncode == 3, p.stderr
+    rec = jsonl(p.stdout)[0]
+    assert rec["op"] == "kodaira" and rec["error"]
+
+
+def test_kodaira_max_n_is_a_usage_error():
+    assert run_cli("kodaira", "--fixture", "lemma_partial",
+                   "--max-n", "1").returncode == 2
 
 
 def test_unknown_fixture_exit_code():

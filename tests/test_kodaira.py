@@ -1,11 +1,62 @@
 import random
+from math import gcd
 
 import pytest
 
 from dyk3.fixtures import load_gram
-from dyk3.kodaira import (CurveSet, FibreConfig, brute_force_fibres,
-                          fibre_key, find_fibres, find_sections,
-                          group_fibrations, orbit_count)
+from dyk3.kodaira import (CurveSet, FibreConfig, _generated_group,
+                          brute_force_fibres, fibre_key, find_fibres,
+                          find_sections, group_fibrations, orbit_count)
+
+
+# Reference keys, grouping and orbit canonicalisation: the pure-Python
+# code that the int8 key matrix replaced, kept to test against.
+
+def ref_fibre_key(S, cfg):
+    g = S.gram
+    return tuple(sum(g[i][j] * m for j, m in cfg.components)
+                 for i in range(S.n))
+
+
+def ref_group_fibrations(fibres, S):
+    """[(key, fibres)] sorted by key; fibres sharing a key must be disjoint."""
+    groups = {}
+    for cfg in fibres:
+        groups.setdefault(ref_fibre_key(S, cfg), []).append(cfg)
+    for cfgs in groups.values():
+        for a in range(len(cfgs)):
+            da = cfgs[a].divisor(S.n)
+            for b in range(a + 1, len(cfgs)):
+                db = cfgs[b].divisor(S.n)
+                if sum(da[i] * S.gram[i][j] * db[j]
+                       for i in range(S.n) for j in range(S.n)):
+                    raise ValueError("key collision with nonzero intersection")
+    return sorted(groups.items(), key=lambda kv: kv[0])
+
+
+def ref_has_section(key):
+    g = 0
+    for v in key:
+        if v:
+            g = gcd(g, v)
+    return g == 1
+
+
+def ref_orbit_count(keys, generators, n):
+    group = _generated_group(generators, n)
+    return len({min(tuple(key[p[i]] for i in range(n)) for p in group)
+                for key in keys})
+
+
+def random_gram(rng, n):
+    """The criterion-10a generator: -2 diagonal, off-diagonal 0, 1 or 2."""
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = -2
+        for j in range(i + 1, n):
+            r = rng.random()
+            g[i][j] = g[j][i] = 0 if r < 0.55 else (1 if r < 0.92 else 2)
+    return g
 
 
 def triangle():
@@ -61,16 +112,11 @@ def test_exhaustive_oracle_random_sets():
     agreements = 0
     for trial in range(200):
         n = rng.randrange(3, 10)
-        g = [[0] * n for _ in range(n)]
-        for i in range(n):
-            g[i][i] = -2
-        for i in range(n):
-            for j in range(i + 1, n):
-                r = rng.random()
-                v = 0 if r < 0.55 else (1 if r < 0.92 else 2)
-                g[i][j] = g[j][i] = v
+        g = random_gram(rng, n)
         S = CurveSet([f"c{i}" for i in range(n)], g)
-        mine = {(f.kind, f.components) for f in find_fibres(S, max_n=10)}
+        fibres = find_fibres(S, max_n=10)
+        mine = {(f.kind, f.components) for f in fibres}
+        assert len(mine) == len(fibres), trial          # each found once
         oracle = {(f.kind, f.components) for f in brute_force_fibres(S, max_n=10)}
         assert mine == oracle, (trial, sorted(mine - oracle), sorted(oracle - mine))
         trials += 1
@@ -218,3 +264,68 @@ def test_section_gcd_semantics():
     assert f_coprime.has_section and not f_coprime.has_section_in_set
     f_zero = Fibration((0, 0), [])
     assert not f_zero.has_section
+
+
+def doubled_gram(rng, b):
+    """Two copies of a random block joined by a symmetric cross block, so
+    that swapping the copies preserves the Gram matrix.  Two I2 pairs are
+    appended, each met once by curve k and by its copy: they share a key."""
+    block, cross = random_gram(rng, b), random_gram(rng, b)
+    for i in range(b):
+        cross[i][i] = rng.choice((0, 0, 1))
+    n = 2 * b + 4
+    g = [block[i] + cross[i] + [0] * 4 for i in range(b)] + \
+        [cross[i] + block[i] + [0] * 4 for i in range(b)] + \
+        [[0] * n for _ in range(4)]
+    k = rng.randrange(b)
+    for x in (2 * b, 2 * b + 2):
+        g[x][x] = g[x + 1][x + 1] = -2
+        g[x][x + 1] = g[x + 1][x] = 2
+        for c in (k, k + b):
+            g[x][c] = g[c][x] = 1
+    return g
+
+
+def test_key_matrix_matches_reference_on_doubled_sets():
+    rng = random.Random(4)
+    multi = 0
+    for trial in range(100):
+        b = rng.randrange(3, 8)
+        g = doubled_gram(rng, b)
+        S = CurveSet([f"c{i}" for i in range(len(g))], g)
+        fibres = find_fibres(S, max_n=10)
+        assert len(set(fibres)) == len(fibres), trial
+        fibs = group_fibrations(fibres, S)
+        ref = ref_group_fibrations(fibres, S)
+        assert [fibre_key(S, f) for f in fibres] == \
+            [ref_fibre_key(S, f) for f in fibres], trial
+        assert [(f.key, f.fibres) for f in fibs] == ref, trial
+        multi += sum(len(f.fibres) > 1 for f in fibs)
+        swap = [list(range(b, 2 * b)) + list(range(b)) + list(range(2 * b, S.n))]
+        keys = [k for k, _ in ref]
+        for pred, ref_pred in ((None, lambda k: True),
+                               (lambda f: f.has_section, ref_has_section),
+                               (lambda f: f.has_section_in_set,
+                                lambda k: 1 in k)):
+            assert orbit_count(fibs, swap, S, predicate=pred) == \
+                ref_orbit_count([k for k in keys if ref_pred(k)], swap, S.n), trial
+    assert multi > 0
+
+
+def test_key_entries_beyond_int8_are_refused():
+    # an I2 pair met 64 times each by a third curve: that curve's key entry is 128
+    S = CurveSet(list("abc"), [[-2, 2, 64], [2, -2, 64], [64, 64, -2]])
+    fibres = find_fibres(S)
+    assert [fibre_key(S, f) for f in fibres] == [(0, 0, 128)]
+    with pytest.raises(AssertionError):
+        group_fibrations(fibres, S)
+
+
+def test_group_fibrations_refuses_meeting_fibres_with_one_key():
+    # D = a + b with a.b = 3 has key (1, 1) but D.D = 2
+    S = CurveSet(list("ab"), [[-2, 3], [3, -2]])
+    cfg = FibreConfig("I2", ((0, 1), (1, 1)))
+    with pytest.raises(ValueError):
+        ref_group_fibrations([cfg, cfg], S)
+    with pytest.raises(ValueError):
+        group_fibrations([cfg, cfg], S)

@@ -89,6 +89,18 @@ def test_count_smooth_structure():
         SurfaceCount(7, 10, 98, 100)
 
 
+def test_smooth_profile_point_rejected():
+    # (1 : 0 : 1) lies on x^6 + y^6 - z^6, but the gradient there is (6, 0, -6)
+    fix = SurfaceFixture({
+        "provenance": "derived", "name": "drell-yan",
+        "sextic_monomials": [[[6, 0, 0], 1], [[0, 6, 0], 1], [[0, 0, 6], -1]],
+        "singular_profile": [{"point": ["1", "0", "1"], "type": 1,
+                              "rational_exceptional": True}],
+        "bad_primes": []})
+    with pytest.raises(ValueError, match="not singular"):
+        count_smooth(fix, build_extension(7, 1))
+
+
 def test_bad_prime_rejected():
     fix = load_surface()
     with pytest.raises(ValueError):
