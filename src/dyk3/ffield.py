@@ -103,9 +103,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of 0 in F_p")
         return pow(a, self.p - 2, self.p)
 
-    def is_square(self, a: int) -> bool:
-        return kronecker(a, self.p) >= 0
-
     def chi(self, a: int) -> int:
         """Quadratic character with chi(0) = 0."""
         return kronecker(a, self.p)
@@ -217,12 +214,6 @@ class ExtField:
     def from_int(self, a: int):
         return (a % self.p,) + (0,) * (self.n - 1)
 
-    def from_coeffs(self, cs):
-        cs = [c % self.p for c in cs]
-        if len(cs) > self.n:
-            raise ValueError("too many coefficients")
-        return tuple(cs) + (0,) * (self.n - len(cs))
-
     def gen(self):
         if self.n == 1:
             raise ValueError("prime field has no extension generator")
@@ -294,9 +285,6 @@ class ExtField:
         out = out[: self.n] + [0] * max(0, self.n - len(out))
         return tuple(out[: self.n])
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def _polymul(self, a, b):
         p = self.p
         if not a or not b:
@@ -333,16 +321,6 @@ class ExtField:
     def frobenius(self, a):
         """x -> x^p."""
         return self.pow(a, self.p)
-
-    def norm_to_prime(self, a) -> int:
-        """Norm down to F_p: product of the n Frobenius conjugates."""
-        r, b = self.one, a
-        for _ in range(self.n):
-            r = self.mul(r, b)
-            b = self.frobenius(b)
-        if any(c != 0 for c in r[1:]):
-            raise AssertionError("norm did not land in the prime field")
-        return r[0]
 
     def chi(self, a) -> int:
         """Quadratic character of F_q, chi(0) = 0."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .numfield import TowerElement
+from .poly import Poly, TOWER
 from .siverify import sqrt_in_k4
 
 ZERO = TowerElement.rational(0)
@@ -84,9 +85,6 @@ class Ser:
         if any(not a.is_zero() for a in self.c[:k]):
             raise ValueError("series not divisible by s^k")
         return Ser(self.c[k:] + [ZERO] * k)
-
-    def eval0(self):
-        return self.c[0]
 
     def inverse_unit(self):
         if self.c[0].is_zero():
@@ -645,8 +643,8 @@ def point_landings(curves):
         else:
             raise NotImplementedError("no admissible chart shear found")
         if k:
-            # u_new = u + k v  <=>  u = u_new - k v
-            Floc = _poly2_sub_u(Floc, kk)
+            # u_new = u + k v  <=>  u = u_new - k v: the shear with u, v swapped
+            Floc = _poly2_swap(_poly2_sub_shear(_poly2_swap(Floc), -kk))
             germs = [Germ(g.gid, g.u + g.v * kk, g.v, g.w) for g in germs]
         landings, meets = analyze_singularity(Floc, germs)
         worder = {g.gid: g.w.ord() for g in germs}
@@ -664,16 +662,9 @@ def point_landings(curves):
     return out
 
 
-def _poly2_sub_u(F, k):
-    """F with u replaced by u - k*v (matching the germ change u -> u + k v)."""
-    from math import comb
-    out = {}
-    for (i, j), coef in F.items():
-        for t in range(i + 1):
-            key = (i - t, j + t)
-            add = coef * comb(i, t) * ((-k) ** t)
-            out[key] = out.get(key, ZERO) + add
-    return {kk: v for kk, v in out.items() if not v.is_zero()}
+def _poly2_swap(F):
+    """F(v, u)."""
+    return {(j, i): coef for (i, j), coef in F.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -753,29 +744,11 @@ def _line_param(cur):
 
 
 def _binary_from_poly3(d, A, B):
-    """d(s*A + t*B) as a binary form [coeff of s^k t^(deg-k)], k = deg..0."""
-    # compute coefficients by expanding each monomial
-    from math import comb
-    deg = max(a + b + c for (a, b, c) in d)
-    out = [ZERO] * (deg + 1)
-
-    def add_monomial(coef, a, b, c):
-        # (sA0+tB0)^a (sA1+tB1)^b (sA2+tB2)^c
-        terms = {0: coef}
-        for (Ai, Bi, e) in ((A[0], B[0], a), (A[1], B[1], b), (A[2], B[2], c)):
-            new = {}
-            for k in range(e + 1):
-                cc = comb(e, k) * (Ai ** k) * (Bi ** (e - k))
-                if cc.is_zero():
-                    continue
-                for kk, vv in terms.items():
-                    new[kk + k] = new.get(kk + k, ZERO) + vv * cc
-            terms = new
-        for kk, vv in terms.items():
-            out[kk] = out[kk] + vv
-
-    for (a, b, c), coef in d.items():
-        add_monomial(coef, a, b, c)
+    """d(s*A + B) as a Poly in s: the binary form d(s*A + t*B) at t = 1."""
+    X, Y, Z = (Poly(TOWER, [b, a]) for a, b in zip(A, B))
+    out = Poly(TOWER, [])
+    for (i, j, k), coef in d.items():
+        out = out + X ** i * Y ** j * Z ** k * coef
     return out
 
 
@@ -824,7 +797,7 @@ def _same_proj(P, Q):
 
 def _quadratic_roots_k4(c2, c1, c0):
     """Roots of c2 s^2 + c1 s + c0 over K4: ('pair', r1, r2) | ('double', r)
-    | ('conjugate', (c2, c1, c0))."""
+    | ('conjugate', None)."""
     if c2.is_zero():
         if c1.is_zero():
             raise ValueError("not a quadratic")
@@ -834,7 +807,7 @@ def _quadratic_roots_k4(c2, c1, c0):
         return ("double", -c1 / (2 * c2))
     r = sqrt_in_k4(disc)
     if r is None:
-        return ("conjugate", (c2, c1, c0))
+        return ("conjugate", None)
     inv = ONE / (2 * c2)
     return ("pair", (-c1 + r) * inv, (-c1 - r) * inv)
 
@@ -855,7 +828,7 @@ def off_singular_line_conic(curves_by_name, sing_pts):
             h3 = _binary_from_poly3(cC.h, A, B)
             # roots of the binary quadratic q(s, t): work in the chart t = 1,
             # with the s = infinity root handled via the leading coefficient
-            c2, c1, c0 = qform[2], qform[1], qform[0]
+            c2, c1, c0 = qform.coeff(2), qform.coeff(1), qform.coeff(0)
             pts = []
             if c2.is_zero() and c1.is_zero():
                 if c0.is_zero():
@@ -873,7 +846,7 @@ def off_singular_line_conic(curves_by_name, sing_pts):
                 elif kind[0] == "double":
                     pts.append(("rational", kind[1], 2))
                 else:
-                    pts.append(("conjugate", kind[1], 1))
+                    pts.append(("conjugate", None, 1))
             for tag, data, mult in pts:
                 if tag == "rational":
                     P = A if data is None else tuple(
@@ -897,40 +870,12 @@ def off_singular_line_conic(curves_by_name, sing_pts):
                 else:
                     # conjugate pair: (g - h) vanishes at both or neither,
                     # decided by polynomial divisibility
-                    c2q, c1q, c0q = data
                     for sign, pairs in ((1, [(ln, cn), ("Lt" + ln[1:], "Ct" + cn[1:])]),
                                         (-1, [(ln, "Ct" + cn[1:]), ("Lt" + ln[1:], cn)])):
-                        diff = [a - sign * b for a, b in zip(g3, h3)]
-                        if _binary_divisible(diff, (c0q, c1q, c2q)):
+                        if ((g3 - sign * h3) % qform).is_zero():
                             for k in pairs:
                                 out[k] = out.get(k, 0) + 2
     return out
-
-
-def _binary_divisible(form, quad):
-    """Does the binary quadratic (low-to-high) divide the binary form?"""
-    # dehomogenize at t = 1: divide polynomials in s
-    a = list(form)           # index = power of s
-    q = list(quad)
-    while a and a[-1].is_zero():
-        a.pop()
-    if not a:
-        return True
-    if len(a) < 3:
-        return False
-    # classic synthetic division by q2 s^2 + q1 s + q0
-    q0, q1, q2 = q
-    inv = ONE / q2
-    a = a[:]
-    for i in range(len(a) - 1, 1, -1):
-        c = a[i] * inv
-        a[i] = ZERO
-        a[i - 1] = a[i - 1] - c * q1
-        a[i - 2] = a[i - 2] - c * q0
-    rem_ok = all(x.is_zero() for x in a[:2])
-    # degree bookkeeping: if the original form had lower degree than
-    # deg(quad) * k the division above already covers it
-    return rem_ok
 
 
 def same_curve_pairings(curves_by_name, engine_out):
@@ -945,16 +890,9 @@ def same_curve_pairings(curves_by_name, engine_out):
         for gid, wo in data["worder"].items():
             worders.setdefault(gid, {})[pname] = wo
     for name, cur in curves_by_name.items():
-        if name.startswith("L"):
-            A, B = _line_param(cur)
-            form = _binary_from_poly3(cur.h, A, B)
-            total = _binary_degree(form)
-        else:
-            total = 6
-            form = None
-            # conics: restrict via the sum rule f|C = h^2: zeros of h on C
-            # total 6; singular orders subtracted below.  The remaining
-            # count is what we need; positions are not required.
+        # every w-polynomial is a cubic, so h restricted to the curve has
+        # 3 * deg(curve) zeros; singular orders are subtracted below
+        total = 3 * max(sum(e) for e in cur.q)
         sing = sum(worders.get(name + "+", {}).values())
         off = total - sing
         if off < 0:
@@ -962,11 +900,6 @@ def same_curve_pairings(curves_by_name, engine_out):
         tname = ("Lt" + name[1:]) if name.startswith("L") else ("Ct" + name[1:])
         out[(name, tname)] = off
     return out
-
-
-def _binary_degree(form):
-    """Degree of the restriction divisor on P^1 (zeros at infinity included)."""
-    return len(form) - 1
 
 
 def _mirror_label(l):

@@ -292,10 +292,6 @@ class RationalFunc:
                 num, den = num * inv, den * inv
         self.num, self.den = num, den
 
-    @classmethod
-    def from_poly(cls, p: Poly):
-        return cls(p)
-
     @property
     def field(self):
         return self.num.field

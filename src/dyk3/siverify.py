@@ -34,41 +34,28 @@ def sqrt_in_k4(x: TowerElement):
     if not x.in_k4():
         raise ValueError("element not in K4")
     co = x.co
-    s = (Fraction(co[0]), Fraction(co[1]))   # rational + sqrt2 part
-    t = (Fraction(co[2]), Fraction(co[3]))   # sqrt5 + sqrt10 part
-    if t == (0, 0):
-        r = sqrt_in_quadratic(s[0], s[1], 2)
+    s = TowerElement.k4(co[0], co[1])   # rational + sqrt2 part
+    t = TowerElement.k4(co[2], co[3])   # coefficient of sqrt5, in Q(sqrt2)
+    if t.is_zero():
+        r = sqrt_in_quadratic(co[0], co[1], 2)
         if r is not None:
             return TowerElement.k4(r[0], r[1], 0, 0)
         # maybe a sqrt5 multiple: x = 5 w^2 with w in Q(sqrt2)
-        r = sqrt_in_quadratic(s[0] / 5, s[1] / 5, 2)
+        r = sqrt_in_quadratic(co[0] / 5, co[1] / 5, 2)
         if r is not None:
             return TowerElement.k4(0, 0, r[0], r[1])
         return None
-    # s^2 - 5 t^2 in Q(sqrt2)
-    s2 = _q2_mul(s, s)
-    t2 = _q2_mul(t, t)
-    disc = (s2[0] - 5 * t2[0], s2[1] - 5 * t2[1])
-    root = sqrt_in_quadratic(disc[0], disc[1], 2)
+    disc = s * s - 5 * t * t        # in Q(sqrt2)
+    root = sqrt_in_quadratic(disc.co[0], disc.co[1], 2)
     if root is None:
         return None
     for sign in (1, -1):
-        u2 = ((s[0] + sign * root[0]) / 2, (s[1] + sign * root[1]) / 2)
-        u = sqrt_in_quadratic(u2[0], u2[1], 2)
+        u2 = (s + sign * TowerElement.k4(*root)) / 2
+        u = sqrt_in_quadratic(u2.co[0], u2.co[1], 2)
         if u is not None and u != (0, 0):
-            v = _q2_div(t, (2 * u[0], 2 * u[1]))
-            return TowerElement.k4(u[0], u[1], v[0], v[1])
+            v = t / (2 * TowerElement.k4(*u))
+            return TowerElement.k4(u[0], u[1], v.co[0], v.co[1])
     return None
-
-
-def _q2_mul(a, b):
-    return (a[0] * b[0] + 2 * a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _q2_div(a, b):
-    n = b[0] * b[0] - 2 * b[1] * b[1]
-    conj = (b[0] / n, -b[1] / n)
-    return _q2_mul(a, conj)
 
 
 def verify_kummer_match(constants=None) -> dict:

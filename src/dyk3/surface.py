@@ -228,6 +228,18 @@ def _poly_mod_p(poly: Poly, p: int):
     return out
 
 
+def cubic_node(F: ExtField, A2, A4, A6):
+    """The double root r of x^3 + A2 x^2 + A4 x + A6 = (x - r)^2 (x - s)
+    over F_q, or None at a triple root.
+
+    A2^2 - 3 A4 = (r - s)^2 and 9 A6 - A2 A4 = 2r (r - s)^2.
+    """
+    den = F.smul(2, F.sub(F.mul(A2, A2), F.smul(3, A4)))
+    if den == F.zero:
+        return None
+    return F.mul(F.sub(F.smul(9, A6), F.mul(A2, A4)), F.inv(den))
+
+
 def bad_fiber_points(field: ExtField, a2: FqPoly, a4: FqPoly, a6: FqPoly) -> int:
     """F_q-points of the minimal regular fibre over t = 0.
 
@@ -236,7 +248,6 @@ def bad_fiber_points(field: ExtField, a2: FqPoly, a4: FqPoly, a6: FqPoly) -> int
     """
     F = field
     q = F.q
-    t = FqPoly(F, [F.zero, F.one])
 
     def val(fp: FqPoly) -> int:
         if fp.is_zero():
@@ -266,14 +277,10 @@ def bad_fiber_points(field: ExtField, a2: FqPoly, a4: FqPoly, a6: FqPoly) -> int
     if sym == "I0":
         raise ValueError("fibre is smooth after minimalisation")
     if sym.startswith("I") and sym[1:].isdigit():
-        # node of the reduced fibre
-        A2, A4, A6 = a2.coeff0(), a4.coeff0(), a6.coeff0()
-        fbar = FqPoly(F, [A6, A4, A2, F.one])
-        dbar = FqPoly(F, [A4, F.smul(2, A2), F.from_int(3)])
-        g = fbar.gcd(dbar)
-        if g.degree() != 1:
+        A2 = a2.coeff0()
+        x0 = cubic_node(F, A2, a4.coeff0(), a6.coeff0())
+        if x0 is None:
             raise AssertionError("multiplicative fibre without a unique node")
-        x0 = F.neg(F.mul(g.coeffs[0], F.inv(g.coeffs[1])))
         tangent = F.add(F.smul(3, x0), A2)
         split = F.chi(tangent) == 1
         if n == 1:

@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numfield import (TowerElement, rational_sqrt, sqrt_in_quadratic,
-                       squarefree_kernel)
+from .numfield import TowerElement, rational_sqrt, sqrt_in_quadratic
 from .poly import Poly, QQ, RationalFunc, TOWER
 
 __all__ = [
@@ -107,13 +106,13 @@ def residue_is_square(c, pi: Poly, base_label: str = "QQ"):
         # kappa = Q[t]/(t^2 + bt + a): map to Q(sqrt D), D = b^2 - 4a
         b, a = Fraction(pi.coeffs[1]), Fraction(pi.coeffs[0])
         D = b * b - 4 * a
-        if D == 0:
+        if D <= 0:
             return None
         cp = c if isinstance(c, Poly) else Poly.const(F, c)
         cp = cp % pi
         u, v = Fraction(cp.coeff(0)), Fraction(cp.coeff(1))
         # c = u + v*theta with theta = (-b + sqrt D)/2
-        return _quad_square(u - v * b / 2, v / 2, D)
+        return sqrt_in_quadratic(u - v * b / 2, v / 2, D) is not None
     return None
 
 
@@ -128,23 +127,7 @@ def _constant_is_square(c, base_label: str):
             if co[1] or co[3]:
                 return None
             return sqrt_in_quadratic(co[0], co[2], 5) is not None
-        if base_label == "Qsqrt2":
-            if co[2] or co[3]:
-                return None
-            return sqrt_in_quadratic(co[0], co[1], 2) is not None
     return None
-
-
-def _quad_square(s, t, D: Fraction):
-    """Is s + t*sqrt(D) (D a positive rational non-square) a square in Q(sqrt D)?"""
-    D = Fraction(D)
-    if D <= 0:
-        return None
-    # sqrt(D) = r*sqrt(d) with d the squarefree kernel of D
-    d = squarefree_kernel(D.numerator * D.denominator)
-    r = rational_sqrt(D / d)
-    assert r is not None
-    return sqrt_in_quadratic(Fraction(s), Fraction(t) * r, d) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +275,6 @@ class EllipticSurface:
                            + 9 * b2 * b4 * b6)
         return self._delta
 
-    def rhs_poly_in_x(self):
-        """Coefficients [a6, a4, a2, 1] of the cubic in x (entries Poly in t)."""
-        F = self.fieldad
-        return [self.a6, self.a4, self.a2, Poly.const(F, F.one)]
-
     def infinity_model(self) -> "EllipticSurface":
         """The u = 1/t chart with (x, y) -> (x/u^{2w}, y/u^{3w}); built once."""
         if self._inf is None:
@@ -362,23 +340,22 @@ class EllipticSurface:
         return residue_is_square(c, pi, self.base_label)
 
     def _node_residue(self, pi: Poly):
-        """x-coordinate (as Poly mod pi) of the node of the reduced fibre."""
-        F = self.fieldad
-        # f(x) = x^3 + a2 x^2 + a4 x + a6 with coefficients mod pi, in kappa[x]
+        """x-coordinate (as Poly mod pi) of the node of the reduced fibre,
+        or None when the reduced cubic has a triple root.
+
+        x^3 + a x^2 + b x + c = (x - r)^2 (x - s) gives a^2 - 3b = (r - s)^2
+        and 9c - ab = 2r (r - s)^2, so r = (9c - ab) / (2 (a^2 - 3b)).
+        """
         a2, a4, a6 = self.a2 % pi, self.a4 % pi, self.a6 % pi
-        # work in kappa[x]: elements of kappa are Polys in t mod pi
-        fx = _KPoly(pi, [a6, a4, a2, Poly.const(F, F.one)])
-        dfx = fx.derivative()
-        g = fx.gcd(dfx)
-        if g.degree() != 1:
+        den = (2 * (a2 * a2 - 3 * a4)) % pi
+        if den.is_zero():
             return None
-        # root of linear g
-        lead_inv = g.kinv(g.coeffs[1])
-        x0 = _kmul(pi, -1 * g.coeffs[0], lead_inv) % pi
-        return x0
+        return (9 * a6 - a2 * a4) * LocalRing(pi, 1).inv_unit(den) % pi
 
     def _i0star_legs(self, pi: Poly):
         """1 + number of kappa-rational roots of the step-6 cubic."""
+        if pi.degree() != 1:
+            raise NotImplementedError("cubic leg data only at degree-1 places")
         F = self.fieldad
         # depress: x -> x - a2/3 exactly, then P(X) = X^3 + (p/pi^2) X + (q/pi^3)
         a2, a4, a6 = self.a2, self.a4, self.a6
@@ -387,14 +364,14 @@ class EllipticSurface:
         q = a6 - a4 * s + a2 * s * s - s * s * s
         p2 = p.exact_div(pi ** 2) % pi if not p.is_zero() else Poly(F, [])
         q3 = q.exact_div(pi ** 3) % pi if not q.is_zero() else Poly(F, [])
-        cubic = _KPoly(pi, [q3, p2, Poly(F, []), Poly.const(F, F.one)])
-        return 1 + cubic.count_rational_roots()
+        return 1 + cubic_root_count(F.zero, p2.coeff(0), q3.coeff(0),
+                                    self.base_label)
 
     def bad_fibres(self):
         """[(Place, LocalFibreData)] over every place; sum v(Delta) = 12 chi."""
         _, _, delta = self.c4_c6_delta()
         out = []
-        for pi, mult in factor_over_base(delta, self.fieldad):
+        for pi in factor_over_base(delta, self.base_label):
             place = Place(pi)
             data = self.local_type(place)
             if data.vdelta > 0:
@@ -410,120 +387,12 @@ class EllipticSurface:
 
 
 # ---------------------------------------------------------------------------
-# kappa[x] helper: polynomials in x over kappa = k[t]/(pi)
-
-
-def _kmul(pi, a, b):
-    return (a * b) % pi
-
-
-class _KPoly:
-    """Polynomial in x with coefficients in k[t]/(pi)."""
-
-    def __init__(self, pi: Poly, coeffs):
-        self.pi = pi
-        cs = [c % pi for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs = cs
-
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def kinv(self, c: Poly) -> Poly:
-        g, s, _ = poly_ext_gcd(c % self.pi, self.pi)
-        if g.degree() != 0:
-            raise ZeroDivisionError("residue not invertible")
-        return (s * (self.pi.field.one / g.coeffs[0])) % self.pi
-
-    def derivative(self):
-        F = self.pi.field
-        return _KPoly(self.pi, [c * F.from_int(i) for i, c in
-                                enumerate(self.coeffs)][1:])
-
-    def divmod(self, other):
-        pi = self.pi
-        a = [c for c in self.coeffs]
-        b = other.coeffs
-        binv = other.kinv(b[-1])
-        if len(a) < len(b):
-            return _KPoly(pi, []), self
-        F = pi.field
-        q = [Poly(F, []) for _ in range(len(a) - len(b) + 1)]
-        for i in range(len(a) - len(b), -1, -1):
-            c = _kmul(pi, a[i + len(b) - 1], binv)
-            if not c.is_zero():
-                q[i] = c
-                for j, bj in enumerate(b):
-                    a[i + j] = (a[i + j] - c * bj) % pi
-        return _KPoly(pi, q), _KPoly(pi, a)
-
-    def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        if a.is_zero():
-            return a
-        inv = a.kinv(a.coeffs[-1])
-        return _KPoly(self.pi, [_kmul(self.pi, c, inv) for c in a.coeffs])
-
-    def count_rational_roots(self) -> int:
-        """kappa-roots of a cubic, counted without multiplicity."""
-        if self.degree() != 3:
-            raise NotImplementedError("root count only for cubics")
-        inv = self.kinv(self.coeffs[-1])
-        cs = [_kmul(self.pi, c, inv) for c in self.coeffs]
-        return _cubic_rational_roots(cs, self.pi)
-
-
-def _cubic_rational_roots(cs, pi: Poly) -> int:
-    """Number of kappa-roots of a monic cubic (kappa = Q or quadratic)."""
-    F = pi.field
-    if pi.degree() != 1:
-        raise NotImplementedError("cubic leg data only at degree-1 places")
-    b, c, d = cs[2].coeff(0), cs[1].coeff(0), cs[0].coeff(0)
-    # rational roots of x^3 + bx^2 + cx + d over Q (Fraction coefficients)
-    if F is QQ:
-        roots = _rational_cubic_roots(Fraction(b), Fraction(c), Fraction(d))
-    else:
-        roots = _tower_cubic_roots(b, c, d)
-    return roots
-
-
-def _rational_cubic_roots(b, c, d) -> int:
-    import sympy
-    t = sympy.Symbol("x")
-    expr = t ** 3 + sympy.Rational(b) * t ** 2 + sympy.Rational(c) * t + sympy.Rational(d)
-    count = 0
-    for fac, mult in sympy.factor_list(expr, t)[1]:
-        if sympy.degree(fac, t) == 1:
-            count += 1
-    return count
-
-
-def _tower_cubic_roots(b, c, d) -> int:
-    import sympy
-    t = sympy.Symbol("x")
-    exprs = [_tower_to_sympy(v) for v in (b, c, d)]
-    expr = t ** 3 + exprs[0] * t ** 2 + exprs[1] * t + exprs[2]
-    ext = _sympy_extension_for([b, c, d])
-    count = 0
-    for fac, mult in sympy.factor_list(expr, t, extension=ext)[1]:
-        if sympy.degree(fac, t) == 1:
-            count += 1
-    return count
-
-
-# ---------------------------------------------------------------------------
-# sympy bridge for factorization over Q and Q(sqrt d)
+# sympy bridge for factorization over Q and Q(sqrt 5)
 
 
 def _tower_to_sympy(c):
     import sympy
-    if isinstance(c, Fraction):
+    if isinstance(c, (int, Fraction)):
         return sympy.Rational(c.numerator, c.denominator)
     if not c.in_k4():
         raise NotImplementedError("factorization base restricted to K4 subfields")
@@ -534,16 +403,10 @@ def _tower_to_sympy(c):
             + sympy.Rational(co[3].numerator, co[3].denominator) * sympy.sqrt(10))
 
 
-def _sympy_extension_for(consts):
+def _sympy_extension(base_label: str):
+    """The sympy `extension` that makes the base field of a model."""
     import sympy
-    need2 = any(isinstance(c, TowerElement) and (c.co[1] or c.co[3]) for c in consts)
-    need5 = any(isinstance(c, TowerElement) and (c.co[2] or c.co[3]) for c in consts)
-    ext = []
-    if need2:
-        ext.append(sympy.sqrt(2))
-    if need5:
-        ext.append(sympy.sqrt(5))
-    return ext or None
+    return {"QQ": None, "Qsqrt5": sympy.sqrt(5)}[base_label]
 
 
 def _sympy_to_coeff(expr, fieldad):
@@ -553,7 +416,6 @@ def _sympy_to_coeff(expr, fieldad):
         r = sympy.Rational(expr)
         return Fraction(r.p, r.q)
     s2, s5 = sympy.sqrt(2), sympy.sqrt(5)
-    s10 = sympy.sqrt(10)
     poly = sympy.Poly(expr, s2, s5)
     out = TowerElement.rational(0)
     for monom, coef in poly.terms():
@@ -566,39 +428,37 @@ def _sympy_to_coeff(expr, fieldad):
     return out
 
 
-def poly_to_sympy(p: Poly, t):
+def _poly_to_sympy(coeffs, x):
+    """sum c_i x^i for low-to-high coefficients (Fraction or K4 elements)."""
+    return sum(_tower_to_sympy(c) * x ** i for i, c in enumerate(coeffs))
+
+
+def cubic_root_count(b, c, d, base_label: str = "QQ") -> int:
+    """Number of distinct roots of x^3 + b x^2 + c x + d in the base field."""
     import sympy
-    expr = sympy.Integer(0)
-    for i, c in enumerate(p.coeffs):
-        if p.field is QQ:
-            expr += sympy.Rational(Fraction(c)) * t ** i
-        else:
-            expr += _tower_to_sympy(c) * t ** i
-    return expr
+    x = sympy.Symbol("x")
+    expr = _poly_to_sympy((d, c, b, 1), x)
+    factors = sympy.factor_list(expr, x, extension=_sympy_extension(base_label))[1]
+    return sum(1 for fac, _ in factors if sympy.degree(fac, x) == 1)
 
 
-def factor_over_base(p: Poly, fieldad):
-    """Monic irreducible factors of p over the base field, with multiplicity."""
+def factor_over_base(p: Poly, base_label: str):
+    """Monic irreducible factors of p over the base field named by
+    base_label ("QQ" or "Qsqrt5"), each once."""
     import sympy
     t = sympy.Symbol("t")
-    expr = poly_to_sympy(p, t)
-    if fieldad is QQ:
-        _, factors = sympy.factor_list(expr, t)
-    else:
-        ext = _sympy_extension_for(p.coeffs)
-        if ext:
-            _, factors = sympy.factor_list(expr, t, extension=ext)
-        else:
-            _, factors = sympy.factor_list(expr, t)
+    expr = _poly_to_sympy(p.squarefree_part().coeffs, t)
+    _, factors = sympy.factor_list(expr, t,
+                                   extension=_sympy_extension(base_label))
     out = []
-    for fac, mult in factors:
+    for fac, _ in factors:
         spoly = sympy.Poly(fac, t)
         if spoly.degree() == 0:
             continue
         coeffs = list(reversed(spoly.all_coeffs()))
-        mine = Poly(fieldad, [_sympy_to_coeff(c, fieldad) for c in coeffs]).monic()
-        out.append((mine, mult))
-    out.sort(key=lambda fm: (fm[0].degree(), repr(fm[0])))
+        out.append(Poly(p.field, [_sympy_to_coeff(c, p.field)
+                                  for c in coeffs]).monic())
+    out.sort(key=lambda f: (f.degree(), repr(f)))
     return out
 
 
@@ -741,7 +601,7 @@ def section_zero_intersection(P: SectionPoint) -> int:
     F = E.fieldad
     total = 0
     den = P.x.den
-    for pi, mult in factor_over_base(den, F):
+    for pi in factor_over_base(den, E.base_label):
         v = P.x.valuation(pi)
         if v < 0:
             total += ((-v + 1) // 2) * pi.degree()
@@ -985,7 +845,7 @@ def analyze_quartic_double_cover(quartic_coeffs, fieldad=TOWER, chi: int = 2):
     if any(not F.is_zero(c) for i, c in enumerate(prod.coeffs) if i % 2):
         raise AssertionError("middle places are not symmetric in s -> -s")
     t_locus = Poly(F, prod.coeffs[0::2])
-    for pi_t, mult in factor_over_base(t_locus, F):
+    for pi_t in factor_over_base(t_locus, jac.base_label):
         pi_s = compose_t_squared(pi_t)
         v = None
         for pl, fib in middle_types:

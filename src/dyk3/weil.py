@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .ffield import kronecker
 from .numfield import rational_sqrt, squarefree_kernel
+from .poly import Poly, QQ
 
 
 def algebraic_trace(p: int, n: int, kron5: int) -> int:
@@ -156,31 +157,16 @@ def charpoly(spec: FrobeniusSpectrum):
     if not spec.solved:
         raise ValueError("spectrum not solved")
     p = Fraction(spec.p)
-    poly = [Fraction(1)]
-
-    def mul_linear(poly, root):
-        out = [Fraction(0)] * (len(poly) + 1)
-        for i, a in enumerate(poly):
-            out[i + 1] += a
-            out[i] -= a * root
-        return out
-
-    for _ in range(18):
-        poly = mul_linear(poly, p)
-    poly = mul_linear(poly, spec.kron5 * p)
-    poly = mul_linear(poly, spec.s * p)
-    quad = [p * p, -p * spec.c, Fraction(1)]
-    out = [Fraction(0)] * (len(poly) + 2)
-    for i, a in enumerate(poly):
-        for j, b in enumerate(quad):
-            out[i + j] += a * b
+    T = Poly.x(QQ)
+    poly = ((T - p) ** 18 * (T - spec.kron5 * p) * (T - spec.s * p)
+            * (T * T - p * spec.c * T + p * p))
     # transcendental cubic has integer coefficients
     cubic = [spec.s * p ** 3 * -1, p * p + spec.s * p * p * spec.c,
              -(spec.s * p + p * spec.c), Fraction(1)]
     for cc in cubic:
         if Fraction(cc).denominator != 1:
             raise AssertionError("transcendental cubic coefficient not integral")
-    return out
+    return poly.coeffs
 
 
 def functional_equation_sign(coeffs, p: int):

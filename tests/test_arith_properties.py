@@ -2,7 +2,9 @@
 
 Poly.divmod inverts the divisor's leading coefficient once, and the tower
 ring operations build their results without re-normalising them; both are
-checked here against the identities and the normalising constructor.
+checked here against the identities and the normalising constructor.  The
+closed node formula of a cubic with a double root, and the square roots in
+quadratic fields and K4, are checked against the values they invert.
 """
 
 from fractions import Fraction
@@ -10,11 +12,15 @@ from fractions import Fraction
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dyk3 import numfield as nf
-from dyk3.numfield import TowerElement
+from dyk3.ffield import build_extension
+from dyk3.numfield import TowerElement, rational_sqrt, sqrt_in_quadratic
 from dyk3.poly import Poly, QQ, TOWER
+from dyk3.siverify import sqrt_in_k4
+from dyk3.surface import cubic_node
+from dyk3.tate import EllipticSurface, residue_is_square
 
 rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
 nonzero_rationals = rationals.filter(bool)
@@ -113,3 +119,62 @@ def test_k4_inverse_is_normal(x):
         return
     inv = _normal(x.inv())
     assert x * inv == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(rationals, rationals), st.tuples(rationals, rationals),
+       st.booleans(), st.booleans())
+def test_node_residue_is_the_double_root(r, s, quadratic, triple):
+    # (x - r)^2 (x - s) over kappa = Q[t]/(t) or Q[t]/(t^2 - 2)
+    t = Poly.x(QQ)
+    pi = t * t - 2 if quadratic else t
+    r = Poly(QQ, r) % pi
+    s = r if triple else Poly(QQ, s) % pi
+    a2, a4, a6 = -(2 * r + s), r * r + 2 * r * s, -(r * r * s)
+    # pi^4 keeps the discriminant nonzero without changing the residues
+    E = EllipticSurface(QQ, a2 % pi, a4 % pi, a6 % pi + pi ** 4)
+    assert E._node_residue(pi) == (None if r == s else r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(3, 1), (5, 1), (31, 1), (7, 2)]), st.data())
+def test_cubic_node_over_fq(pn, data):
+    F = build_extension(*pn)
+    elt = st.integers(0, F.q - 1).map(F.decode)
+    r = data.draw(elt)
+    s = r if data.draw(st.booleans()) else data.draw(elt)
+    A2 = F.neg(F.add(F.smul(2, r), s))
+    A4 = F.add(F.mul(r, r), F.smul(2, F.mul(r, s)))
+    A6 = F.neg(F.mul(F.mul(r, r), s))
+    assert cubic_node(F, A2, A4, A6) == (None if r == s else r)
+
+
+positive_nonsquares = st.builds(Fraction, st.integers(1, 200),
+                                st.integers(2, 12)).filter(
+    lambda d: d.denominator > 1 and rational_sqrt(d) is None)
+
+
+@given(rationals, rationals, positive_nonsquares)
+def test_sqrt_in_quadratic_with_rational_radicand(u, v, d):
+    # (u + v sqrt d)^2 = (u^2 + d v^2) + 2uv sqrt d, d not an integer
+    s, t = u * u + d * v * v, 2 * u * v
+    a, b = sqrt_in_quadratic(s, t, d)
+    assert a * a + d * b * b == s and 2 * a * b == t
+
+
+@given(rationals, rationals, rationals, rationals)
+def test_residue_is_square_at_quadratic_places(b, a, e0, e1):
+    # kappa = Q[t]/(t^2 + bt + a) = Q(sqrt D) with D = b^2 - 4a rational
+    D = b * b - 4 * a
+    assume(D > 0 and rational_sqrt(D) is None)
+    t = Poly.x(QQ)
+    pi = t * t + b * t + a
+    e = Poly(QQ, [e0, e1])
+    assert residue_is_square(e * e % pi, pi)
+
+
+@settings(deadline=None)
+@given(tower_elements(k4_only=True))
+def test_sqrt_in_k4_of_a_square(y):
+    r = sqrt_in_k4(y * y)
+    assert r is not None and r * r == y * y

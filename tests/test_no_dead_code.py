@@ -1,4 +1,5 @@
-"""Every top-level function and class in src/dyk3 is named somewhere else.
+"""Every top-level function and class in src/dyk3, and every method of a
+top-level class other than a dunder method, is named somewhere else.
 
 A name counts as used when it appears as a word in any .py file under
 src/, tests/ or perfbench/ outside the lines of its own definition.
@@ -23,19 +24,32 @@ def _word_sites():
     return sites
 
 
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _definitions(tree):
+    """(qualified name, node) for top-level definitions and the non-dunder
+    methods of top-level classes."""
+    for node in tree.body:
+        if not isinstance(node, _DEFS):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, _DEFS) and not (
+                        sub.name.startswith("__") and sub.name.endswith("__")):
+                    yield f"{node.name}.{sub.name}", sub
+
+
 def _unused_definitions():
     sites = _word_sites()
     unused = []
     for path in sorted((ROOT / "src" / "dyk3").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
-                continue
+        for qualname, node in _definitions(ast.parse(path.read_text())):
             first = min([node.lineno] + [d.lineno for d in node.decorator_list])
             own = range(first, node.end_lineno + 1)
             if all(p == path and line in own for p, line in sites[node.name]):
-                unused.append(f"{path.name}:{node.lineno} {node.name}")
+                unused.append(f"{path.name}:{node.lineno} {qualname}")
     return unused
 
 

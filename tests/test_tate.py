@@ -9,7 +9,7 @@ from dyk3.numfield import TowerElement
 from dyk3.poly import Poly, QQ, RationalFunc, TOWER
 from dyk3.tate import (EllipticSurface, Place, SectionPoint,
                        analyze_quartic_double_cover, component_index,
-                       factor_over_base, local_contribution,
+                       cubic_root_count, factor_over_base, local_contribution,
                        min_positive_height_on_grid, mw_height, mw_pairing,
                        quartic_to_weierstrass, ramified_double_image,
                        shioda_tate_disc, torsion_two_divisibility,
@@ -52,14 +52,19 @@ def test_e1_bad_fibres():
 
 
 def test_residue_root_count_only_for_cubics():
-    # the I0* legs come from the step-6 cubic; any other degree is refused
-    from dyk3.tate import _KPoly
-    pi = Poly.from_ints(QQ, [0, 1])
-    x_minus_x3 = _KPoly(pi, [Poly.from_ints(QQ, [c]) for c in (0, -1, 0, 1)])
-    assert x_minus_x3.count_rational_roots() == 3
-    x2_minus_1 = _KPoly(pi, [Poly.from_ints(QQ, [c]) for c in (-1, 0, 1)])
+    # the I0* legs count the base-field roots of the step-6 cubic
+    assert cubic_root_count(Fraction(0), Fraction(-1), Fraction(0)) == 3
+    assert cubic_root_count(Fraction(0), Fraction(-5), Fraction(0)) == 1
+    assert cubic_root_count(Fraction(0), Fraction(-5), Fraction(0),
+                            "Qsqrt5") == 3
+    # (x - sqrt5)(x^2 + 1) over Q(sqrt5)
+    s5 = TowerElement.k4(0, 0, 1, 0)
+    one = TowerElement.rational(1)
+    assert cubic_root_count(-s5, one, -s5, "Qsqrt5") == 1
+    # the cubic is read at degree-1 places only; others are refused
+    E1 = models.e1_surface()
     with pytest.raises(NotImplementedError):
-        x2_minus_1.count_rational_roots()
+        E1._i0star_legs(Poly.from_ints(QQ, [1, 0, 1]))
 
 
 def test_e2_bad_fibres():
@@ -75,6 +80,20 @@ def test_e2_bad_fibres():
     assert len(tab) == 6
     total = sum(f.vdelta * (1 if k == "inf" else len(k) - 1) for k, f in tab.items())
     assert total == 24
+
+
+def test_tower_tables_factor_over_qsqrt5():
+    # over Q(sqrt5) the E1 quartic place and the E2 place t^2 + t - 1 split
+    e1 = [(pl, f) for pl, f in models.e1_surface("tower").bad_fibres()
+          if f.kodaira == "I1"]
+    assert [pl.degree for pl, _ in e1] == [2, 2]
+    assert e1[0][0].poly * e1[1][0].poly == Poly.from_ints(TOWER, [1, 8, -2, 8, 1])
+    golden = Poly.from_ints(TOWER, [-1, 1, 1])
+    e2 = [(pl, f) for pl, f in models.e2_surface("tower").bad_fibres()
+          if not pl.infinity and (golden % pl.poly).is_zero()]
+    assert [(pl.degree, f.kodaira, f.split) for pl, f in e2] \
+        == [(1, "I2", False), (1, "I2", False)]
+    assert e2[0][0].poly * e2[1][0].poly == golden
 
 
 def test_e2_splitness_flags():
@@ -376,7 +395,7 @@ def test_cached_local_models_match_fresh_models():
     twists = {}
     for name, surface in _surfaces_for_local_models():
         _, _, delta = surface.c4_c6_delta()
-        places = [Place(pi) for pi, _ in factor_over_base(delta, surface.fieldad)]
+        places = [Place(pi) for pi in factor_over_base(delta, surface.base_label)]
         for place in places + [Place(infinity=True)]:
             (a2, a4, a6, e), (c4, c6, dl), pi = _fresh_minimal(surface, place)
             chart, chart_pi = surface._chart(place)
@@ -397,6 +416,26 @@ def test_cached_local_models_match_fresh_models():
     # the rescaling path itself is exercised, once and twice over
     assert twists["quartic@s"] == 1
     assert twists["E2 twisted by t^2"] == 2
+
+
+def test_node_residue_is_a_double_root_at_every_multiplicative_place():
+    # f(x0) = f'(x0) = 0 mod pi checks the closed node formula without
+    # repeating it
+    seen = []
+    for name, surface in _surfaces_for_local_models():
+        _, _, delta = surface.c4_c6_delta()
+        places = [Place(pi) for pi in factor_over_base(delta, surface.base_label)]
+        for place in places + [Place(infinity=True)]:
+            chart, pi = surface._chart(place)
+            local = chart._local_minimal(pi)
+            if local.vdelta == 0 or local.vc4 != 0:
+                continue
+            m, x0 = local.model, local.model._node_residue(pi)
+            f = x0 ** 3 + m.a2 * x0 * x0 + m.a4 * x0 + m.a6
+            df = 3 * x0 * x0 + 2 * m.a2 * x0 + m.a4
+            assert (f % pi).is_zero() and (df % pi).is_zero(), f"{name} at {place}"
+            seen.append(place.degree)
+    assert len(seen) == 25 and max(seen) == 8
 
 
 def test_surface_caches_are_reused():

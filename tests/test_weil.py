@@ -69,6 +69,19 @@ def test_ambiguous_case_and_resolution():
     assert fixed.potential_rank_degree == 3
 
 
+def test_charpoly_roots_and_coefficients():
+    # a solved spectrum made up with p*c integral, as charpoly requires
+    p, c = 7, Fraction(3, 7)
+    for kron5, s in ((1, -1), (-1, 1)):
+        coeffs = charpoly(FrobeniusSpectrum(p, kron5, 0, 0, s, c))
+        assert len(coeffs) == 23 and coeffs[22] == 1
+        for root in (p, kron5 * p, s * p):
+            assert sum(a * root ** i for i, a in enumerate(coeffs)) == 0
+        # sum and product of the 22 roots
+        assert -coeffs[21] == 18 * p + kron5 * p + s * p + p * c
+        assert coeffs[0] == p ** 18 * (kron5 * p) * (s * p) * p * p
+
+
 def test_charpoly_functional_equation():
     for p in (31, 71):
         spec = spectrum_for(p)
