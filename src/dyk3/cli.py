@@ -14,10 +14,15 @@ import sys
 from fractions import Fraction
 
 from . import __version__
+from .fixtures import FixtureError
 
 EXIT_OK = 0
 EXIT_FIXTURE = 3
 EXIT_ASSERT = 4
+
+
+class UsageError(Exception):
+    """A bad argument value, reported like argparse's own errors (exit 2)."""
 
 
 def _emit(out, obj):
@@ -44,10 +49,20 @@ def _meta(provenance):
             "fixture_provenance": provenance}
 
 
+def _check_prime(p, fix):
+    """p must be an odd prime of good reduction for the surface `fix`."""
+    from .ffield import is_prime
+    if p == 2 or not is_prime(p):
+        raise UsageError(f"p = {p} is not an odd prime")
+    if p in fix.bad_primes:
+        raise UsageError(f"p = {p} is a bad-reduction prime for {fix.name}")
+
+
 def cmd_count(args, out):
     from .surface import three_way_counts
     from .fixtures import load_surface
     fix = load_surface(args.surface)
+    _check_prime(args.prime, fix)
     ok = True
     for n in args.ext:
         rec = three_way_counts(args.prime, n, fix=fix)
@@ -64,6 +79,8 @@ def cmd_weil(args, out):
                        transcendental_traces, van_luijk)
     from .fixtures import load_surface
     fix = load_surface(args.surface)
+    for p in args.primes:
+        _check_prime(p, fix)
     specs = []
     for p in args.primes:
         c1 = three_way_counts(p, 1, fix=fix)["count_smooth"]
@@ -87,11 +104,7 @@ def cmd_lattice(args, out):
     from .lattice import (GramLattice, c2_cohomology, discriminant_group,
                           index2_overlattice_candidates, kernel_relation,
                           rank_det, span_basis, _reduced_gram, _solve_int)
-    try:
-        fix = load_gram(args.fixture)
-    except Exception as exc:
-        _emit(out, {"op": "lattice", "error": str(exc)})
-        return EXIT_FIXTURE
+    fix = load_gram(args.fixture)
     L = GramLattice.from_fixture(fix)
     prov = fix.meta.get("provenance", "unknown")
     rec = {"op": "lattice", "fixture": args.fixture, "lattice_op": args.op,
@@ -139,11 +152,7 @@ def cmd_kodaira(args, out):
     from .fixtures import load_gram
     from .kodaira import (CurveSet, find_fibres, group_fibrations,
                           orbit_count)
-    try:
-        fix = load_gram(args.fixture)
-    except Exception as exc:
-        _emit(out, {"op": "kodaira", "error": str(exc)})
-        return EXIT_FIXTURE
+    fix = load_gram(args.fixture)
     try:
         S = CurveSet(fix.labels, fix.gram)
         gens = []
@@ -267,10 +276,19 @@ def cmd_ss_scan(args, out):
     return EXIT_OK
 
 
+def _check_split_prime(p):
+    from .ffield import is_prime
+    from .numfield import SplitEmbedding
+    if p < 7 or not is_prime(p) or not SplitEmbedding.splits_k4(p):
+        raise UsageError(f"p = {p} is not a prime >= 7 split in Q(sqrt2, sqrt5)")
+
+
 def cmd_si_verify(args, out):
     from .fixtures import load_tower_constants
     from .siverify import predict_counts, verify_kummer_match
     from .surface import three_way_counts
+    if not args.system:
+        _check_split_prime(args.prime)
     cst = load_tower_constants()
     if args.system:
         res = verify_kummer_match(cst)
@@ -306,13 +324,14 @@ def build_parser():
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     c = sub.add_parser("count", help="surface point counts")
-    c.add_argument("--surface", default="drell-yan")
+    c.add_argument("--surface", default="drell-yan", choices=("drell-yan",))
     c.add_argument("-p", "--prime", type=int, required=True)
-    c.add_argument("-n", "--ext", type=int, nargs="+", default=[1])
+    c.add_argument("-n", "--ext", type=int, nargs="+", default=[1],
+                   choices=(1, 2, 3, 4))
     c.set_defaults(func=cmd_count)
 
     w = sub.add_parser("weil", help="Frobenius spectra and the rank bound")
-    w.add_argument("--surface", default="drell-yan")
+    w.add_argument("--surface", default="drell-yan", choices=("drell-yan",))
     w.add_argument("--primes", type=lambda s: [int(x) for x in s.split(",")],
                    required=True)
     w.set_defaults(func=cmd_weil)
@@ -349,7 +368,7 @@ def build_parser():
 
     v = sub.add_parser("si-verify", help="closed-formula count verification")
     v.add_argument("--prime", type=int)
-    v.add_argument("--ext", type=int, nargs="+", default=[1, 2])
+    v.add_argument("--ext", type=int, nargs="+", default=[1, 2], choices=(1, 2))
     v.add_argument("--system", action="store_true",
                    help="check the five-equation coefficient system")
     v.set_defaults(func=cmd_si_verify)
@@ -363,12 +382,23 @@ def main(argv=None):
         ap.error("si-verify needs --prime or --system")
     if args.cmd == "kodaira" and args.max_n < 2:
         ap.error("--max-n must be >= 2")
-    if args.out:
-        with open(args.out, "w") as fh:
-            code = args.func(args, fh)
-    else:
-        code = args.func(args, sys.stdout)
-    return code
+    try:
+        if args.out:
+            with open(args.out, "w") as fh:
+                return _run(args, fh)
+        return _run(args, sys.stdout)
+    except UsageError as exc:
+        ap.error(str(exc))
+
+
+def _run(args, out):
+    """args.func, with a missing or malformed fixture reported as a JSON
+    error record and exit 3."""
+    try:
+        return args.func(args, out)
+    except FixtureError as exc:
+        _emit(out, {"op": args.cmd, "error": str(exc)})
+        return EXIT_FIXTURE
 
 
 if __name__ == "__main__":

@@ -127,6 +127,23 @@ class TraceRecord:
             raise ValueError("count and trace disagree")
 
 
+def weierstrass_discriminant(F, a2, a4, a6):
+    """Discriminant of y^2 = x^3 + a2 x^2 + a4 x + a6 over F_q.
+
+    F is an ExtField, or any object with its mul, sub and smul on its own
+    element type, such as surface's vector kernel.
+    """
+    b2 = F.smul(4, a2)
+    b4 = F.smul(2, a4)
+    b6 = F.smul(4, a6)
+    b8 = F.sub(F.smul(4, F.mul(a2, a6)), F.mul(a4, a4))
+    t1 = F.mul(F.mul(b2, b2), b8)
+    t2 = F.smul(8, F.mul(F.mul(b4, b4), b4))
+    t3 = F.smul(27, F.mul(b6, b6))
+    t4 = F.smul(9, F.mul(b2, F.mul(b4, b6)))
+    return F.sub(F.sub(F.sub(t4, t1), t2), t3)
+
+
 class CurveOverFq:
     """y^2 = x^3 + a2 x^2 + a4 x + a6 over an ExtField (odd characteristic)."""
 
@@ -145,16 +162,7 @@ class CurveOverFq:
         return F.add(F.mul(F.add(F.mul(F.add(x, self.a2), x), self.a4), x), self.a6)
 
     def discriminant(self):
-        F = self.field
-        b2 = F.smul(4, self.a2)
-        b4 = F.smul(2, self.a4)
-        b6 = F.smul(4, self.a6)
-        b8 = F.sub(F.smul(4, F.mul(self.a2, self.a6)), F.mul(self.a4, self.a4))
-        t1 = F.mul(F.mul(b2, b2), b8)
-        t2 = F.smul(8, F.mul(F.mul(b4, b4), b4))
-        t3 = F.smul(27, F.mul(b6, b6))
-        t4 = F.smul(9, F.mul(b2, F.mul(b4, b6)))
-        return F.sub(F.sub(F.sub(t4, t1), t2), t3)
+        return weierstrass_discriminant(self.field, self.a2, self.a4, self.a6)
 
     def short_ab(self):
         """(A, B) with y^2 = x^3 + Ax + B after depressing the cubic."""

@@ -23,12 +23,25 @@ def _fixture_dir():
     return None
 
 
+class FixtureError(Exception):
+    """A fixture file that is missing or does not parse."""
+
+
 def _read_text(name: str) -> str:
     override = _fixture_dir()
     if override:
         with open(os.path.join(override, name)) as fh:
             return fh.read()
     return resources.files("dyk3").joinpath("fixtures").joinpath(name).read_text()
+
+
+def _load(name: str, parse):
+    """parse(text of fixture `name`), with any read or parse failure
+    raised as FixtureError."""
+    try:
+        return parse(_read_text(name))
+    except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
+        raise FixtureError(f"fixture {name}: {exc}") from exc
 
 
 def _parse_element(spec) -> TowerElement:
@@ -64,7 +77,7 @@ class TowerConstants:
 
 
 def load_tower_constants() -> TowerConstants:
-    return TowerConstants(json.loads(_read_text("tower_constants.json")))
+    return _load("tower_constants.json", lambda text: TowerConstants(json.loads(text)))
 
 
 class SurfaceFixture:
@@ -89,7 +102,7 @@ class SurfaceFixture:
 def load_surface(name: str = "drell-yan") -> SurfaceFixture:
     if name != "drell-yan":
         raise ValueError(f"unknown surface {name!r}")
-    return SurfaceFixture(json.loads(_read_text("drell_yan_surface.json")))
+    return _load("drell_yan_surface.json", lambda text: SurfaceFixture(json.loads(text)))
 
 
 class GramFixture:
@@ -138,4 +151,4 @@ class GramFixture:
 
 
 def load_gram(name: str) -> GramFixture:
-    return GramFixture(_read_text(name if name.endswith(".gram") else name + ".gram"))
+    return _load(name if name.endswith(".gram") else name + ".gram", GramFixture)

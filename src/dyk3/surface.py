@@ -10,10 +10,11 @@ Two independent routes to |S(F_q)|:
     minimal-model fibre table (component count and rationality recomputed
     over F_q at each rational bad point).
 
-For q = p and q = p^2 both routes run one set of numpy kernels on F_q
-elements held as int64 pairs a0 + a1*sqrt(r) mod p (_PairFq); larger
-degrees use the scalar ExtField routes, which the tests also use as the
-reference.
+Both routes run on one numpy kernel (_VecFq) for every q = p^n, n <= 4:
+F_q elements are n-tuples of int64 arrays mod p in the polynomial basis of
+the ExtField modulus, and the quadratic character is one lookup table of
+the squares.  Scalar ExtField versions of both routes live in the tests as
+the differential oracle.
 """
 
 from __future__ import annotations
@@ -23,13 +24,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ffield import ExtField, FqPoly, build_extension, find_roots, kronecker
+from .elliptic import weierstrass_discriminant
+from .ffield import ExtField, FqPoly, build_extension, find_roots
 from .fixtures import SurfaceFixture, load_surface
 from .poly import Poly, QQ
 from .tate import EllipticSurface, classify_tame
-
-_VEC_Q_LIMIT = 1 << 21   # keeps p below 2^21, inside _PairFq's overflow bound
-
 
 @dataclass
 class SurfaceCount:
@@ -44,71 +43,83 @@ class SurfaceCount:
 
 
 # ---------------------------------------------------------------------------
-# quadratic character tables
+# the F_q kernel
 
 
-def chi_table(p: int) -> np.ndarray:
-    t = np.full(p, -1, dtype=np.int64)
-    sq = (np.arange(p, dtype=np.int64) ** 2) % p
-    t[sq] = 1
-    t[0] = 0
-    return t
+class _VecFq:
+    """F_q, q = p^n with n <= 4, as n-tuples of int64 arrays mod p.
 
-
-def _nonresidue(p: int) -> int:
-    r = 2
-    while kronecker(r, p) != -1:
-        r += 1
-    return r
-
-
-class _PairFq:
-    """F_q, q = p or p^2, as pairs (a0, a1) = a0 + a1*sqrt(r) of int64 arrays mod p.
-
-    For q = p every a1 is zero, so the same products serve both degrees and
-    only the quadratic character depends on n.  mul, sub and smul mirror
-    ExtField, so _delta0 runs on either.
+    A tuple holds the coefficients of its elements in the polynomial basis
+    of field.modulus, as an ExtField element does: element k of `elements`
+    is field.decode(k), and an ExtField element is a tuple of scalars here.
+    mul, sub and smul mirror ExtField, so weierstrass_discriminant runs on
+    either.
     """
 
     def __init__(self, field: ExtField):
-        p = field.p
-        # every operand lies in [0, p) and r < p, so the largest intermediate,
-        # a0*b0 + r*(a1*b1) + c in horner, is below p^3
-        assert p ** 3 < 2 ** 63, f"p = {p} overflows the int64 pair kernels"
-        self.p, self.n, self.q = p, field.n, field.q
-        self.chi_p = chi_table(p)
-        ar = np.arange(p, dtype=np.int64)
-        if field.n == 1:
-            self.r = 0
-            self.elements = (ar, np.zeros(p, dtype=np.int64))
-        else:
-            self.r = _nonresidue(p)
-            self.elements = (np.tile(ar, p), np.repeat(ar, p))
+        p, n = field.p, field.n
+        # _product's results, plus horner's c < p, stay below 2 n^2 p^3
+        assert 2 * n * n * p ** 3 < 2 ** 63, f"q = {p}^{n} overflows the int64 kernel"
+        self.field, self.p, self.n, self.q = field, p, n, field.q
+        # x^n = sum_j fold[j] x^j modulo field.modulus
+        self.fold = [-c % p for c in field.modulus]
+        self.weights = [p ** i for i in range(n)]
+        k = np.arange(self.q, dtype=np.int64)
+        self.elements = tuple(k // w % p for w in self.weights)
+        self.chi_q = np.full(self.q, -1, dtype=np.int8)
+        self.chi_q[self.encode(self.mul(self.elements, self.elements))] = 1
+        self.chi_q[0] = 0
+
+    def _product(self, a, b):
+        """The n coefficients of a*b, unreduced, for a, b reduced mod p.
+
+        The 2n - 1 raw coefficients are below n p^2.  x^k, k >= n, folds
+        back through the modulus from the top; a coefficient is reduced
+        before it folds only when it folds into another high one, so the
+        last high coefficient is below 2n p^2 and every result below
+        2n p^2 (p + 1).
+        """
+        n, p = self.n, self.p
+        r = [None] * (2 * n - 1)
+        for i in range(n):
+            for j in range(n):
+                t = a[i] * b[j]
+                r[i + j] = t if r[i + j] is None else r[i + j] + t
+        for k in range(2 * n - 2, n - 1, -1):
+            if k > n:
+                r[k] %= p
+            for j, m in enumerate(self.fold):
+                if m:
+                    r[k - n + j] = r[k - n + j] + m * r[k]
+        return r[:n]
 
     def mul(self, a, b):
-        (a0, a1), (b0, b1) = a, b
-        return (a0 * b0 + self.r * (a1 * b1)) % self.p, (a0 * b1 + a1 * b0) % self.p
+        return tuple(c % self.p for c in self._product(a, b))
 
     def sub(self, a, b):
-        return (a[0] - b[0]) % self.p, (a[1] - b[1]) % self.p
+        return tuple((u - v) % self.p for u, v in zip(a, b))
 
     def smul(self, k: int, a):
-        return k * a[0] % self.p, k * a[1] % self.p
+        return tuple(k * u % self.p for u in a)
 
     def horner(self, coeffs, x):
-        """sum_k coeffs[k] * x^k, for pairs coeffs[k] of scalars or arrays mod p."""
-        (x0, x1), r, p = x, self.r, self.p
-        a0, a1 = np.zeros_like(x0), np.zeros_like(x1)
-        for c0, c1 in reversed(coeffs):
-            a0, a1 = (a0 * x0 + r * (a1 * x1) + c0) % p, (a0 * x1 + a1 * x0 + c1) % p
-        return a0, a1
+        """sum_k coeffs[k] * x^k at every element of the array tuple x;
+        each coeffs[k] is one element, a tuple of scalars."""
+        p = self.p
+        if not coeffs:
+            return tuple(np.zeros_like(u) for u in x)
+        acc = tuple(np.full_like(x[0], c) for c in coeffs[-1])
+        for c in reversed(coeffs[:-1]):
+            acc = tuple((r + ck) % p for r, ck in zip(self._product(acc, x), c))
+        return acc
+
+    def encode(self, a):
+        """ExtField.encode, elementwise: the index of a in `elements`."""
+        return sum(w * u for w, u in zip(self.weights, a))
 
     def chi(self, a):
-        """Quadratic character of F_q: chi_p of the norm a0 or a0^2 - r*a1^2."""
-        a0, a1 = a
-        if self.n == 1:
-            return self.chi_p[a0]
-        return self.chi_p[(a0 * a0 - self.r * (a1 * a1)) % self.p]
+        """Quadratic character of F_q, chi(0) = 0."""
+        return self.chi_q[self.encode(a)]
 
 
 # ---------------------------------------------------------------------------
@@ -120,67 +131,38 @@ def _check_good_prime(fix: SurfaceFixture, p: int):
         raise ValueError(f"p = {p} is a bad-reduction prime for {fix.name}")
 
 
+def _x_coeffs(monos, field: ExtField):
+    """sum coef * x^a over (a, coef) as a dense list of constants of F_q."""
+    cs = [0] * (1 + max((a for a, _ in monos), default=-1))
+    for a, coef in monos:
+        cs[a] += coef
+    return [field.from_int(c) for c in cs]
+
+
 def count_singular(fix: SurfaceFixture, field: ExtField) -> int:
     """sum over P^2(F_q) of (1 + chi(f6)), chi(0) = 0.
 
-    P^2(F_q) is traversed as the charts z = 1, (x : 1 : 0), (1 : 0 : 0).
+    P^2(F_q) is traversed as the charts z = 1, (x : 1 : 0), (1 : 0 : 0);
+    in the chart z = 1 the kernel takes one x per step and every y at once.
     """
     _check_good_prime(fix, field.p)
-    if field.n <= 2 and field.q <= _VEC_Q_LIMIT:
-        return _count_singular_np(fix, field)
-    return _count_singular_scalar(fix, field)
-
-
-def _count_singular_scalar(fix: SurfaceFixture, field: ExtField) -> int:
-    F = field
-    mono = [(e, c % F.p) for e, c in fix.monomials]
-    total = 0
-
-    def fval(x, y, z):
-        acc = F.zero
-        for (a, b, cdeg), coef in mono:
-            term = F.smul(coef, F.mul(F.mul(F.pow(x, a), F.pow(y, b)), F.pow(z, cdeg)))
-            acc = F.add(acc, term)
-        return acc
-
-    one = F.one
-    for x in F.elements():
-        for y in F.elements():
-            total += 1 + F.chi(fval(x, y, one))
-    for x in F.elements():
-        total += 1 + F.chi(fval(x, one, F.zero))
-    total += 1 + F.chi(fval(one, F.zero, F.zero))
-    return total
-
-
-def _x_coeffs(monos, p: int):
-    """sum coef * x^a over (a, coef) as a dense list of constant pairs mod p."""
-    cs = [0] * (1 + max((a for a, _ in monos), default=-1))
-    for a, coef in monos:
-        cs[a] = (cs[a] + coef) % p
-    return [(c, 0) for c in cs]
-
-
-def _count_singular_np(fix: SurfaceFixture, field: ExtField) -> int:
-    """count_singular on the pair kernels: one x per step, every y at once."""
-    K = _PairFq(field)
-    p, q = K.p, K.q
-    els = K.elements
+    K = _VecFq(field)
+    q, els = K.q, K.elements
     mono = fix.monomials
     ymax = max(b for (_, b, _), _ in mono)
     # chart z = 1: f(x, y, 1) = sum_b C_b(x) y^b, each C_b evaluated at every x
-    C = [K.horner(_x_coeffs([(a, c) for (a, bb, _), c in mono if bb == b], p), els)
+    C = [K.horner(_x_coeffs([(a, c) for (a, bb, _), c in mono if bb == b], field), els)
          for b in range(ymax + 1)]
     total = 0
     for i in range(q):
-        acc = K.horner([(c0[i], c1[i]) for c0, c1 in C], els)
+        acc = K.horner([tuple(u[i] for u in Cb) for Cb in C], els)
         total += q + int(K.chi(acc).sum())
     # chart (x : 1 : 0)
-    line = K.horner(_x_coeffs([(a, c) for (a, _, cz), c in mono if cz == 0], p), els)
+    line = K.horner(_x_coeffs([(a, c) for (a, _, cz), c in mono if cz == 0], field), els)
     total += q + int(K.chi(line).sum())
     # point (1 : 0 : 0)
-    v = sum(c for (_, b, cz), c in mono if b == 0 and cz == 0) % p
-    total += 1 + int(K.chi((v, 0)))
+    v = sum(c for (_, b, cz), c in mono if b == 0 and cz == 0)
+    total += 1 + int(K.chi(field.from_int(v)))
     return total
 
 
@@ -328,6 +310,7 @@ def count_via_fibration(surface: EllipticSurface, field: ExtField) -> int:
     if surface.fieldad is not QQ:
         raise NotImplementedError("fibration counting needs Q coefficients")
     p = field.p
+    K = _VecFq(field)
     a2 = _poly_mod_p(surface.a2, p)
     a4 = _poly_mod_p(surface.a4, p)
     a6 = _poly_mod_p(surface.a6, p)
@@ -335,10 +318,7 @@ def count_via_fibration(surface: EllipticSurface, field: ExtField) -> int:
     a2u = _poly_mod_p(inf.a2, p)
     a4u = _poly_mod_p(inf.a4, p)
     a6u = _poly_mod_p(inf.a6, p)
-    if field.n <= 2 and field.q <= _VEC_Q_LIMIT:
-        good, bad_ts = _fibration_good_np(field, a2, a4, a6)
-    else:
-        good, bad_ts = _fibration_good_scalar(field, a2, a4, a6)
+    good, bad_ts = _fibration_good(K, a2, a4, a6)
     total = good
     for t0 in bad_ts:
         sa2 = _shifted_fqpoly(field, a2, t0)
@@ -350,81 +330,31 @@ def count_via_fibration(surface: EllipticSurface, field: ExtField) -> int:
     ua4 = _shifted_fqpoly(field, a4u, None)
     ua6 = _shifted_fqpoly(field, a6u, None)
     U = ua2.coeff0(), ua4.coeff0(), ua6.coeff0()
-    if _delta0(field, *U) != field.zero:
-        total += _good_fiber_count_scalar(field, *U)
+    if weierstrass_discriminant(field, *U) != field.zero:
+        total += _good_fibre_count(K, *U)
     else:
         total += bad_fiber_points(field, ua2, ua4, ua6)
     return total
 
 
-def _delta0(F, A2, A4, A6):
-    """Discriminant of y^2 = x^3 + A2 x^2 + A4 x + A6 over an ExtField or _PairFq."""
-    b2 = F.smul(4, A2)
-    b4 = F.smul(2, A4)
-    b6 = F.smul(4, A6)
-    b8 = F.sub(F.smul(4, F.mul(A2, A6)), F.mul(A4, A4))
-    t1 = F.mul(F.mul(b2, b2), b8)
-    t2 = F.smul(8, F.mul(F.mul(b4, b4), b4))
-    t3 = F.smul(27, F.mul(b6, b6))
-    t4 = F.smul(9, F.mul(b2, F.mul(b4, b6)))
-    return F.sub(F.sub(F.sub(t4, t1), t2), t3)
+def _good_fibre_count(K: _VecFq, A2, A4, A6) -> int:
+    """Points of y^2 = x^3 + A2 x^2 + A4 x + A6, a smooth fibre, A's in F_q."""
+    rhs = K.horner([A6, A4, A2, K.field.one], K.elements)
+    return K.q + 1 + int(K.chi(rhs).sum())
 
 
-def _good_fiber_count_scalar(field, A2, A4, A6) -> int:
-    F = field
-    total = F.q + 1
-    for x in F.elements():
-        rhs = F.add(F.mul(F.add(F.mul(F.add(x, A2), x), A4), x), A6)
-        total += F.chi(rhs)
-    return total
+def _fibration_good(K: _VecFq, a2, a4, a6):
+    """(sum of the good-fibre counts, bad t's) over the affine t-line.
 
-
-def _fibration_good_scalar(field, a2, a4, a6):
-    F = field
-    good = 0
-    bad_ts = []
-
-    def evalp(coeffs, x):
-        acc = F.zero
-        for c in reversed(coeffs):
-            acc = F.add(F.mul(acc, x), F.from_int(c))
-        return acc
-
-    for t0 in F.elements():
-        A2, A4, A6 = evalp(a2, t0), evalp(a4, t0), evalp(a6, t0)
-        if _delta0(F, A2, A4, A6) == F.zero:
-            bad_ts.append(t0)
-        else:
-            good += _good_fiber_count_scalar(F, A2, A4, A6)
-    return good, bad_ts
-
-
-def _fibration_good_np(field, a2, a4, a6):
-    """_fibration_good_scalar on the pair kernels: one t per step, every x at once."""
-    K = _PairFq(field)
-    ts = xs = K.elements
-    A2, A4, A6 = (K.horner([(c, 0) for c in a], ts) for a in (a2, a4, a6))
-    D0, D1 = _delta0(K, A2, A4, A6)
-    bad_mask = (D0 == 0) & (D1 == 0)
-    good = 0
-    for i in np.flatnonzero(~bad_mask):
-        rhs = K.horner([(A6[0][i], A6[1][i]), (A4[0][i], A4[1][i]),
-                        (A2[0][i], A2[1][i]), (1, 0)], xs)
-        good += K.q + 1 + int(K.chi(rhs).sum())
-    # t = u0 + u1*sqrt(r) back in ExtField form: r is not the field's generator
-    bad_ts = [_pair_to_field_elem(field, int(ts[0][i]), int(ts[1][i]), K.r)
-              for i in np.flatnonzero(bad_mask)]
-    return good, bad_ts
-
-
-def _pair_to_field_elem(field: ExtField, u0: int, u1: int, r: int):
-    """(u0 + u1*sqrt(r)) as an element of the canonical F_{p^2}."""
-    if u1 == 0:
-        return field.from_int(u0)
-    s = field.sqrt(field.from_int(r))
-    if s is None:
-        raise AssertionError("nonresidue has no root in F_{p^2}?")
-    return field.add(field.from_int(u0), field.smul(u1, s))
+    a2, a4, a6 are coefficient lists mod p; the discriminant is evaluated
+    at every t at once, then each good fibre is counted over every x.
+    """
+    field, ts = K.field, K.elements
+    A = [K.horner([field.from_int(c) for c in a], ts) for a in (a2, a4, a6)]
+    bad = K.encode(weierstrass_discriminant(K, *A)) == 0
+    good = sum(_good_fibre_count(K, *(tuple(u[i] for u in Ak) for Ak in A))
+               for i in np.flatnonzero(~bad))
+    return good, [field.decode(int(i)) for i in np.flatnonzero(bad)]
 
 
 def _shifted_fqpoly(field: ExtField, int_coeffs, t0) -> FqPoly:

@@ -4,10 +4,15 @@ Poly.divmod inverts the divisor's leading coefficient once, and the tower
 ring operations build their results without re-normalising them; both are
 checked here against the identities and the normalising constructor.  The
 closed node formula of a cubic with a double root, and the square roots in
-quadratic fields and K4, are checked against the values they invert.
+quadratic fields and K4, are checked against the values they invert.  The
+vector F_q kernel of the surface counts is checked elementwise against
+ExtField.
 """
 
 from fractions import Fraction
+from functools import cache
+
+import numpy as np
 
 import pytest
 
@@ -19,7 +24,7 @@ from dyk3.ffield import build_extension
 from dyk3.numfield import TowerElement, rational_sqrt, sqrt_in_quadratic
 from dyk3.poly import Poly, QQ, TOWER
 from dyk3.siverify import sqrt_in_k4
-from dyk3.surface import cubic_node
+from dyk3.surface import _VecFq, cubic_node
 from dyk3.tate import EllipticSurface, residue_is_square
 
 rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
@@ -178,3 +183,29 @@ def test_residue_is_square_at_quadratic_places(b, a, e0, e1):
 def test_sqrt_in_k4_of_a_square(y):
     r = sqrt_in_k4(y * y)
     assert r is not None and r * r == y * y
+
+
+@cache
+def _kernel(p, n):
+    F = build_extension(p, n)
+    return F, _VecFq(F)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 7, 11]), st.integers(1, 4), st.data())
+def test_vector_kernel_matches_extfield(p, n, data):
+    F, K = _kernel(p, n)
+    idx = st.lists(st.integers(0, F.q - 1), min_size=1, max_size=20)
+    i, j = data.draw(idx), data.draw(idx)
+    m = min(len(i), len(j))
+    i, j = np.array(i[:m]), np.array(j[:m])
+    # kernel index k is the element F.decode(k), and encode inverts it
+    a = tuple(u[i] for u in K.elements)
+    b = tuple(u[j] for u in K.elements)
+    assert list(K.encode(a)) == list(i)
+    prod, diff, chi = K.encode(K.mul(a, b)), K.encode(K.sub(a, b)), K.chi(a)
+    for k in range(m):
+        x, y = F.decode(int(i[k])), F.decode(int(j[k]))
+        assert F.decode(int(prod[k])) == F.mul(x, y)
+        assert F.decode(int(diff[k])) == F.sub(x, y)
+        assert chi[k] == F.chi(x)

@@ -134,3 +134,48 @@ def test_out_file(tmp_path):
     p = run_cli("--out", str(dest), "height", "--model", "e2")
     assert p.returncode == 0
     assert json.loads(dest.read_text().splitlines()[0])["height_P3"] == "3/20"
+
+
+def run_main(argv, capsys):
+    """dyk3's main in this process: (exit code, stdout, stderr).  Any
+    exception other than argparse's SystemExit fails the calling test."""
+    from dyk3.cli import main
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+FIXTURE_SUBCOMMANDS = {
+    "count": ["count", "-p", "7"],
+    "weil": ["weil", "--primes", "31,71"],
+    "ss-scan": ["ss-scan", "--to", "50"],
+    "si-verify": ["si-verify", "--prime", "31"],
+}
+
+
+@pytest.mark.parametrize("damage", ["missing", "truncated"])
+@pytest.mark.parametrize("cmd", sorted(FIXTURE_SUBCOMMANDS))
+def test_fixture_failure_exit_code(tmp_path, monkeypatch, capsys, cmd, damage):
+    if damage == "truncated":
+        from importlib import resources
+        for name in ("drell_yan_surface.json", "tower_constants.json"):
+            text = resources.files("dyk3").joinpath("fixtures", name).read_text()
+            (tmp_path / name).write_text(text[: len(text) // 2])
+    monkeypatch.setenv("DYK3_FIXTURE_DIR", str(tmp_path))
+    code, out, _ = run_main(FIXTURE_SUBCOMMANDS[cmd], capsys)
+    assert code == 3
+    rec = jsonl(out)[0]
+    assert rec["op"] == cmd and rec["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    "count -p 9", "count -p 5", "count -p 7 -n 5", "weil --primes 5,7",
+    "si-verify --prime 7", "si-verify --prime 31 --ext 3",
+])
+def test_bad_argument_exit_code(capsys, argv):
+    code, out, err = run_main(argv.split(), capsys)
+    assert code == 2
+    assert out == "" and "error:" in err

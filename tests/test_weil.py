@@ -118,17 +118,19 @@ def test_bad_inputs():
         van_luijk(s31, supers)
 
 
-@pytest.mark.slow
 def test_degree3_prediction_vs_direct_count():
-    # the solved spectrum predicts |S(F_{p^3})|; check against a direct
-    # scalar count at a small good prime (the same check at p = 31 costs
-    # ~9e8 character evaluations and is left to the full-scale job)
-    from dyk3.ffield import build_extension
-    from dyk3.fixtures import load_surface
-    from dyk3.surface import count_smooth
+    # the solved spectrum predicts |S(F_{p^3})| and |S(F_{p^4})|; both
+    # routes count them directly on the vector kernel
     p = 7
     spec = spectrum_for(p)
-    fix = load_surface()
-    F3 = build_extension(p, 3)
-    direct = count_smooth(fix, F3).smooth
-    assert predicted_count(spec, 3) == direct
+    for n in (3, 4):
+        r = three_way_counts(p, n)
+        assert r["agree"], r
+        assert predicted_count(spec, n) == r["count_smooth"], n
+
+
+@pytest.mark.slow
+def test_degree3_prediction_at_31():
+    r = three_way_counts(31, 3)
+    assert r["agree"], r
+    assert predicted_count(spectrum_for(31), 3) == r["count_smooth"]
