@@ -204,39 +204,9 @@ def trace_lift(a: int, p: int, n: int) -> int:
 # supersingularity via the Hasse invariant
 
 
-def _hasse_coefficient_prime(A: int, B: int, p: int) -> int:
-    """Coefficient of x^(p-1) in (x^3+Ax+B)^((p-1)/2) mod p, A,B nonzero."""
-    m = (p - 1) // 2
-    i0 = (m + 1) // 2
-    i1 = (2 * m) // 3
-    if i0 > i1:
-        return 1 if m == 0 else 0
-    # factorial tables mod p up to m
-    fact = [1] * (m + 1)
-    for i in range(1, m + 1):
-        fact[i] = fact[i - 1] * i % p
-    invf = [1] * (m + 1)
-    invf[m] = pow(fact[m], p - 2, p)
-    for i in range(m, 0, -1):
-        invf[i - 1] = invf[i] * i % p
-    j0, k0 = 2 * m - 3 * i0, 2 * i0 - m
-    apow = pow(A, j0, p)
-    bpow = pow(B, k0, p)
-    inv_a3 = pow(pow(A, 3, p), p - 2, p)
-    b2 = B * B % p
-    acc = 0
-    i, j, k = i0, j0, k0
-    while i <= i1:
-        c = fact[m] * invf[i] % p * invf[j] % p * invf[k] % p
-        acc = (acc + c * apow % p * bpow) % p
-        i, j, k = i + 1, j - 3, k + 2
-        apow = apow * inv_a3 % p
-        bpow = bpow * b2 % p
-    return acc
-
-
-def _hasse_coefficient_ext(A, B, field: ExtField):
-    """Same coefficient with A, B in F_{p^2} (both nonzero)."""
+def _hasse_coefficient(A, B, field: ExtField):
+    """Coefficient of x^(p-1) in (x^3 + Ax + B)^((p-1)/2), A, B nonzero in
+    F_p or F_{p^2}: the Hasse invariant, O(p) field operations."""
     p = field.p
     m = (p - 1) // 2
     i0, i1 = (m + 1) // 2, (2 * m) // 3
@@ -280,18 +250,102 @@ def is_supersingular(E: CurveOverFq) -> bool:
     if A == F.zero:
         # j = 0
         return p % 3 == 2
-    if F.n == 1:
-        return _hasse_coefficient_prime(A[0], B[0], p) == 0
-    return _hasse_coefficient_ext(A, B, F) == F.zero
+    return _hasse_coefficient(A, B, F) == F.zero
 
 
 def curve_with_j(field: ExtField, j0):
-    """A curve with the given j-invariant (j0 not 0 or 1728)."""
+    """A curve with the given j-invariant."""
     F = field
+    if j0 == F.zero:
+        return CurveOverFq(F, F.zero, F.zero, F.one)
+    if j0 == F.from_int(1728):
+        return CurveOverFq(F, F.zero, F.one, F.zero)
     c = F.mul(j0, F.inv(F.sub(F.from_int(1728), j0)))  # j/(1728-j)
     a = F.smul(3, c)
     b = F.smul(2, c)
     return CurveOverFq(F, F.zero, a, b)
+
+
+# ---------------------------------------------------------------------------
+# supersingularity via the 2-isogeny graph (Sutherland)
+
+# The classical modular polynomial Phi_2(X, Y) as (deg X, deg Y, coefficient).
+PHI2 = ((3, 0, 1), (0, 3, 1), (2, 2, -1), (2, 1, 1488), (1, 2, 1488),
+        (2, 0, -162000), (0, 2, -162000), (1, 1, 40773375),
+        (1, 0, 8748000000), (0, 1, 8748000000), (0, 0, -157464000000000))
+
+
+def _phi2_at(F: ExtField, j):
+    """[e0, e1, e2] with Phi_2(j, Y) = Y^3 + e2 Y^2 + e1 Y + e0."""
+    jp = [F.one, j]
+    jp += [F.mul(j, j), F.mul(j, F.mul(j, j))]
+    e = [F.zero] * 4
+    for a, b, c in PHI2:
+        e[b] = F.add(e[b], F.smul(c, jp[a]))
+    return e[:3]
+
+
+def _cubic_roots(F: ExtField, e0, e1, e2):
+    """The three roots of Y^3 + e2 Y^2 + e1 Y + e0 in F, with multiplicity,
+    or None if it does not split in F.  Cardano: Y = Z - e2/3 gives
+    Z^3 + PZ + Q, and Z = u + v with u^3 = -Q/2 + sqrt(Q^2/4 + P^3/27),
+    uv = -P/3.  F = F_{p^2} holds the cube roots of unity, so the cubic
+    splits exactly when that square root and cube root exist."""
+    inv = F.inv
+    s = F.mul(e2, inv(F.from_int(3)))
+    P = F.sub(e1, F.mul(e2, s))
+    Q = F.add(F.sub(F.smul(2, F.mul(s, F.mul(s, s))), F.mul(e1, s)), e0)
+    halfQ = F.mul(Q, inv(F.from_int(2)))
+    d = F.sqrt(F.add(F.mul(halfQ, halfQ),
+                     F.mul(F.mul(P, F.mul(P, P)), inv(F.from_int(27)))))
+    if d is None:
+        return None
+    u3 = F.sub(d, halfQ)
+    if u3 == F.zero:
+        u3 = F.neg(F.add(d, halfQ))
+    if u3 == F.zero:
+        # P = Q = 0: a triple root
+        return [F.neg(s)] * 3
+    u = F.cbrt(u3)
+    if u is None:
+        return None
+    v = F.neg(F.mul(P, inv(F.smul(3, u))))
+    w = F.mul(F.sub(F.sqrt(F.from_int(-3)), F.one), inv(F.from_int(2)))
+    w2 = F.mul(w, w)
+    return [F.sub(F.add(F.mul(x, u), F.mul(y, v)), s)
+            for x, y in ((F.one, F.one), (w, w2), (w2, w))]
+
+
+def supersingular_walk(F: ExtField, j) -> bool:
+    """Whether j in F = F_{p^2}, j not 0 or 1728, is supersingular.
+
+    A. V. Sutherland, "Identifying supersingular elliptic curves" (2012):
+    a supersingular j has all three 2-isogenous neighbours in F_{p^2}, and
+    so has every vertex of its component.  An ordinary j lies on a volcano
+    whose depth is below log2 p; of three non-backtracking paths from it,
+    one descends and leaves F_{p^2} at the floor.  So walk three paths of
+    ceil(log2 p) + 1 steps, each step dividing Phi_2(j_i, Y) by the root
+    Y - j_(i-1) already visited and taking a root of the quadratic left.
+    O(log^2 p) field operations, against O(p) for the Hasse invariant.
+    """
+    if F.n != 2:
+        raise ValueError("the 2-isogeny walk runs in F_{p^2}")
+    cur = _cubic_roots(F, *_phi2_at(F, j))
+    if cur is None:
+        return False
+    prev = [j] * 3
+    half = F.inv(F.from_int(2))
+    for _ in range(F.p.bit_length() + 1):   # bit_length = ceil(log2 p), p odd
+        for i in range(3):
+            e0, e1, e2 = _phi2_at(F, cur[i])
+            # Phi_2(cur, Y) / (Y - prev) = Y^2 + b Y + c
+            b = F.add(e2, prev[i])
+            c = F.add(e1, F.mul(prev[i], b))
+            r = F.sqrt(F.sub(F.mul(b, b), F.smul(4, c)))
+            if r is None:
+                return False
+            prev[i], cur[i] = cur[i], F.mul(F.sub(r, b), half)
+    return True
 
 
 # ---------------------------------------------------------------------------

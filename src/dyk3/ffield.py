@@ -44,11 +44,15 @@ def kronecker(a: int, p: int) -> int:
     """
     if p % 2 == 0 or not is_prime(p):
         raise ValueError(f"p = {p} must be an odd prime")
+    return _legendre(a, p)
+
+
+def _legendre(a: int, p: int) -> int:
+    """(a/p) by the Euler criterion; p is trusted to be an odd prime."""
     a %= p
     if a == 0:
         return 0
-    e = pow(a, (p - 1) // 2, p)
-    return 1 if e == 1 else -1
+    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
 def sqrt_mod(a: int, p: int):
@@ -56,7 +60,7 @@ def sqrt_mod(a: int, p: int):
     a %= p
     if a == 0:
         return 0
-    if kronecker(a, p) != 1:
+    if _legendre(a, p) != 1:
         return None
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
@@ -66,7 +70,7 @@ def sqrt_mod(a: int, p: int):
         q //= 2
         s += 1
     z = 2
-    while kronecker(z, p) != -1:
+    while _legendre(z, p) != -1:
         z += 1
     m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
@@ -105,7 +109,7 @@ class PrimeField:
 
     def chi(self, a: int) -> int:
         """Quadratic character with chi(0) = 0."""
-        return kronecker(a, self.p)
+        return _legendre(a, self.p)
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +176,8 @@ def lex_min_irreducible(p: int, n: int):
 
     Candidates x^n + c_{n-1}x^{n-1} + ... + c_0 are ordered by the integer
     sum(c_i p^i), ascending; the scan is deterministic so every run and
-    every implementation picks the same modulus.
+    every implementation picks the same modulus.  At n = 2 it is always
+    x^2 + c_0: some -c_0 < p is a non-residue.
     """
     if n == 1:
         return (0,)
@@ -184,21 +189,25 @@ def lex_min_irreducible(p: int, n: int):
 
 
 class ExtField:
-    """F_{p^n} = F_p[x]/(modulus), elements are tuples of length n."""
+    """F_{p^n} = F_p[x]/(modulus), elements are tuples of length n.
 
-    def __init__(self, p: int, n: int, modulus=None):
+    The modulus is lex_min_irreducible(p, n).  At n = 2 it is x^2 + c_0, so
+    add, sub and mul there are closed forms, and inv, chi and sqrt go
+    through the norm a_0^2 + c_0 a_1^2.
+    """
+
+    def __init__(self, p: int, n: int):
         if not 1 <= n <= 4:
             raise ValueError("extension degree must be 1..4")
         self.base = PrimeField(p)
         self.p = p
         self.n = n
         self.q = p ** n
-        self.modulus = tuple(modulus) if modulus is not None else lex_min_irreducible(p, n)
-        if len(self.modulus) != n:
-            raise ValueError("modulus must be monic of degree n (n low coefficients)")
+        self.modulus = lex_min_irreducible(p, n)
         self.zero = (0,) * n
         self.one = (1,) + (0,) * (n - 1)
         self._modlist = list(self.modulus) + [1]
+        self._sylow3 = None   # (s, t, generator of the 3-Sylow subgroup)
 
     def __repr__(self):
         return f"GF({self.p}^{self.n})"
@@ -233,10 +242,14 @@ class ExtField:
     # -- arithmetic ------------------------------------------------------------
     def add(self, a, b):
         p = self.p
+        if self.n == 2:
+            return ((a[0] + b[0]) % p, (a[1] + b[1]) % p)
         return tuple((x + y) % p for x, y in zip(a, b))
 
     def sub(self, a, b):
         p = self.p
+        if self.n == 2:
+            return ((a[0] - b[0]) % p, (a[1] - b[1]) % p)
         return tuple((x - y) % p for x, y in zip(a, b))
 
     def neg(self, a):
@@ -244,8 +257,14 @@ class ExtField:
         return tuple(-x % p for x in a)
 
     def mul(self, a, b):
+        p = self.p
         if self.n == 1:
-            return (a[0] * b[0] % self.p,)
+            return (a[0] * b[0] % p,)
+        if self.n == 2:
+            a0, a1 = a
+            b0, b1 = b
+            return ((a0 * b0 - self.modulus[0] * a1 * b1) % p,
+                    (a0 * b1 + a1 * b0) % p)
         c = _poly_mulmod(list(a), list(b), self._modlist, self.p)
         return tuple(c) + (0,) * (self.n - len(c))
 
@@ -267,102 +286,111 @@ class ExtField:
     def inv(self, a):
         if a == self.zero:
             raise ZeroDivisionError("inverse of 0")
+        p = self.p
         if self.n == 1:
-            return (pow(a[0], self.p - 2, self.p),)
-        # extended Euclid in F_p[x]
-        p = self.p
-        r0, r1 = self._modlist, _poly_trim(list(a))
-        s0, s1 = [], [1]
-        while len(r1) > 1:
-            # divide r0 by r1
-            q, rem = self._polydivmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, self._polysub(s0, self._polymul(q, s1))
-        if not r1:
-            raise ZeroDivisionError("element not invertible (bad modulus?)")
-        c = pow(r1[0], p - 2, p)
-        out = [c * x % p for x in s1]
-        out = out[: self.n] + [0] * max(0, self.n - len(out))
-        return tuple(out[: self.n])
-
-    def _polymul(self, a, b):
-        p = self.p
-        if not a or not b:
-            return []
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = (out[i + j] + ai * bj) % p
-        return _poly_trim(out)
-
-    def _polysub(self, a, b):
-        p = self.p
-        out = [0] * max(len(a), len(b))
-        for i, ai in enumerate(a):
-            out[i] = ai
-        for i, bi in enumerate(b):
-            out[i] = (out[i] - bi) % p
-        return _poly_trim(out)
-
-    def _polydivmod(self, a, b):
-        p = self.p
-        a = list(a)
-        binv = pow(b[-1], p - 2, p)
-        q = [0] * max(0, len(a) - len(b) + 1)
-        for i in range(len(a) - len(b), -1, -1):
-            c = a[i + len(b) - 1] * binv % p
-            if c:
-                q[i] = c
-                for j, bj in enumerate(b):
-                    a[i + j] = (a[i + j] - c * bj) % p
-        return q, _poly_trim(a)
+            return (pow(a[0], p - 2, p),)
+        if self.n == 2:
+            # 1/a = conj(a) / N(a), conj(a_0 + a_1 x) = a_0 - a_1 x
+            a0, a1 = a
+            ninv = pow(a0 * a0 + self.modulus[0] * a1 * a1, p - 2, p)
+            return (a0 * ninv % p, -a1 * ninv % p)
+        return self.pow(a, self.q - 2)
 
     def frobenius(self, a):
         """x -> x^p."""
         return self.pow(a, self.p)
 
     def chi(self, a) -> int:
-        """Quadratic character of F_q, chi(0) = 0."""
+        """Quadratic character of F_q, chi(0) = 0.
+
+        At n = 2, chi_{p^2}(a) = chi_p(N(a)) for the norm N(a) = a^(p+1).
+        """
         if a == self.zero:
             return 0
         if self.n == 1:
-            return kronecker(a[0], self.p)
+            return _legendre(a[0], self.p)
+        if self.n == 2:
+            return _legendre(a[0] * a[0] + self.modulus[0] * a[1] * a[1], self.p)
         e = self.pow(a, (self.q - 1) // 2)
         return 1 if e == self.one else -1
 
     def sqrt(self, a):
-        """A square root in F_q, or None.  Tonelli-Shanks over F_q."""
+        """A square root in F_q, or None; n <= 2.
+
+        At n = 2 with x^2 = -c_0, (b_0 + b_1 x)^2 = a gives
+        b_0^2 = (a_0 +- sqrt(N(a))) / 2 and b_1 = a_1 / (2 b_0); for a_1 != 0
+        the two choices multiply to -c_0 a_1^2 / 4, a non-residue, so
+        exactly one of them is a square in F_p.
+        """
+        if self.n > 2:
+            raise ValueError("square roots limited to F_p and F_{p^2}")
+        p = self.p
+        if self.n == 1:
+            r = sqrt_mod(a[0], p)
+            return None if r is None else (r,)
+        a0, a1 = a
+        c0 = self.modulus[0]
+        if a1 == 0:
+            r = sqrt_mod(a0, p)
+            if r is not None:
+                return (r, 0)
+            # a_0 / (-c_0) is a square, and (r x)^2 = -c_0 r^2
+            return (0, sqrt_mod(-a0 * pow(c0, p - 2, p), p))
+        n = sqrt_mod(a0 * a0 + c0 * a1 * a1, p)
+        if n is None:
+            return None
+        half = (p + 1) // 2
+        b0 = sqrt_mod((a0 + n) * half, p)
+        if b0 is None:
+            b0 = sqrt_mod((a0 - n) * half, p)
+        return (b0, a1 * pow(2 * b0, p - 2, p) % p)
+
+    def cbrt(self, a):
+        """A cube root in F_q, or None; n <= 2.
+
+        a^((2q-1)/3) when q = 2 mod 3.  Otherwise write q - 1 = 3^s t with
+        3 not dividing t: r = a^k, 3k = 1 mod t, has r^3 = a e with e in the
+        3-Sylow subgroup, and the cubic Tonelli step (Adleman-Manders-Miller)
+        finds the cube root of 1/e there by a base-3 discrete log.
+        """
+        if self.n > 2:
+            raise ValueError("cube roots limited to F_p and F_{p^2}")
         if a == self.zero:
             return self.zero
-        if self.chi(a) != 1:
-            return None
-        if self.n == 1:
-            return (sqrt_mod(a[0], self.p),)
         q = self.q
-        if q % 4 == 3:
-            return self.pow(a, (q + 1) // 4)
-        m, s = q - 1, 0
-        while m % 2 == 0:
-            m //= 2
-            s += 1
-        rng = random.Random(0xD1CE)
-        while True:
-            z = self.decode(rng.randrange(1, q))
-            if self.chi(z) == -1:
-                break
-        c, t, r, e = self.pow(z, m), self.pow(a, m), self.pow(a, (m + 1) // 2), s
-        while t != self.one:
-            i, t2 = 0, t
-            while t2 != self.one:
-                t2 = self.mul(t2, t2)
-                i += 1
-            b = c
-            for _ in range(e - i - 1):
-                b = self.mul(b, b)
-            r, c = self.mul(r, b), self.mul(b, b)
-            t, e = self.mul(t, c), i
-        return r
+        if q % 3 == 2:
+            return self.pow(a, (2 * q - 1) // 3)
+        if self.pow(a, (q - 1) // 3) != self.one:
+            return None
+        s, t, c = self._sylow3_data()
+        r = self.pow(a, pow(3, -1, t))
+        h = self.mul(a, self.inv(self.mul(r, self.mul(r, r))))
+        # h = 1/e = c^x; read x off in base 3, one digit per power of the
+        # order-3 element zeta, then c^(x/3) cubes to h
+        zeta = self.pow(c, 3 ** (s - 1))
+        digits = {self.one: 0, zeta: 1, self.mul(zeta, zeta): 2}
+        x = 0
+        for i in range(s):
+            g = self.mul(h, self.pow(c, -x))
+            x += digits[self.pow(g, 3 ** (s - 1 - i))] * 3 ** i
+        return self.mul(r, self.pow(c, x // 3))
+
+    def _sylow3_data(self):
+        """(s, t, c): q - 1 = 3^s t, c of order 3^s from the first cubic
+        non-residue among k + x (n = 2) or k (n = 1), k = 1, 2, ..."""
+        if self._sylow3 is None:
+            s, t = 0, self.q - 1
+            while t % 3 == 0:
+                s, t = s + 1, t // 3
+            base = self.gen() if self.n == 2 else self.zero
+            k = 1
+            while True:
+                z = self.add(base, self.from_int(k))
+                if self.pow(z, (self.q - 1) // 3) != self.one:
+                    break
+                k += 1
+            self._sylow3 = (s, t, self.pow(z, t))
+        return self._sylow3
 
 
 def build_extension(p: int, n: int) -> ExtField:

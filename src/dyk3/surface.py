@@ -310,6 +310,10 @@ def count_via_fibration(surface: EllipticSurface, field: ExtField) -> int:
     if surface.fieldad is not QQ:
         raise NotImplementedError("fibration counting needs Q coefficients")
     p = field.p
+    if p < 5:
+        # the bad-fibre tables read Kodaira types off the c4/c6/Delta
+        # valuations, which is Tate's algorithm only where reduction is tame
+        raise ValueError(f"fibration counting needs p >= 5, got p = {p}")
     K = _VecFq(field)
     a2 = _poly_mod_p(surface.a2, p)
     a4 = _poly_mod_p(surface.a4, p)

@@ -6,7 +6,8 @@ checked here against the identities and the normalising constructor.  The
 closed node formula of a cubic with a double root, and the square roots in
 quadratic fields and K4, are checked against the values they invert.  The
 vector F_q kernel of the surface counts is checked elementwise against
-ExtField.
+ExtField, and ExtField's closed forms at n = 2 against the generic
+polynomial product, the Euler criterion and the powers they invert.
 """
 
 from fractions import Fraction
@@ -20,7 +21,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from dyk3 import numfield as nf
-from dyk3.ffield import build_extension
+from dyk3.ffield import _poly_mulmod, build_extension
 from dyk3.numfield import TowerElement, rational_sqrt, sqrt_in_quadratic
 from dyk3.poly import Poly, QQ, TOWER
 from dyk3.siverify import sqrt_in_k4
@@ -209,3 +210,65 @@ def test_vector_kernel_matches_extfield(p, n, data):
         assert F.decode(int(prod[k])) == F.mul(x, y)
         assert F.decode(int(diff[k])) == F.sub(x, y)
         assert chi[k] == F.chi(x)
+
+
+_FP2_PRIMES = (7, 11, 31, 4871)
+
+
+@cache
+def _fp2(p):
+    return build_extension(p, 2)
+
+
+def _fp2_elements(p):
+    return st.integers(0, p * p - 1).map(_fp2(p).decode)
+
+
+@st.composite
+def _fp2_pair(draw):
+    p = draw(st.sampled_from(_FP2_PRIMES))
+    return _fp2(p), draw(_fp2_elements(p)), draw(_fp2_elements(p))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_fp2_pair())
+def test_fp2_closed_mul_and_inv(fab):
+    F, a, b = fab
+    c = _poly_mulmod(list(a), list(b), F._modlist, F.p)
+    assert F.mul(a, b) == tuple(c) + (0,) * (2 - len(c))
+    if a != F.zero:
+        assert F.mul(a, F.inv(a)) == F.one
+
+
+@settings(max_examples=120, deadline=None)
+@given(_fp2_pair())
+def test_fp2_norm_chi_and_sqrt(fab):
+    F, a, b = fab
+    euler = F.pow(a, (F.q - 1) // 2)
+    assert F.chi(a) == (0 if a == F.zero else 1 if euler == F.one else -1)
+    r = F.sqrt(a)
+    if F.chi(a) >= 0:
+        assert r is not None and F.mul(r, r) == a
+    else:
+        assert r is None
+    # a square, and a square times a non-square
+    sq = F.mul(b, b)
+    r = F.sqrt(sq)
+    assert F.mul(r, r) == sq
+    if b != F.zero and F.chi(a) == -1:
+        assert F.sqrt(F.mul(sq, a)) is None
+
+
+@settings(max_examples=120, deadline=None)
+@given(_fp2_pair())
+def test_fp2_cbrt(fab):
+    F, a, b = fab
+    cube = F.mul(b, F.mul(b, b))
+    r = F.cbrt(cube)
+    assert F.mul(r, F.mul(r, r)) == cube
+    is_cube = a == F.zero or F.pow(a, (F.q - 1) // 3) == F.one
+    r = F.cbrt(a)
+    if is_cube:
+        assert r is not None and F.mul(r, F.mul(r, r)) == a
+    else:
+        assert r is None

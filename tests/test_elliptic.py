@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from dyk3.elliptic import (CurveOverFq, IsogenyMap, TraceRecord, WeierstrassModel,
+from dyk3.elliptic import (PHI2, CurveOverFq, IsogenyMap, TraceRecord,
+                           WeierstrassModel, _cubic_roots, _phi2_at,
                            count_points, curve_with_j, is_supersingular,
-                           trace_lift, verify_isogeny)
-from dyk3.ffield import build_extension, kronecker
+                           supersingular_walk, trace_lift, verify_isogeny)
+from dyk3.ffield import FqPoly, build_extension, kronecker
 from dyk3.fixtures import load_tower_constants
 from dyk3.numfield import (SQRT2, SQRT5, TowerElement, eval_poly_at_tower,
                            minimal_polynomial_over_Q)
@@ -171,13 +172,75 @@ def test_hasse_ext_field():
 
 def test_curve_with_j():
     F = build_extension(31, 1)
-    for j in (5, 7, 29):
+    for j in (0, 5, 7, 29, 1728):
         E = curve_with_j(F, F.from_int(j))
         # j of y^2 = x^3 + ax + b over F_q: 1728 * 4a^3/(4a^3+27b^2)
         a, b = E.a4, E.a6
         num = F.smul(1728 * 4, F.pow(a, 3))
         den = F.add(F.smul(4, F.pow(a, 3)), F.smul(27, F.mul(b, b)))
         assert F.mul(num, F.inv(den)) == F.from_int(j)
+
+
+def test_phi2_vanishes_on_known_2_isogenies():
+    # 1728 -> 66^3 and 0 -> 2 * 30^3 are 2-isogenies, and j = 8000 (CM by
+    # sqrt(-2)) and j = -3375 (CM by (1 + sqrt(-7))/2) have a degree-2
+    # endomorphism; Phi_2 is symmetric
+    def phi2(x, y):
+        return sum(c * x ** a * y ** b for a, b, c in PHI2)
+    for x, y in ((1728, 287496), (0, 54000), (8000, 8000), (-3375, -3375)):
+        assert phi2(x, y) == 0 and phi2(y, x) == 0
+    assert sorted(PHI2) == sorted((b, a, c) for a, b, c in PHI2)
+
+
+def test_cardano_splits_exactly_when_three_roots():
+    # the roots of Phi_2(j, Y) in F_{p^2}, with multiplicity, against a scan
+    for p in (7, 11, 13):
+        F = build_extension(p, 2)
+        for j in F.elements():
+            e0, e1, e2 = _phi2_at(F, j)
+            roots = _cubic_roots(F, e0, e1, e2)
+            cubic = FqPoly(F, [e0, e1, e2, F.one])
+            mult = 0
+            for y in F.elements():
+                # multiplicity of y: divide out Y - y while it is a root
+                c = cubic
+                while c.degree() > 0 and c(y) == F.zero:
+                    c = c.divmod(FqPoly(F, [F.neg(y), F.one]))[0]
+                    mult += 1
+            if roots is None:
+                assert mult < 3, (p, j)
+            else:
+                assert mult == 3, (p, j)
+                assert all(cubic(y) == F.zero for y in roots)
+                # Vieta: the roots sum to -e2 and multiply to -e0
+                assert F.add(F.add(roots[0], roots[1]), roots[2]) == F.neg(e2)
+                assert F.mul(F.mul(roots[0], roots[1]), roots[2]) == F.neg(e0)
+
+
+def test_walk_agrees_with_hasse_exhaustive():
+    # every j in F_{p^2} but 0 and 1728, every prime 7 <= p <= 59: the
+    # 2-isogeny walk and the Hasse invariant give the same verdict
+    primes = (7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
+    checked = 0
+    for p in primes:
+        F = build_extension(p, 2)
+        supersingular = 0
+        for j in F.elements():
+            if j == F.zero or j == F.from_int(1728):
+                continue
+            ss = is_supersingular(curve_with_j(F, j))
+            assert supersingular_walk(F, j) == ss, (p, j)
+            checked += 1
+            supersingular += ss
+        # Eichler-Deuring: apart from 0 and 1728 there are floor(p/12)
+        # supersingular j-invariants
+        assert supersingular == p // 12, p
+    assert checked == 16690
+
+
+def test_walk_rejects_other_degrees():
+    with pytest.raises(ValueError):
+        supersingular_walk(build_extension(7, 1), (3,))
 
 
 def _paper_isogeny():

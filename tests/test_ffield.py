@@ -130,6 +130,14 @@ def test_chi_matches_square_scan():
                 assert r is not None and F.mul(r, r) == a
 
 
+def test_roots_limited_to_degree_2():
+    F = build_extension(7, 3)
+    with pytest.raises(ValueError):
+        F.sqrt(F.one)
+    with pytest.raises(ValueError):
+        F.cbrt(F.one)
+
+
 def test_find_roots_examples():
     F7 = build_extension(7, 1)
     f = FqPoly.from_ints(F7, [-1, 0, 1])  # x^2 - 1

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import pytest
 
-from dyk3.elliptic import CurveOverFq, is_supersingular
+from dyk3.elliptic import curve_with_j, is_supersingular
 from dyk3.ffield import build_extension
 from dyk3.fixtures import load_tower_constants
-from dyk3.sscan import (ScanConfig, density_guard, is_supersingular_prime,
-                        scan)
+from dyk3.sscan import (ScanConfig, ScanReport, Witness, density_guard,
+                        is_supersingular_prime, roots_in_fp2, scan)
 
 PAPER_LIST = load_tower_constants().supersingular_primes
 
@@ -40,23 +42,55 @@ def test_scan_range_3500():
 
 
 def test_hasse_agrees_with_count_small():
-    # for p <= 200, the Hasse verdict equals count over F_{p^2} mod p
+    # the Hasse verdict equals #E = 1 mod p, over F_{p^2} for the roots of
+    # the quartic and over F_p for every j but 0 and 1728
     for p in (7, 13, 29, 41):
         verdict, wits, nroots = is_supersingular_prime(p)
         F2 = build_extension(p, 2)
-        from dyk3.sscan import roots_in_fp2
         _, roots = roots_in_fp2(load_tower_constants().j_min_poly, p)
         any_ss = False
         for j0 in roots:
             if j0 == F2.zero or j0 == F2.from_int(1728):
                 continue
-            from dyk3.elliptic import curve_with_j
             E = curve_with_j(F2, j0)
             cnt = E.count_points().count
             ss_by_count = (cnt % p) == (1 % p)
             assert is_supersingular(E) == ss_by_count
             any_ss = any_ss or ss_by_count
         assert verdict == any_ss
+        F1 = build_extension(p, 1)
+        for j in range(p):
+            if j in (0, 1728 % p):
+                continue
+            E = curve_with_j(F1, F1.from_int(j))
+            assert is_supersingular(E) == (E.count_points().count % p == 1), (p, j)
+
+
+def test_certificate_rejects_forged_witness():
+    # verify_witnesses re-decides each witness with the Hasse coefficient,
+    # independently of the walk that produced it
+    cfg = ScanConfig(load_tower_constants().j_min_poly, 7, 100)
+    rep = scan(cfg)
+    assert rep.primes == [13, 29, 41] and rep.verify_witnesses()
+
+    def forged(p, root, special=None):
+        w = Witness(p, root, root[1] == 0, True, special)
+        return ScanReport(cfg, sorted(rep.primes + [p]),
+                          {**rep.witnesses, p: [w]})
+
+    # 7 and 31 are not supersingular, but the quartic has roots there,
+    # among them j = 0 at p = 31 = 1 mod 3
+    for p in (7, 31):
+        _, roots = roots_in_fp2(cfg.quartic, p)
+        assert len(roots) == 4
+        for j in roots:
+            special = "j=0" if j == (0, 0) else None
+            assert not forged(p, j, special).verify_witnesses(), (p, j)
+    # j = 0 is supersingular at 29 = 2 mod 3 but is not a root there
+    zero = replace(rep.witnesses[29][0], root=(0, 0), special="j=0")
+    assert not replace(rep, witnesses={**rep.witnesses, 29: [zero]}).verify_witnesses()
+    # a reported prime without witnesses
+    assert not replace(rep, witnesses={**rep.witnesses, 13: []}).verify_witnesses()
 
 
 def test_excluded_prime_rejected():
@@ -75,5 +109,5 @@ def test_threads_deterministic():
 @pytest.mark.slow
 def test_full_paper_range():
     cfg = ScanConfig(load_tower_constants().j_min_poly, 7, 104729)
-    rep = scan(cfg, threads=4)
+    rep = scan(cfg)
     assert rep.primes == PAPER_LIST

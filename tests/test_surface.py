@@ -134,11 +134,15 @@ def test_rational_surface_fibration_count():
     for p in (7, 11, 13, 31, 41):
         F = build_extension(p, 1)
         assert count_via_fibration(E, F) == p * p + 10 * p + 1, p
-    # p = 3 is out of reach: the II* fibre at infinity is wild there
     for p, n in ((7, 2), (7, 3), (5, 3), (5, 4)):
         F = build_extension(p, n)
         q = F.q
         assert count_via_fibration(E, F) == q * q + 10 * q + 1, (p, n)
+    # p = 3 is out of reach: the II* fibre at infinity is wild there, and
+    # the count refuses on entry
+    for n in (1, 4):
+        with pytest.raises(ValueError, match="p >= 5"):
+            count_via_fibration(E, build_extension(3, n))
 
 
 def test_rational_surface_free_section():
