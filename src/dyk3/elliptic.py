@@ -100,14 +100,6 @@ class WeierstrassModel:
         return CurveOverFq(F, red(self.a2), red(self.a4), red(self.a6))
 
 
-def quadratic_twist(model: WeierstrassModel, d):
-    return model.quadratic_twist(d)
-
-
-def j_invariant(model: WeierstrassModel):
-    return model.j_invariant()
-
-
 # ---------------------------------------------------------------------------
 # curves over finite fields
 
@@ -181,13 +173,6 @@ class CurveOverFq:
         for x in F.elements():
             total += F.chi(self.rhs(x))
         return TraceRecord(F.p, F.n, F.q + 1 - total, total)
-
-    def trace(self) -> int:
-        return self.count_points().a
-
-
-def count_points(E: CurveOverFq) -> TraceRecord:
-    return E.count_points()
 
 
 def trace_lift(a: int, p: int, n: int) -> int:

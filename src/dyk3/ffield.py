@@ -84,32 +84,9 @@ def sqrt_mod(a: int, p: int):
     return r
 
 
-class PrimeField:
-    """The prime field F_p; primality is verified at construction."""
-
-    def __init__(self, p: int):
-        if p == 2 or not is_prime(p):
-            raise ValueError(f"p = {p} is not an odd prime")
-        self.p = p
-
-    def __repr__(self):
-        return f"GF({self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
-    def inv(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in F_p")
-        return pow(a, self.p - 2, self.p)
-
-    def chi(self, a: int) -> int:
-        """Quadratic character with chi(0) = 0."""
-        return _legendre(a, self.p)
+def require_odd_prime(p: int):
+    if p == 2 or not is_prime(p):
+        raise ValueError(f"p = {p} is not an odd prime")
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +176,7 @@ class ExtField:
     def __init__(self, p: int, n: int):
         if not 1 <= n <= 4:
             raise ValueError("extension degree must be 1..4")
-        self.base = PrimeField(p)
+        require_odd_prime(p)
         self.p = p
         self.n = n
         self.q = p ** n

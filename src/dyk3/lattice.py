@@ -210,15 +210,7 @@ def _matmul(A, B):
 
 def kernel_relation(L: GramLattice):
     """Primitive integer basis of the radical {v : G v = 0}."""
-    snf = smith(L.gram)
-    n = L.n
-    rank = sum(1 for x in snf.d if x != 0)
-    # U G V = D; G (V e_j) = U^{-1} D e_j = 0 for j >= rank
-    kernel = []
-    for j in range(rank, n):
-        vec = [snf.V[i][j] for i in range(n)]
-        kernel.append(vec)
-    return kernel
+    return _kernel_basis(L.gram)
 
 
 def rank_det(L: GramLattice):

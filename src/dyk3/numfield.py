@@ -20,7 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .ffield import PrimeField, build_extension, find_roots, FqPoly, kronecker
+from .ffield import (FqPoly, build_extension, find_roots, kronecker,
+                     require_odd_prime)
 
 DIM = 24
 
@@ -257,7 +258,6 @@ class TowerElement:
 
 SQRT2 = TowerElement.monomial(1, 0, 0, 0)
 SQRT5 = TowerElement.monomial(0, 1, 0, 0)
-SQRT10 = TowerElement.monomial(1, 1, 0, 0)
 ALPHA = TowerElement.monomial(0, 0, 1, 0)
 BETA = TowerElement.monomial(0, 0, 0, 1)
 ONE = TowerElement.rational(1)
@@ -324,7 +324,7 @@ class SplitEmbedding:
 
     def __init__(self, p: int, r2: int, r5: int, ra=None, rb=None):
         self.p = p
-        self.field = PrimeField(p)
+        require_odd_prime(p)
         if r2 * r2 % p != 2 % p or r5 * r5 % p != 5 % p:
             raise ValueError("images do not satisfy the generator relations")
         self.r2, self.r5 = r2 % p, r5 % p

@@ -18,142 +18,78 @@ from fractions import Fraction
 from .numfield import TowerElement
 from .poly import Poly, TOWER
 from .siverify import sqrt_in_k4
+from .tate import LocalRing
 
 ZERO = TowerElement.rational(0)
 ONE = TowerElement.rational(1)
-HALF = TowerElement.rational(Fraction(1, 2))
-S5 = TowerElement.k4(0, 0, 1, 0)
 
 NTRUNC = 10
 
 
 # ---------------------------------------------------------------------------
-# truncated exact power series
+# truncated power series: Poly over TOWER in s, modulo s^NTRUNC
 
 
-class Ser:
-    """Truncated power series with TowerElement coefficients."""
+S = Poly.x(TOWER)
 
-    __slots__ = ("c",)
 
-    def __init__(self, coeffs):
-        c = list(coeffs)[:NTRUNC]
-        c += [ZERO] * (NTRUNC - len(c))
-        self.c = c
+def _trunc(a):
+    return Poly(TOWER, a.coeffs[:NTRUNC])
 
-    @classmethod
-    def const(cls, a):
-        return cls([a])
 
-    @classmethod
-    def var(cls):
-        return cls([ZERO, ONE])
+def _tmul(a, b):
+    """a * b mod s^NTRUNC."""
+    out = [ZERO] * min(NTRUNC, len(a.coeffs) + len(b.coeffs))
+    for i, x in enumerate(a.coeffs[:NTRUNC]):
+        if x.is_zero():
+            continue
+        for j, y in enumerate(b.coeffs[:NTRUNC - i]):
+            if not y.is_zero():
+                out[i + j] = out[i + j] + x * y
+    return Poly(TOWER, out)
 
-    def __add__(self, o):
-        return Ser([a + b for a, b in zip(self.c, o.c)])
 
-    def __sub__(self, o):
-        return Ser([a - b for a, b in zip(self.c, o.c)])
+def _ord(a):
+    """The s-adic order, NTRUNC for a series that is zero mod s^NTRUNC."""
+    return next((i for i, c in enumerate(a.coeffs[:NTRUNC]) if not c.is_zero()),
+                NTRUNC)
 
-    def __neg__(self):
-        return Ser([-a for a in self.c])
 
-    def __mul__(self, o):
-        if isinstance(o, TowerElement):
-            return Ser([a * o for a in self.c])
-        out = [ZERO] * NTRUNC
-        for i, a in enumerate(self.c):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(o.c):
-                if i + j >= NTRUNC:
-                    break
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return Ser(out)
+def _shift_down(a, k):
+    """a / s^k."""
+    if _ord(a) < k:
+        raise ValueError("series not divisible by s^k")
+    return Poly(TOWER, a.coeffs[k:])
 
-    def ord(self):
-        for i, a in enumerate(self.c):
-            if not a.is_zero():
-                return i
-        return NTRUNC
 
-    def is_zero(self):
-        return self.ord() >= NTRUNC
-
-    def shift_down(self, k):
-        if any(not a.is_zero() for a in self.c[:k]):
-            raise ValueError("series not divisible by s^k")
-        return Ser(self.c[k:] + [ZERO] * k)
-
-    def inverse_unit(self):
-        if self.c[0].is_zero():
-            raise ZeroDivisionError("not a unit series")
-        inv0 = ONE / self.c[0]
-        out = [inv0] + [ZERO] * (NTRUNC - 1)
-        for k in range(1, NTRUNC):
-            acc = ZERO
-            for j in range(1, k + 1):
-                acc = acc + self.c[j] * out[k - j]
-            out[k] = -inv0 * acc
-        return Ser(out)
-
-    def divide(self, o):
-        return self * o.inverse_unit()
-
-    def compose(self, inner):
-        """self(inner(s)); inner must have zero constant term."""
-        if not inner.c[0].is_zero():
-            raise ValueError("composition needs ord >= 1")
-        out = Ser.const(ZERO)
-        power = Ser.const(ONE)
-        for a in self.c:
-            if not a.is_zero():
-                out = out + power * a
-            power = power * inner
-        return out
-
-    def reparametrize_to(self, x_series):
-        """With self = F(s) and x = x(s) of ord 1, return F as a series in x."""
-        t = _series_inverse_param(x_series)
-        return self.compose(t)
-
-    def sqrt(self, root0=None):
-        """A square root when ord is even and the leading coefficient admits
-        one in K4 (root0 may supply the choice of leading root)."""
-        d = self.ord()
-        if d >= NTRUNC:
-            return Ser.const(ZERO)
-        if d % 2:
-            raise ValueError("odd order has no series square root")
-        body = self.shift_down(d)
-        a0 = body.c[0]
-        r0 = root0 if root0 is not None else sqrt_in_k4(a0)
-        if r0 is None or (r0 * r0) != a0:
-            raise ValueError("leading coefficient is not a K4 square")
-        out = [r0] + [ZERO] * (NTRUNC - 1)
-        inv2r = ONE / (2 * r0)
-        for k in range(1, NTRUNC):
-            acc = body.c[k]
-            for j in range(1, k):
-                acc = acc - out[j] * out[k - j]
-            out[k] = acc * inv2r
-        res = Ser(out)
-        return Ser([ZERO] * (d // 2) + res.c[: NTRUNC - d // 2])
+def _compose(a, inner):
+    """a(inner(s)) mod s^NTRUNC; inner must have zero constant term."""
+    if _ord(inner) < 1:
+        raise ValueError("composition needs ord >= 1")
+    acc = Poly(TOWER, [])
+    for c in reversed(a.coeffs[:NTRUNC]):
+        acc = _tmul(acc, inner) + c
+    return acc
 
 
 def _series_inverse_param(x):
-    """Compositional inverse of x(s) = x1 s + ... with x1 != 0."""
-    if not x.c[0].is_zero() or x.c[1].is_zero():
+    """The compositional inverse t of x(s) = x1 s + ... with x1 != 0:
+    t(x(s)) = s mod s^NTRUNC."""
+    if _ord(x) != 1:
         raise ValueError("need ord exactly 1")
-    inv1 = ONE / x.c[1]
-    t = [ZERO, inv1] + [ZERO] * (NTRUNC - 2)
+    # t_k from the s^k coefficient of sum_j t_j x^j, whose x^k term is
+    # t_k x1^k
+    inv1 = ONE / x.coeff(1)
+    powers = [None, _trunc(x)]
+    for _ in range(2, NTRUNC):
+        powers.append(_tmul(powers[-1], x))
+    t = [ZERO, inv1]
     for k in range(2, NTRUNC):
-        # residual of t(x(s)) - s at order k fixes t_k
-        comp = Ser(t).compose(x)
-        err = comp.c[k]
-        t[k] = t[k] - err * (inv1 ** k)
-    return Ser(t)
+        acc = ZERO
+        for j in range(1, k):
+            acc = acc + t[j] * powers[j].coeff(k)
+        t.append(-acc * inv1 ** k)
+    return Poly(TOWER, t)
 
 
 # ---------------------------------------------------------------------------
@@ -213,26 +149,21 @@ def build_curves():
     curves = []
     # lines: (name, linear form, w-polynomial)
     curves.append(PlaneCurve("L1", _lin(1, 0, 0), {(0, 1, 2): ONE}))
-    curves.append(PlaneCurve("L2", {(1, 0, 0): ONE, (0, 0, 1): -ONE},
-                             {(0, 1, 2): ONE, (0, 2, 1): ONE,
-                              (0, 0, 3): ONE, (0, 1, 2): ONE}))
     # w for L2 is z(y+z)^2 = y^2 z + 2 y z^2 + z^3
-    curves[-1].h = {(0, 2, 1): ONE, (0, 1, 2): TowerElement.rational(2),
-                    (0, 0, 3): ONE}
-    curves.append(PlaneCurve("L3", {(0, 1, 0): ONE, (0, 0, 1): M_MINUS},
-                             _scale_poly({(2, 0, 1): ONE, (1, 1, 1): -ONE,
-                                          (0, 0, 3): ONE}, -M_MINUS)))
+    curves.append(PlaneCurve("L2", {(1, 0, 0): ONE, (0, 0, 1): -ONE},
+                             {(0, 2, 1): ONE, (0, 1, 2): TowerElement.rational(2),
+                              (0, 0, 3): ONE}))
     # w for L3 is -m_- * z (x^2 - xz + z^2)
-    curves[-1].h = _scale_poly({(2, 0, 1): ONE, (1, 0, 2): -ONE,
-                                (0, 0, 3): ONE}, -M_MINUS)
+    curves.append(PlaneCurve("L3", {(0, 1, 0): ONE, (0, 0, 1): M_MINUS},
+                             _scale_poly({(2, 0, 1): ONE, (1, 0, 2): -ONE,
+                                          (0, 0, 3): ONE}, -M_MINUS)))
     curves.append(PlaneCurve("L4", {(0, 1, 0): ONE, (0, 0, 1): M_PLUS},
                              _scale_poly({(2, 0, 1): ONE, (1, 0, 2): -ONE,
                                           (0, 0, 3): ONE}, -M_PLUS)))
     curves.append(PlaneCurve("L5", _lin(0, 1, 0), {(1, 0, 2): ONE}))
-    curves.append(PlaneCurve("L6", {(0, 1, 0): ONE, (0, 0, 1): ONE},
-                             {(1, 0, 2): ONE, (2, 0, 1): ONE}))
     # w for L6 is z(x-z)(x+z) = x^2 z - z^3
-    curves[-1].h = {(2, 0, 1): ONE, (0, 0, 3): -ONE}
+    curves.append(PlaneCurve("L6", {(0, 1, 0): ONE, (0, 0, 1): ONE},
+                             {(2, 0, 1): ONE, (0, 0, 3): -ONE}))
     curves.append(PlaneCurve("L7", _lin(0, 0, 1),
                              {(2, 1, 0): ONE, (1, 2, 0): ONE}))
     # conics
@@ -330,25 +261,27 @@ SING_POINTS = [
 
 
 class Germ:
-    __slots__ = ("gid", "u", "v", "w")
+    """One lift of a curve through a singular point, parametrised by the
+    local coordinate u itself: v(u) and the sheet value w(u) as series."""
 
-    def __init__(self, gid, u, v, w):
+    __slots__ = ("gid", "v", "w")
+
+    def __init__(self, gid, v, w):
         self.gid = gid
-        self.u = u
         self.v = v
         self.w = w
 
 
 def _poly2_eval_series(F, u, v):
-    acc = Ser.const(ZERO)
+    acc = Poly(TOWER, [])
     for (i, j), coef in F.items():
         if coef.is_zero():
             continue
-        term = Ser.const(coef)
+        term = Poly.const(TOWER, coef)
         for _ in range(i):
-            term = term * u
+            term = _tmul(term, u)
         for _ in range(j):
-            term = term * v
+            term = _tmul(term, v)
         acc = acc + term
     return acc
 
@@ -381,28 +314,6 @@ def _mult_at_origin(F):
                default=10 ** 9)
 
 
-def _ratio_ord1(num: Ser, den: Ser) -> Ser:
-    """num/den where den has ord 1 and num ord >= 1."""
-    if den.ord() != 1:
-        raise ValueError("denominator must have ord 1")
-    if num.ord() < 1:
-        raise ValueError("numerator must vanish at 0")
-    return num.shift_down(1) * (den.shift_down(1).inverse_unit())
-
-
-def _pair_meet_ord(gA: Germ, gB: Germ, coords) -> int:
-    """min ord of coordinate differences, both germs reparametrized by u."""
-    usA, usB = gA.u, gB.u
-    if usA.ord() != 1 or usB.ord() != 1:
-        raise NotImplementedError("common parameter requires u of order 1")
-    best = NTRUNC
-    for fA, fB in coords:
-        a = fA.reparametrize_to(usA)
-        b = fB.reparametrize_to(usB)
-        best = min(best, (a - b).ord())
-    return best
-
-
 def analyze_singularity(F, germs, level=1):
     """Resolve w^2 = F at the origin and land each germ.
 
@@ -422,7 +333,7 @@ def analyze_singularity(F, germs, level=1):
     landings = {}
     meets = {}
     if not disc.is_zero():
-        _land_node(F, germs, level, landings, meets)
+        _land_node(germs, level, landings, meets)
         return landings, meets
     # degenerate tangent cone: the top-level chart shear guarantees the
     # cone is v-aligned, and the blowup recursion preserves that
@@ -436,34 +347,24 @@ def analyze_singularity(F, germs, level=1):
     if rc is None:
         raise NotImplementedError("conjugate exceptional pair (end sheets "
                                   "not rational over K4)")
-    sheared = [Germ(g.gid, g.u, g.v - g.u * alpha, g.w) for g in germs]
     enders = []
     tangents = []
-    for g in sheared:
-        du, dv = g.u.c[1], g.v.c[1]
-        if du.is_zero() and dv.is_zero():
-            raise ValueError(f"singular germ {g.gid}")
-        if du.is_zero():
-            # direction along the v-axis: lands on an end at infinity of
-            # the v1-chart
-            om = g.w.c[1]
-            sig = om / (rc * dv)
-            _store_sign(landings, g.gid, level, sig, ("infchart",))
-            enders.append((g, sig, ("infchart",)))
-        elif not dv.is_zero():
-            om = g.w.c[1]
-            sig = om / (rc * dv)
-            _store_sign(landings, g.gid, level, sig, ("pos", dv / du))
-            enders.append((g, sig, ("pos", dv / du)))
-        else:
+    for g in germs:
+        g = Germ(g.gid, g.v - S * alpha, g.w)
+        dv = g.v.coeff(1)
+        if dv.is_zero():
             tangents.append(g)
+            continue
+        sig = g.w.coeff(1) / (rc * dv)
+        _store_sign(landings, g.gid, level, sig, ("pos", dv))
+        enders.append((g, sig, ("pos", dv)))
     # meets among same-end, same-position landers
     for a in range(len(enders)):
         for b in range(a + 1, len(enders)):
             gA, sA, pA = enders[a]
             gB, sB, pB = enders[b]
             if sA == sB and pA == pB:
-                down = _pair_meet_ord(gA, gB, [(gA.v, gB.v)])
+                down = _ord(gA.v - gB.v)
                 if down < 1:
                     raise AssertionError("coincident germs?")
                 if down - 1 > 0:
@@ -472,11 +373,8 @@ def analyze_singularity(F, germs, level=1):
         return landings, meets
     # recurse on the strict transform
     F2 = _poly2_blowup_u(Fs)
-    sub = []
-    for g in tangents:
-        v2 = _ratio_ord1(g.v, g.u)
-        w2 = _ratio_ord1(g.w, g.u)
-        sub.append(Germ(g.gid, g.u, v2, w2))
+    sub = [Germ(g.gid, _shift_down(g.v, 1), _shift_down(g.w, 1))
+           for g in tangents]
     m2 = _mult_at_origin({k: v for k, v in F2.items()
                           if not (k == (0, 0) and v.is_zero())})
     if _poly2_const(F2).is_zero() and m2 >= 2:
@@ -497,26 +395,21 @@ def _key(a, b):
     return (a, b) if a <= b else (b, a)
 
 
-def _store_sign(landings, gid, level, sig, poskey, extra=None):
+def _store_sign(landings, gid, level, sig, poskey):
     if sig == ONE:
         s = 1
     elif sig == -ONE:
         s = -1
     else:
         raise AssertionError(f"non-unit sheet sign for {gid}: {sig}")
-    landings[gid] = ("end", level, s, poskey, extra)
+    landings[gid] = ("end", level, s, poskey)
 
 
-def _land_node(F, germs, level, landings, meets):
+def _land_node(germs, level, landings, meets):
     """Terminal A1: single exceptional component."""
     pts = []
     for g in germs:
-        du, dv = g.u.c[1], g.v.c[1]
-        om = g.w.c[1]
-        if not du.is_zero():
-            pos = ("fin", dv / du, om / du)
-        else:
-            pos = ("inf", du / dv, om / dv)
+        pos = ("fin", g.v.coeff(1), g.w.coeff(1))
         landings[g.gid] = ("node", level, pos)
         pts.append((g, pos))
     for a in range(len(pts)):
@@ -524,7 +417,7 @@ def _land_node(F, germs, level, landings, meets):
             gA, pA = pts[a]
             gB, pB = pts[b]
             if pA == pB:
-                down = _pair_meet_ord(gA, gB, [(gA.v, gB.v), (gA.w, gB.w)])
+                down = min(_ord(gA.v - gB.v), _ord(gA.w - gB.w))
                 if down - 1 > 0:
                     meets[_key(gA.gid, gB.gid)] = down - 1
 
@@ -583,80 +476,72 @@ def _param_germ(qloc):
     """(u(s), v(s)) for the smooth branch of qloc = 0 through the origin."""
     q01 = qloc.get((0, 1), ZERO)
     q10 = qloc.get((1, 0), ZERO)
-    s = Ser.var()
-    if not q01.is_zero():
-        v = Ser.const(ZERO)
-        for _ in range(NTRUNC + 2):
-            # Newton: v <- v - q(s, v)/dq_dv(s, v)
-            qs = _poly2_eval_series(qloc, s, v)
-            dq = _poly2_eval_series(
-                {(i, j - 1): coef * j for (i, j), coef in qloc.items() if j},
-                s, v)
-            v = v - qs * dq.inverse_unit()
-        return s, v
-    if q10.is_zero():
+    if q01.is_zero() and q10.is_zero():
         raise ValueError("curve is singular at the point")
-    u = Ser.const(ZERO)
-    for _ in range(NTRUNC + 2):
-        qs = _poly2_eval_series(qloc, u, s)
-        dq = _poly2_eval_series(
-            {(i - 1, j): coef * i for (i, j), coef in qloc.items() if i},
-            u, s)
-        u = u - qs * dq.inverse_unit()
-    return u, s
+    # Newton on the coordinate the curve is a graph over, to a fixed point
+    flip = q01.is_zero()
+    if flip:
+        qloc = _poly2_swap(qloc)
+    dq = {(i, j - 1): coef * j for (i, j), coef in qloc.items() if j}
+    series = LocalRing(S, NTRUNC)
+    v = Poly(TOWER, [])
+    while True:
+        step = _tmul(_poly2_eval_series(qloc, S, v),
+                     series.inv_unit(_poly2_eval_series(dq, S, v)))
+        if step.is_zero():
+            return (v, S) if flip else (S, v)
+        v = v - step
 
 
-def germs_at_point(curves, point):
-    """Both lifts of every curve through the point, as local germs."""
+def branches_at_point(curves, point):
+    """The local sextic at the point, and (name, u, v, h) for every curve
+    through it, h being w on the positive lift."""
     base = _affine_chart(point)
     Floc = _localize(sextic_poly(), base)
-    germs = []
+    branches = []
     for cur in curves:
         if not cur.eval_q(point).is_zero():
             continue
         qloc, hloc = _localize(cur.q, base), _localize(cur.h, base)
         u, v = _param_germ(qloc)
-        h_series = _poly2_eval_series(hloc, u, v)
-        germs.append(Germ(cur.name + "+", u, v, h_series))
-        germs.append(Germ(cur.name + "-", u, v, -h_series))
-    return Floc, germs
+        branches.append((cur.name, u, v, _poly2_eval_series(hloc, u, v)))
+    return Floc, branches
 
 
 def point_landings(curves):
     """Landings/meets at all five singular points, raw engine output."""
     out = {}
     for name, atype, point in SING_POINTS:
-        Floc, germs = germs_at_point(curves, point)
-        # the common parameter machinery needs every germ transversal to the
-        # v-axis, and the landing engine needs the branch tangent cone to
-        # keep a nonzero v^2 part: replace u by u + k v for the first k
-        # satisfying both
+        Floc, branches = branches_at_point(curves, point)
+        # every branch must be a graph over the u-axis, and the landing engine
+        # needs the branch tangent cone to keep a nonzero v^2 part: replace u
+        # by u + k v for the first k satisfying both
         Q20 = Floc.get((2, 0), ZERO)
         Q11 = Floc.get((1, 1), ZERO)
         Q02 = Floc.get((0, 2), ZERO)
         for k in range(0, 12):
             kk = TowerElement.rational(k)
-            test = [g.u + g.v * kk for g in germs]
             cone_v = Q20 * kk * kk - Q11 * kk + Q02
-            if all(t.ord() == 1 for t in test) and not cone_v.is_zero():
+            if not cone_v.is_zero() and all(
+                    _ord(u + v * kk) == 1 for _, u, v, _ in branches):
                 break
         else:
             raise NotImplementedError("no admissible chart shear found")
         if k:
             # u_new = u + k v  <=>  u = u_new - k v: the shear with u, v swapped
             Floc = _poly2_swap(_poly2_sub_shear(_poly2_swap(Floc), -kk))
-            germs = [Germ(g.gid, g.u + g.v * kk, g.v, g.w) for g in germs]
+        # reparametrise each branch by u itself: every quantity read below
+        # (dv/du, w/du, ord w, ord(vA - vB)) is invariant under this
+        germs, vs = [], []
+        for cname, u, v, h in branches:
+            t = _series_inverse_param(u + v * kk)
+            v, h = _compose(v, t), _compose(h, t)
+            germs += [Germ(cname + "+", v, h), Germ(cname + "-", v, -h)]
+            vs.append((cname, v))
         landings, meets = analyze_singularity(Floc, germs)
-        worder = {g.gid: g.w.ord() for g in germs}
-        idown = {}
-        seen = set()
-        for gA in germs:
-            for gB in germs:
-                nA, nB = gA.gid[:-1], gB.gid[:-1]
-                if nA >= nB or (nA, nB) in seen:
-                    continue
-                seen.add((nA, nB))
-                idown[(nA, nB)] = _pair_meet_ord(gA, gB, [(gA.v, gB.v)])
+        worder = {g.gid: _ord(g.w) for g in germs}
+        idown = {(nA, nB): _ord(vA - vB)
+                 for nA, vA in vs for nB, vB in vs if nA < nB}
         out[name] = {"type": atype, "landings": landings, "meets": meets,
                      "worder": worder, "idown": idown}
     return out
@@ -796,12 +681,8 @@ def _same_proj(P, Q):
 
 
 def _quadratic_roots_k4(c2, c1, c0):
-    """Roots of c2 s^2 + c1 s + c0 over K4: ('pair', r1, r2) | ('double', r)
-    | ('conjugate', None)."""
-    if c2.is_zero():
-        if c1.is_zero():
-            raise ValueError("not a quadratic")
-        return ("pair", -c0 / c1, None)   # second root at infinity
+    """Roots of c2 s^2 + c1 s + c0, c2 != 0, over K4: ('pair', r1, r2) |
+    ('double', r) | ('conjugate', None)."""
     disc = c1 * c1 - 4 * c2 * c0
     if disc.is_zero():
         return ("double", -c1 / (2 * c2))

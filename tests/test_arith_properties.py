@@ -7,7 +7,10 @@ closed node formula of a cubic with a double root, and the square roots in
 quadratic fields and K4, are checked against the values they invert.  The
 vector F_q kernel of the surface counts is checked elementwise against
 ExtField, and ExtField's closed forms at n = 2 against the generic
-polynomial product, the Euler criterion and the powers they invert.
+polynomial product, the Euler criterion and the powers they invert.  The
+truncated series of the intersection-matrix derivation are checked against
+untruncated Poly composition, and the Smith normal form against unimodular
+changes of basis.
 """
 
 from fractions import Fraction
@@ -21,12 +24,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st
 
 from dyk3 import numfield as nf
+from dyk3 import picard_fixture as pf
 from dyk3.ffield import _poly_mulmod, build_extension
+from dyk3.lattice import _kernel_basis, _matmul, matrix_rank, smith
 from dyk3.numfield import TowerElement, rational_sqrt, sqrt_in_quadratic
 from dyk3.poly import Poly, QQ, TOWER
 from dyk3.siverify import sqrt_in_k4
 from dyk3.surface import _VecFq, cubic_node
-from dyk3.tate import EllipticSurface, residue_is_square
+from dyk3.tate import EllipticSurface, LocalRing, residue_is_square
 
 rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
 nonzero_rationals = rationals.filter(bool)
@@ -272,3 +277,65 @@ def test_fp2_cbrt(fab):
         assert r is not None and F.mul(r, F.mul(r, r)) == a
     else:
         assert r is None
+
+
+@settings(max_examples=20, deadline=None)
+@given(_polys(tower_coeffs, pf.NTRUNC + 2), _polys(tower_coeffs, 2),
+       nonzero_tower_coeffs, _polys(tower_coeffs, 3))
+def test_truncated_series_compose_and_inverses(a, inner_tail, lead, tail):
+    a = Poly(TOWER, a)
+    inner = Poly(TOWER, [TOWER.zero] + inner_tail)
+    assert pf._compose(a, inner) == pf._trunc(a(inner))
+    x = Poly(TOWER, [TOWER.zero, lead] + tail)
+    x_inv = pf._series_inverse_param(x)
+    assert pf._compose(x, x_inv) == pf.S
+    assert pf._compose(x_inv, x) == pf.S
+    unit = Poly(TOWER, [lead] + tail)
+    assert pf._tmul(unit, LocalRing(pf.S, pf.NTRUNC).inv_unit(unit)) == 1
+
+
+small_ints = st.integers(-4, 4)
+
+
+@st.composite
+def _unimodular(draw, n):
+    """A product of elementary integer row operations on the n x n identity."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        op = draw(st.sampled_from(["swap", "negate", "add"]))
+        if op == "swap":
+            m[i], m[j] = m[j], m[i]
+        elif op == "negate":
+            m[i] = [-x for x in m[i]]
+        elif i != j:
+            k = draw(small_ints)
+            m[i] = [x + k * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+@st.composite
+def _snf_case(draw):
+    """M = A B of rank at most r, with unimodular U and V around it."""
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    r = draw(st.integers(0, min(rows, cols)))
+    A = [[draw(small_ints) for _ in range(r)] for _ in range(rows)]
+    B = [[draw(small_ints) for _ in range(cols)] for _ in range(r)]
+    M = _matmul(A, B) if r else [[0] * cols for _ in range(rows)]
+    return M, draw(_unimodular(rows)), draw(_unimodular(cols))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_snf_case())
+def test_smith_is_invariant_and_kernel_is_saturated(case):
+    M, U, V = case
+    assert smith(_matmul(_matmul(U, M), V)).d == smith(M).d
+    rows, cols = len(M), len(M[0])
+    kernel = _kernel_basis(M)
+    assert len(kernel) == cols - matrix_rank(M)
+    for k in kernel:
+        assert all(sum(M[i][j] * k[j] for j in range(cols)) == 0
+                   for i in range(rows))
+    if kernel:
+        # saturated: Z^n / span(kernel) is torsion-free
+        assert smith(kernel).d == [1] * len(kernel)

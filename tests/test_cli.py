@@ -174,6 +174,7 @@ def test_fixture_failure_exit_code(tmp_path, monkeypatch, capsys, cmd, damage):
 @pytest.mark.parametrize("argv", [
     "count -p 9", "count -p 5", "count -p 7 -n 5", "weil --primes 5,7",
     "si-verify --prime 7", "si-verify --prime 31 --ext 3",
+    "tate --model e9", "height --model e1",
 ])
 def test_bad_argument_exit_code(capsys, argv):
     code, out, err = run_main(argv.split(), capsys)

@@ -5,7 +5,7 @@ import pytest
 
 from dyk3.elliptic import (PHI2, CurveOverFq, IsogenyMap, TraceRecord,
                            WeierstrassModel, _cubic_roots, _phi2_at,
-                           count_points, curve_with_j, is_supersingular,
+                           curve_with_j, is_supersingular,
                            supersingular_walk, trace_lift, verify_isogeny)
 from dyk3.ffield import FqPoly, build_extension, kronecker
 from dyk3.fixtures import load_tower_constants

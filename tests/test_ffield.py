@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from dyk3.ffield import (ExtField, FqPoly, PrimeField, build_extension,
-                         find_roots, is_prime, kronecker, lex_min_irreducible,
+from dyk3.ffield import (ExtField, FqPoly, build_extension, find_roots,
+                         is_prime, kronecker, lex_min_irreducible,
                          sqrt_mod)
 
 

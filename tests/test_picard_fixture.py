@@ -106,6 +106,48 @@ def test_rederivation_matches_fixture():
     assert [list(r) for r in fix24.gram] == res["gram24"]
 
 
+def test_branches_lie_on_their_curves_and_split_the_sextic():
+    # along every branch through a singular point, q(u, v) = 0 and
+    # f(u, v) = h(u, v)^2 to the truncation order
+    from dyk3 import picard_fixture as pf
+    curves = pf.build_curves()
+    by_name = {c.name: c for c in curves}
+    for _, _, point in pf.SING_POINTS:
+        base = pf._affine_chart(point)
+        Floc, branches = pf.branches_at_point(curves, point)
+        assert branches
+        for name, u, v, h in branches:
+            qloc = pf._localize(by_name[name].q, base)
+            assert pf._poly2_eval_series(qloc, u, v).is_zero()
+            assert pf._poly2_eval_series(Floc, u, v) == pf._tmul(h, h)
+
+
+def test_param_germ_solves_a_branch_quadratic_in_both_coordinates():
+    # every bundled curve is linear in the coordinate it is solved for, where
+    # one Newton step is exact; the circle u^2 + v^2 + v = 0 is not
+    from dyk3 import picard_fixture as pf
+    one = pf.ONE
+    for q in ({(2, 0): one, (0, 2): one, (0, 1): one},
+              {(2, 0): one, (0, 2): one, (1, 0): one}):
+        u, v = pf._param_germ(q)
+        assert pf._poly2_eval_series(q, u, v).is_zero()
+        assert min(pf._ord(u), pf._ord(v)) == 1
+
+
+def test_node_meet_reads_both_coordinates():
+    # two germs landing on the same point of an A1 exceptional curve meet
+    # upstairs with multiplicity min(ord(vA - vB), ord(wA - wB)) - 1
+    from dyk3 import picard_fixture as pf
+    F = {(2, 0): pf.ONE, (0, 2): -pf.ONE}
+    s = pf.S
+    gA = pf.Germ("A+", s, s + s ** 2)
+    for vB, wB, meet in ((s + s ** 4, s + s ** 3, 1),
+                         (s + s ** 4, s + s ** 2 + s ** 5, 3)):
+        landings, meets = pf.analyze_singularity(F, [gA, pf.Germ("B+", vB, wB)])
+        assert landings["A+"] == landings["B+"]
+        assert meets == {("A+", "B+"): meet}
+
+
 def test_derived_agrees_with_partial_everywhere():
     part = load_gram("lemma_partial")
     full = load_gram("curves34")
