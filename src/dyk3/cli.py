@@ -20,6 +20,11 @@ EXIT_OK = 0
 EXIT_FIXTURE = 3
 EXIT_ASSERT = 4
 
+# The largest q = p^n that count, weil and si-verify count at.  A count over
+# F_q takes of order q^2 steps: q = 71^2 takes seconds, q = 2^15 minutes,
+# and a q near 10^6 would run for days.
+MAX_Q = 2 ** 15
+
 
 class UsageError(Exception):
     """A bad argument value, reported like argparse's own errors (exit 2)."""
@@ -58,11 +63,19 @@ def _check_prime(p, fix):
         raise UsageError(f"p = {p} is a bad-reduction prime for {fix.name}")
 
 
+def _check_q(p, degrees):
+    """Every q = p^n to be counted at must be at most MAX_Q."""
+    n = max(degrees)
+    if p ** n > MAX_Q:
+        raise UsageError(f"q = {p}^{n} exceeds {MAX_Q}, the largest q counted at")
+
+
 def cmd_count(args, out):
     from .surface import three_way_counts
     from .fixtures import load_surface
     fix = load_surface(args.surface)
     _check_prime(args.prime, fix)
+    _check_q(args.prime, args.ext)
     ok = True
     for n in args.ext:
         rec = three_way_counts(args.prime, n, fix=fix)
@@ -81,6 +94,7 @@ def cmd_weil(args, out):
     fix = load_surface(args.surface)
     for p in args.primes:
         _check_prime(p, fix)
+        _check_q(p, (1, 2))
     specs = []
     for p in args.primes:
         c1 = three_way_counts(p, 1, fix=fix)["count_smooth"]
@@ -141,9 +155,6 @@ def cmd_lattice(args, out):
         rec.update({"H0_rank": h0, "H1": h1 or "0",
                     "H2": "x".join(f"Z/{d}" for d in h2),
                     "brauer_quotient_trivial": h1 == []})
-    else:
-        _emit(out, {"op": "lattice", "error": f"unknown op {args.op}"})
-        return EXIT_FIXTURE
     _emit(out, rec)
     return EXIT_OK
 
@@ -272,6 +283,7 @@ def cmd_si_verify(args, out):
     from .surface import three_way_counts
     if not args.system:
         _check_split_prime(args.prime)
+        _check_q(args.prime, args.ext)
     cst = load_tower_constants()
     if args.system:
         res = verify_kummer_match(cst)

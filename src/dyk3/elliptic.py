@@ -1,15 +1,23 @@
 """Weierstrass curves: exact invariants, twists, point counts, Frobenius
 traces, the Hasse-invariant supersingularity test, and isogeny checking.
 
-Two element regimes:
-  * exact coefficients (Fraction / TowerElement / Poly / RationalFunc):
-    class WeierstrassModel, purely symbolic;
-  * finite-field coefficients (ExtField tuples): class CurveOverFq with the
-    counting kernels.
+Every model here is y^2 = x^3 + a2 x^2 + a4 x + a6, and its standard
+quantities (Silverman, AEC III.1) are written once, against a ring
+protocol: an object R with R.add, R.sub, R.mul, R.smul(k, a) for an
+integer k, R.inv of a unit, and R.zero and R.one.  The invariants need only
+sub, mul and smul.  The rings that serve it:
+  * ExtField, on its tuples;
+  * surface's vector kernel _VecFq, invariants only, elementwise;
+  * OpRing, for elements with arithmetic operators: Fraction,
+    TowerElement, Poly and FqPoly (whose units are the constants);
+  * tate.LocalRing, on Poly residues mod a power of a place.
+WeierstrassModel holds exact coefficients (Fraction or TowerElement);
+CurveOverFq holds ExtField ones and counts points.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,75 +26,95 @@ from .ffield import ExtField, build_extension, sqrt_mod
 from .numfield import SplitEmbedding, TowerElement, reduce_mod_p
 
 
-class WeierstrassModel:
-    """y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 with exact coefficients.
+class OpRing:
+    """The ring protocol for elements with arithmetic operators; `one` fixes
+    the ring.  inv inverts a unit as one / a."""
 
-    `zero` must be the additive identity of the coefficient ring.
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    smul = staticmethod(operator.mul)
+
+    def __init__(self, one):
+        self.one, self.zero = one, one - one
+
+    def inv(self, a):
+        return self.one / a
+
+
+def _b2_b4_b6(R, a2, a4, a6):
+    return R.smul(4, a2), R.smul(2, a4), R.smul(4, a6)
+
+
+def weierstrass_discriminant(R, a2, a4, a6):
+    """Delta = 9 b2 b4 b6 - b2^2 b8 - 8 b4^3 - 27 b6^2 over the ring R."""
+    b2, b4, b6 = _b2_b4_b6(R, a2, a4, a6)
+    b8 = R.sub(R.smul(4, R.mul(a2, a6)), R.mul(a4, a4))
+    t1 = R.mul(R.mul(b2, b2), b8)
+    t2 = R.smul(8, R.mul(R.mul(b4, b4), b4))
+    t3 = R.smul(27, R.mul(b6, b6))
+    t4 = R.smul(9, R.mul(b2, R.mul(b4, b6)))
+    return R.sub(R.sub(R.sub(t4, t1), t2), t3)
+
+
+def weierstrass_c4_c6(R, a2, a4, a6):
+    """(c4, c6) = (b2^2 - 24 b4, 36 b2 b4 - b2^3 - 216 b6) over the ring R."""
+    b2, b4, b6 = _b2_b4_b6(R, a2, a4, a6)
+    b22 = R.mul(b2, b2)
+    c4 = R.sub(b22, R.smul(24, b4))
+    c6 = R.sub(R.sub(R.smul(36, R.mul(b2, b4)), R.mul(b22, b2)),
+               R.smul(216, b6))
+    return c4, c6
+
+
+def depressed_cubic(R, a2, a4, a6):
+    """(P, Q) with x^3 + a2 x^2 + a4 x + a6 = X^3 + P X + Q at X = x + a2/3."""
+    s = R.mul(a2, R.inv(R.smul(3, R.one)))
+    ss = R.mul(s, s)
+    return (R.sub(a4, R.mul(a2, s)),
+            R.add(R.sub(a6, R.mul(a4, s)), R.mul(R.sub(a2, s), ss)))
+
+
+def cubic_node(R, a2, a4, a6):
+    """The double root r of x^3 + a2 x^2 + a4 x + a6 = (x - r)^2 (x - s)
+    over a field R, or None at a triple root.
+
+    a2^2 - 3 a4 = (r - s)^2 and 9 a6 - a2 a4 = 2r (r - s)^2.
     """
+    den = R.smul(2, R.sub(R.mul(a2, a2), R.smul(3, a4)))
+    if den == R.zero:
+        return None
+    return R.mul(R.sub(R.smul(9, a6), R.mul(a2, a4)), R.inv(den))
 
-    def __init__(self, a1, a2, a3, a4, a6, zero=None):
-        if zero is None:
-            zero = a1 * 0
-        self.a1, self.a2, self.a3, self.a4, self.a6 = a1, a2, a3, a4, a6
-        self.zero = zero
+
+class WeierstrassModel:
+    """y^2 = x^3 + a2 x^2 + a4 x + a6, coefficients Fraction or TowerElement."""
+
+    def __init__(self, a2, a4, a6):
+        self.a2, self.a4, self.a6 = a2, a4, a6
+        self.ring = OpRing(a2 * 0 + 1)
 
     @classmethod
     def short(cls, a, b):
-        z = a * 0
-        return cls(z, z, z, a, b)
-
-    @classmethod
-    def with_a2(cls, a2, a4, a6=None):
-        z = a2 * 0
-        return cls(z, a2, z, a4, a6 if a6 is not None else z)
-
-    # -- standard quantities ---------------------------------------------------
-    def b_invariants(self):
-        a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
-        b2 = a1 * a1 + 4 * a2
-        b4 = 2 * a4 + a1 * a3
-        b6 = a3 * a3 + 4 * a6
-        b8 = a1 * a1 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 * a3 - a4 * a4
-        return b2, b4, b6, b8
-
-    def c4_c6_disc(self):
-        b2, b4, b6, b8 = self.b_invariants()
-        c4 = b2 * b2 - 24 * b4
-        c6 = -b2 * b2 * b2 + 36 * b2 * b4 - 216 * b6
-        disc = -b2 * b2 * b8 - 8 * b4 ** 3 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-        return c4, c6, disc
-
-    def discriminant(self):
-        return self.c4_c6_disc()[2]
+        return cls(a * 0, a, b)
 
     def j_invariant(self):
-        c4, _, disc = self.c4_c6_disc()
+        R, a = self.ring, (self.a2, self.a4, self.a6)
+        disc = weierstrass_discriminant(R, *a)
         if not disc:
             raise ZeroDivisionError("singular curve has no j-invariant")
+        c4 = weierstrass_c4_c6(R, *a)[0]
         return c4 * c4 * c4 / disc
 
-    def rhs_coeffs(self):
-        """Coefficients of the completed-square cubic x^3 + Ax^2 + Bx + C."""
-        b2, b4, b6, _ = self.b_invariants()
-        return b2 / 4, b4 / 2, b6 / 4
-
     def short_form(self):
-        """(A, B) with y^2 = x^3 + Ax + B after completing square and cube."""
-        p2, p4, p6 = self.rhs_coeffs()
-        # x -> x - p2/3
-        s = p2 / 3
-        A = p4 - p2 * s
-        B = p6 - p4 * s + p2 * s * s - s * s * s
-        return A, B
+        """(A, B) with y^2 = x^3 + Ax + B after depressing the cubic."""
+        return depressed_cubic(self.ring, self.a2, self.a4, self.a6)
 
     def quadratic_twist(self, d):
-        """Twist by d of a model with a1 = a3 = 0: (a2,a4,a6) -> (d a2, d^2 a4, d^3 a6)."""
-        if self.a1 != self.zero or self.a3 != self.zero:
-            raise ValueError("twist implemented for a1 = a3 = 0 models")
+        """Twist by d: (a2, a4, a6) -> (d a2, d^2 a4, d^3 a6)."""
         if not d:
             raise ValueError("twist by zero")
-        return WeierstrassModel(self.zero, d * self.a2, self.zero,
-                                d * d * self.a4, d * d * d * self.a6)
+        return WeierstrassModel(d * self.a2, d * d * self.a4, d * d * d * self.a6)
 
     def reduce(self, emb: SplitEmbedding) -> "CurveOverFq":
         """Coefficient-wise reduction of a tower-coefficient model to F_p."""
@@ -95,8 +123,6 @@ class WeierstrassModel:
             if isinstance(c, TowerElement):
                 return (reduce_mod_p(c, emb),)
             return ((Fraction(c).numerator * pow(Fraction(c).denominator, emb.p - 2, emb.p)) % emb.p,)
-        if self.a1 != self.zero or self.a3 != self.zero:
-            raise ValueError("reduction implemented for a1 = a3 = 0 models")
         return CurveOverFq(F, red(self.a2), red(self.a4), red(self.a6))
 
 
@@ -119,30 +145,13 @@ class TraceRecord:
             raise ValueError("count and trace disagree")
 
 
-def weierstrass_discriminant(F, a2, a4, a6):
-    """Discriminant of y^2 = x^3 + a2 x^2 + a4 x + a6 over F_q.
-
-    F is an ExtField, or any object with its mul, sub and smul on its own
-    element type, such as surface's vector kernel.
-    """
-    b2 = F.smul(4, a2)
-    b4 = F.smul(2, a4)
-    b6 = F.smul(4, a6)
-    b8 = F.sub(F.smul(4, F.mul(a2, a6)), F.mul(a4, a4))
-    t1 = F.mul(F.mul(b2, b2), b8)
-    t2 = F.smul(8, F.mul(F.mul(b4, b4), b4))
-    t3 = F.smul(27, F.mul(b6, b6))
-    t4 = F.smul(9, F.mul(b2, F.mul(b4, b6)))
-    return F.sub(F.sub(F.sub(t4, t1), t2), t3)
-
-
 class CurveOverFq:
     """y^2 = x^3 + a2 x^2 + a4 x + a6 over an ExtField (odd characteristic)."""
 
     def __init__(self, field: ExtField, a2, a4, a6):
         self.field = field
         self.a2, self.a4, self.a6 = a2, a4, a6
-        if self.discriminant() == field.zero:
+        if weierstrass_discriminant(field, a2, a4, a6) == field.zero:
             raise ValueError("singular curve")
 
     @classmethod
@@ -152,19 +161,6 @@ class CurveOverFq:
     def rhs(self, x):
         F = self.field
         return F.add(F.mul(F.add(F.mul(F.add(x, self.a2), x), self.a4), x), self.a6)
-
-    def discriminant(self):
-        return weierstrass_discriminant(self.field, self.a2, self.a4, self.a6)
-
-    def short_ab(self):
-        """(A, B) with y^2 = x^3 + Ax + B after depressing the cubic."""
-        F = self.field
-        inv3 = F.inv(F.from_int(3))
-        s = F.mul(self.a2, inv3)
-        A = F.sub(self.a4, F.mul(self.a2, s))
-        B = F.add(F.sub(self.a6, F.mul(self.a4, s)),
-                  F.sub(F.mul(self.a2, F.mul(s, s)), F.mul(s, F.mul(s, s))))
-        return A, B
 
     def count_points(self) -> TraceRecord:
         """1 + sum over x of (1 + chi(rhs(x))), exact character sum."""
@@ -228,7 +224,7 @@ def is_supersingular(E: CurveOverFq) -> bool:
         raise ValueError("supersingularity test requires p >= 5")
     if F.n > 2:
         raise ValueError("supersingularity test limited to F_p and F_{p^2}")
-    A, B = E.short_ab()
+    A, B = depressed_cubic(F, E.a2, E.a4, E.a6)
     if B == F.zero:
         # j = 1728
         return p % 4 == 3
@@ -277,9 +273,8 @@ def _cubic_roots(F: ExtField, e0, e1, e2):
     uv = -P/3.  F = F_{p^2} holds the cube roots of unity, so the cubic
     splits exactly when that square root and cube root exist."""
     inv = F.inv
+    P, Q = depressed_cubic(F, e2, e1, e0)
     s = F.mul(e2, inv(F.from_int(3)))
-    P = F.sub(e1, F.mul(e2, s))
-    Q = F.add(F.sub(F.smul(2, F.mul(s, F.mul(s, s))), F.mul(e1, s)), e0)
     halfQ = F.mul(Q, inv(F.from_int(2)))
     d = F.sqrt(F.add(F.mul(halfQ, halfQ),
                      F.mul(F.mul(P, F.mul(P, P)), inv(F.from_int(27)))))

@@ -440,13 +440,9 @@ class FqPoly:
             out[i] = F.add(out[i], b)
         return FqPoly(F, out)
 
-    def scale(self, k: int):
+    def __rmul__(self, k: int):
         F = self.field
         return FqPoly(F, [F.smul(k, c) for c in self.coeffs])
-
-    def scale_elt(self, e):
-        F = self.field
-        return FqPoly(F, [F.mul(e, c) for c in self.coeffs])
 
     def coeff0(self):
         return self.coeffs[0] if self.coeffs else self.field.zero
@@ -499,6 +495,13 @@ class FqPoly:
 
     def __mod__(self, other):
         return self.divmod(other)[1]
+
+    def __truediv__(self, other):
+        """Exact quotient."""
+        q, r = self.divmod(other)
+        if not r.is_zero():
+            raise ValueError("division is not exact")
+        return q
 
     def gcd(self, other):
         a, b = self, other

@@ -487,7 +487,7 @@ def _param_germ(qloc):
     v = Poly(TOWER, [])
     while True:
         step = _tmul(_poly2_eval_series(qloc, S, v),
-                     series.inv_unit(_poly2_eval_series(dq, S, v)))
+                     series.inv(_poly2_eval_series(dq, S, v)))
         if step.is_zero():
             return (v, S) if flip else (S, v)
         v = v - step

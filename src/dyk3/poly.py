@@ -187,6 +187,9 @@ class Poly:
             raise ValueError("division is not exact")
         return q
 
+    def __truediv__(self, other):
+        return self.exact_div(other) if isinstance(other, Poly) else NotImplemented
+
     def monic(self):
         if self.is_zero():
             return self

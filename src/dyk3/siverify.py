@@ -149,7 +149,7 @@ def verify_inose_compatibility(constants=None) -> dict:
 
 def _curve(cst, name) -> WeierstrassModel:
     cur = cst.curves[name]
-    return WeierstrassModel.with_a2(cur["a2"], cur["a4"], cur["a6"])
+    return WeierstrassModel(cur["a2"], cur["a4"], cur["a6"])
 
 
 def trace_at_split_prime(model: WeierstrassModel, p: int) -> dict:

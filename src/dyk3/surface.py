@@ -24,7 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .elliptic import weierstrass_discriminant
+from .elliptic import (OpRing, cubic_node, depressed_cubic, weierstrass_c4_c6,
+                       weierstrass_discriminant)
 from .ffield import ExtField, FqPoly, build_extension, find_roots
 from .fixtures import SurfaceFixture, load_surface
 from .poly import Poly, QQ
@@ -52,8 +53,8 @@ class _VecFq:
     A tuple holds the coefficients of its elements in the polynomial basis
     of field.modulus, as an ExtField element does: element k of `elements`
     is field.decode(k), and an ExtField element is a tuple of scalars here.
-    mul, sub and smul mirror ExtField, so weierstrass_discriminant runs on
-    either.
+    mul, sub and smul mirror ExtField, so elliptic's Weierstrass invariants
+    run on either.
     """
 
     def __init__(self, field: ExtField):
@@ -210,18 +211,6 @@ def _poly_mod_p(poly: Poly, p: int):
     return out
 
 
-def cubic_node(F: ExtField, A2, A4, A6):
-    """The double root r of x^3 + A2 x^2 + A4 x + A6 = (x - r)^2 (x - s)
-    over F_q, or None at a triple root.
-
-    A2^2 - 3 A4 = (r - s)^2 and 9 A6 - A2 A4 = 2r (r - s)^2.
-    """
-    den = F.smul(2, F.sub(F.mul(A2, A2), F.smul(3, A4)))
-    if den == F.zero:
-        return None
-    return F.mul(F.sub(F.smul(9, A6), F.mul(A2, A4)), F.inv(den))
-
-
 def bad_fiber_points(field: ExtField, a2: FqPoly, a4: FqPoly, a6: FqPoly) -> int:
     """F_q-points of the minimal regular fibre over t = 0.
 
@@ -230,6 +219,7 @@ def bad_fiber_points(field: ExtField, a2: FqPoly, a4: FqPoly, a6: FqPoly) -> int
     """
     F = field
     q = F.q
+    R = OpRing(FqPoly(F, [F.one]))
 
     def val(fp: FqPoly) -> int:
         if fp.is_zero():
@@ -240,15 +230,9 @@ def bad_fiber_points(field: ExtField, a2: FqPoly, a4: FqPoly, a6: FqPoly) -> int
         return v
 
     while True:
-        b2 = a2.scale(4)
-        b4 = a4.scale(2)
-        b6 = a6.scale(4)
-        b8 = (a2 * a6).scale(4) - a4 * a4
-        c4 = b2 * b2 - b4.scale(24)
-        c6 = b4 * b2.scale(36) - b2 * b2 * b2 - b6.scale(216)
-        delta = (b2 * b4 * b6).scale(9) - b2 * b2 * b8 \
-            - (b4 * b4 * b4).scale(8) - (b6 * b6).scale(27)
-        vd, vc4, vc6 = val(delta), val(c4), val(c6)
+        c4, c6 = weierstrass_c4_c6(R, a2, a4, a6)
+        vd = val(weierstrass_discriminant(R, a2, a4, a6))
+        vc4, vc6 = val(c4), val(c6)
         if vd >= 12 and vc4 >= 4 and vc6 >= 6:
             a2 = a2.shift_down(2)
             a4 = a4.shift_down(4)
@@ -272,7 +256,7 @@ def bad_fiber_points(field: ExtField, a2: FqPoly, a4: FqPoly, a6: FqPoly) -> int
         return 2 + 2 * q if n % 2 == 0 else 2 + q
     if sym == "I0*":
         # legs from the step-6 cubic X^3 + (P/pi^2) X + Q/pi^3
-        P, Q = _depressed_cubic(F, a2, a4, a6)
+        P, Q = depressed_cubic(R, a2, a4, a6)
         cubic = FqPoly(F, [Q.shift_down(3).coeff0(), P.shift_down(2).coeff0(),
                            F.zero, F.one])
         return 1 + q * (2 + len(find_roots(cubic, F)))
@@ -283,7 +267,7 @@ def bad_fiber_points(field: ExtField, a2: FqPoly, a4: FqPoly, a6: FqPoly) -> int
         return 1 + 2 * q
     if sym == "IV":
         # split iff a6/pi^2 is a square after depressing the cubic
-        _, Q = _depressed_cubic(F, a2, a4, a6)
+        _, Q = depressed_cubic(R, a2, a4, a6)
         return 1 + 3 * q if F.chi(Q.shift_down(2).coeff0()) == 1 else 1 + q
     if sym == "II*":
         return 1 + 9 * q
@@ -294,15 +278,9 @@ def bad_fiber_points(field: ExtField, a2: FqPoly, a4: FqPoly, a6: FqPoly) -> int
     if sym == "IV*":
         # the two non-identity simple arm ends are swapped unless a6/pi^4 is
         # a square (Tate step 8) after depressing the cubic
-        _, Q = _depressed_cubic(F, a2, a4, a6)
+        _, Q = depressed_cubic(R, a2, a4, a6)
         return 1 + 7 * q if F.chi(Q.shift_down(4).coeff0()) == 1 else 1 + 3 * q
     raise NotImplementedError(f"fibre counting for type {sym} not implemented")
-
-
-def _depressed_cubic(F, a2, a4, a6):
-    """(P, Q) with x^3 + a2 x^2 + a4 x + a6 = X^3 + P X + Q at X = x + a2/3."""
-    s = a2.scale_elt(F.inv(F.from_int(3)))
-    return a4 - a2 * s, a6 - a4 * s + a2 * s * s - s * s * s
 
 
 def count_via_fibration(surface: EllipticSurface, field: ExtField) -> int:

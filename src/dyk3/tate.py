@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .numfield import TowerElement, rational_sqrt, sqrt_in_quadratic
+from .elliptic import (CurveOverFq, OpRing, cubic_node, depressed_cubic,
+                       weierstrass_c4_c6, weierstrass_discriminant)
+from .numfield import TowerElement, rational_sqrt, reduce_mod_p, sqrt_in_quadratic
 from .poly import Poly, QQ, RationalFunc, TOWER
 
 __all__ = [
@@ -47,10 +49,12 @@ def poly_ext_gcd(a: Poly, b: Poly):
 # local rings k[t]/(pi^N)
 
 
-class LocalRing:
-    """Truncated local ring at an irreducible place pi, precision pi^N."""
+class LocalRing(OpRing):
+    """Truncated local ring at an irreducible place pi, precision pi^N: the
+    ring protocol on Poly elements reduced mod pi^N."""
 
     def __init__(self, pi: Poly, N: int):
+        super().__init__(Poly.const(pi.field, pi.field.one))
         self.pi = pi
         self.N = N
         self.mod = pi ** N
@@ -58,6 +62,9 @@ class LocalRing:
 
     def red(self, p: Poly) -> Poly:
         return p % self.mod
+
+    def mul(self, a: Poly, b: Poly) -> Poly:
+        return self.red(a * b)
 
     def from_rational(self, rf: RationalFunc) -> Poly:
         """Image of a rational function with nonnegative valuation."""
@@ -71,9 +78,9 @@ class LocalRing:
         for _ in range(vd):
             num = num.exact_div(self.pi)
             den = den.exact_div(self.pi)
-        return self.red(self.red(num) * self.inv_unit(den))
+        return self.red(self.red(num) * self.inv(den))
 
-    def inv_unit(self, u: Poly) -> Poly:
+    def inv(self, u: Poly) -> Poly:
         u = self.red(u)
         g, s, _ = poly_ext_gcd(u, self.mod)
         if g.degree() != 0:
@@ -230,6 +237,7 @@ class EllipticSurface:
     def __init__(self, fieldad, a2: Poly, a4: Poly, a6: Poly, chi: int = 2,
                  name: str = "", base_label: str | None = None):
         self.fieldad = fieldad
+        self.ring = OpRing(Poly.const(fieldad, fieldad.one))
         self.a2, self.a4, self.a6 = a2, a4, a6
         self.chi = chi
         self.name = name
@@ -252,11 +260,7 @@ class EllipticSurface:
     def c4_c6_delta(self):
         """(c4, c6, Delta), computed and checked against each other once."""
         if self._c4c6d is None:
-            b2 = 4 * self.a2
-            b4 = 2 * self.a4
-            b6 = 4 * self.a6
-            c4 = b2 * b2 - 24 * b4
-            c6 = -(b2 ** 3) + 36 * b2 * b4 - 216 * b6
+            c4, c6 = weierstrass_c4_c6(self.ring, self.a2, self.a4, self.a6)
             delta = self.delta()
             if not (c4 ** 3 - c6 * c6) == delta * 1728:
                 raise AssertionError("c4^3 - c6^2 != 1728*Delta")
@@ -267,12 +271,8 @@ class EllipticSurface:
         """The discriminant, computed once.  Construction needs only this, so
         c4, c6 and their check wait until c4_c6_delta() is first called."""
         if self._delta is None:
-            b2 = 4 * self.a2
-            b4 = 2 * self.a4
-            b6 = 4 * self.a6
-            b8 = 4 * self.a2 * self.a6 - self.a4 * self.a4
-            self._delta = (-(b2 * b2 * b8) - 8 * b4 ** 3 - 27 * b6 * b6
-                           + 9 * b2 * b4 * b6)
+            self._delta = weierstrass_discriminant(self.ring, self.a2,
+                                                   self.a4, self.a6)
         return self._delta
 
     def infinity_model(self) -> "EllipticSurface":
@@ -341,16 +341,9 @@ class EllipticSurface:
 
     def _node_residue(self, pi: Poly):
         """x-coordinate (as Poly mod pi) of the node of the reduced fibre,
-        or None when the reduced cubic has a triple root.
-
-        x^3 + a x^2 + b x + c = (x - r)^2 (x - s) gives a^2 - 3b = (r - s)^2
-        and 9c - ab = 2r (r - s)^2, so r = (9c - ab) / (2 (a^2 - 3b)).
-        """
-        a2, a4, a6 = self.a2 % pi, self.a4 % pi, self.a6 % pi
-        den = (2 * (a2 * a2 - 3 * a4)) % pi
-        if den.is_zero():
-            return None
-        return (9 * a6 - a2 * a4) * LocalRing(pi, 1).inv_unit(den) % pi
+        or None when the reduced cubic has a triple root."""
+        return cubic_node(LocalRing(pi, 1), self.a2 % pi, self.a4 % pi,
+                          self.a6 % pi)
 
     def _i0star_legs(self, pi: Poly):
         """1 + number of kappa-rational roots of the step-6 cubic."""
@@ -358,10 +351,7 @@ class EllipticSurface:
             raise NotImplementedError("cubic leg data only at degree-1 places")
         F = self.fieldad
         # depress: x -> x - a2/3 exactly, then P(X) = X^3 + (p/pi^2) X + (q/pi^3)
-        a2, a4, a6 = self.a2, self.a4, self.a6
-        s = a2 * (F.from_int(1) / F.from_int(3))
-        p = a4 - a2 * s
-        q = a6 - a4 * s + a2 * s * s - s * s * s
+        p, q = depressed_cubic(self.ring, self.a2, self.a4, self.a6)
         p2 = p.exact_div(pi ** 2) % pi if not p.is_zero() else Poly(F, [])
         q3 = q.exact_div(pi ** 3) % pi if not q.is_zero() else Poly(F, [])
         return 1 + cubic_root_count(F.zero, p2.coeff(0), q3.coeff(0),
@@ -562,7 +552,7 @@ def section_component_data(P: SectionPoint, place: Place, fib: LocalFibreData):
         for _ in range(max(3, N.bit_length() + 1)):
             fp = R.red(3 * xs * xs + 2 * A2 * xs + A4)
             fpp = R.red(6 * xs + 2 * A2)
-            xs = R.red(xs - fp * R.inv_unit(fpp))
+            xs = R.red(xs - fp * R.inv(fpp))
         xloc = R.from_rational(x)
         m = R.valuation(xloc - xs)
         if m == 0:
@@ -894,8 +884,6 @@ def reduce_fiber(E: EllipticSurface, t0, field, emb=None):
     need a SplitEmbedding covering their generators; denominators must be
     prime to p.
     """
-    from .elliptic import CurveOverFq
-    from .numfield import TowerElement, reduce_mod_p
     p = field.p
 
     def red_coeff(c):

@@ -128,10 +128,6 @@ def resolve_ambiguity(spec: FrobeniusSpectrum, count3: int) -> FrobeniusSpectrum
     raise ValueError("no branch matches the degree-3 count")
 
 
-def reduction_rank(spec: FrobeniusSpectrum) -> int:
-    return spec.rho
-
-
 def artin_tate_sqclass(spec: FrobeniusSpectrum) -> int:
     """Squarefree positive integer representing |disc Pic| mod squares.
 

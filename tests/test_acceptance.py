@@ -203,12 +203,12 @@ def test_criterion_8_shioda_inose_system():
     ok = all(e["zero"] for e in rep)
     Eab = WeierstrassModel.short(cst.a, cst.b)
     Ecd = WeierstrassModel.short(cst.c, cst.d)
-    E1 = WeierstrassModel.with_a2(cst.curves["E1"]["a2"],
-                                  cst.curves["E1"]["a4"],
-                                  cst.curves["E1"]["a6"])
-    E2 = WeierstrassModel.with_a2(cst.curves["E2"]["a2"],
-                                  cst.curves["E2"]["a4"],
-                                  cst.curves["E2"]["a6"])
+    E1 = WeierstrassModel(cst.curves["E1"]["a2"],
+                          cst.curves["E1"]["a4"],
+                          cst.curves["E1"]["a6"])
+    E2 = WeierstrassModel(cst.curves["E2"]["a2"],
+                          cst.curves["E2"]["a4"],
+                          cst.curves["E2"]["a6"])
     ok = ok and Eab.j_invariant() == E1.j_invariant()
     ok = ok and Ecd.j_invariant() == E2.j_invariant()
     mp = minimal_polynomial_over_Q(E1.j_invariant())

@@ -3,14 +3,18 @@
 Poly.divmod inverts the divisor's leading coefficient once, and the tower
 ring operations build their results without re-normalising them; both are
 checked here against the identities and the normalising constructor.  The
-closed node formula of a cubic with a double root, and the square roots in
-quadratic fields and K4, are checked against the values they invert.  The
-vector F_q kernel of the surface counts is checked elementwise against
-ExtField, and ExtField's closed forms at n = 2 against the generic
-polynomial product, the Euler criterion and the powers they invert.  The
-truncated series of the intersection-matrix derivation are checked against
-untruncated Poly composition, and the Smith normal form against unimodular
-changes of basis.
+square roots in quadratic fields and K4 are checked against the values they
+invert.  The Weierstrass formulas of elliptic (Delta, c4, c6, the depressed
+cubic and the node of a cubic with a double root) are checked across every
+ring that runs them: integer models over Q reduce mod p to their values
+over F_q, the vector kernel agrees elementwise, the polynomial rings agree
+with their coefficient rings at every point, and c4^3 - c6^2 = 1728 Delta
+holds throughout.  The vector F_q kernel of the surface counts is checked
+elementwise against ExtField, and ExtField's closed forms at n = 2 against
+the generic polynomial product, the Euler criterion and the powers they
+invert.  The truncated series of the intersection-matrix derivation are
+checked against untruncated Poly composition, and the Smith normal form
+against unimodular changes of basis.
 """
 
 from fractions import Fraction
@@ -25,16 +29,19 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dyk3 import numfield as nf
 from dyk3 import picard_fixture as pf
-from dyk3.ffield import _poly_mulmod, build_extension
+from dyk3.elliptic import (OpRing, cubic_node, depressed_cubic,
+                           weierstrass_c4_c6, weierstrass_discriminant)
+from dyk3.ffield import FqPoly, _poly_mulmod, build_extension
 from dyk3.lattice import _kernel_basis, _matmul, matrix_rank, smith
 from dyk3.numfield import TowerElement, rational_sqrt, sqrt_in_quadratic
 from dyk3.poly import Poly, QQ, TOWER
 from dyk3.siverify import sqrt_in_k4
-from dyk3.surface import _VecFq, cubic_node
+from dyk3.surface import _VecFq
 from dyk3.tate import EllipticSurface, LocalRing, residue_is_square
 
 rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
 nonzero_rationals = rationals.filter(bool)
+QQ_RING = OpRing(Fraction(1))
 
 
 @st.composite
@@ -141,10 +148,15 @@ def test_node_residue_is_the_double_root(r, s, quadratic, triple):
     pi = t * t - 2 if quadratic else t
     r = Poly(QQ, r) % pi
     s = r if triple else Poly(QQ, s) % pi
-    a2, a4, a6 = -(2 * r + s), r * r + 2 * r * s, -(r * r * s)
+    a2, a4, a6 = (c % pi for c in (-(2 * r + s), r * r + 2 * r * s, -(r * r * s)))
+    want = None if r == s else r
+    assert cubic_node(LocalRing(pi, 1), a2, a4, a6) == want
     # pi^4 keeps the discriminant nonzero without changing the residues
-    E = EllipticSurface(QQ, a2 % pi, a4 % pi, a6 % pi + pi ** 4)
-    assert E._node_residue(pi) == (None if r == s else r)
+    assert EllipticSurface(QQ, a2, a4, a6 + pi ** 4)._node_residue(pi) == want
+    if not quadratic:
+        # kappa = Q: the same node over the rationals
+        node = cubic_node(QQ_RING, a2.coeff(0), a4.coeff(0), a6.coeff(0))
+        assert node == (None if want is None else want.coeff(0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -158,6 +170,13 @@ def test_cubic_node_over_fq(pn, data):
     A4 = F.add(F.mul(r, r), F.smul(2, F.mul(r, s)))
     A6 = F.neg(F.mul(F.mul(r, r), s))
     assert cubic_node(F, A2, A4, A6) == (None if r == s else r)
+    # an integer double root: the node over Q reduces to the node over F_q
+    ri, si = data.draw(st.integers(-50, 50)), data.draw(st.integers(-50, 50))
+    a = (-(2 * ri + si), ri * ri + 2 * ri * si, -ri * ri * si)
+    node = cubic_node(QQ_RING, *map(Fraction, a))
+    assert node == (None if ri == si else ri)
+    assert cubic_node(F, *map(F.from_int, a)) == (
+        None if (ri - si) % F.p == 0 else F.from_int(ri))
 
 
 positive_nonsquares = st.builds(Fraction, st.integers(1, 200),
@@ -215,6 +234,89 @@ def test_vector_kernel_matches_extfield(p, n, data):
         assert F.decode(int(prod[k])) == F.mul(x, y)
         assert F.decode(int(diff[k])) == F.sub(x, y)
         assert chi[k] == F.chi(x)
+
+
+def _formulas(R, a):
+    """Delta, c4, c6 and the depressed cubic's (P, Q) of the model a over R."""
+    return (weierstrass_discriminant(R, *a), *weierstrass_c4_c6(R, *a),
+            *depressed_cubic(R, *a))
+
+
+def _vector(K, index_lists):
+    """Kernel vectors holding the elements F.decode(k) for k in each list."""
+    return [tuple(u[np.array(ks)] for u in K.elements) for ks in index_lists]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([5, 7]), st.integers(1, 4),
+       st.lists(st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * 3),
+                min_size=1, max_size=8), st.data())
+def test_weierstrass_formulas_agree_across_rings(p, n, models, data):
+    F, K = _kernel(p, n)
+    # integer models: over Q, then reduced mod p, equal their values over F_q
+    for a in models:
+        # x^3 + a2 x^2 + a4 x + a6 = X^3 + P X + Q at X = x + a2/3
+        P, Q = depressed_cubic(QQ_RING, *a)
+        for x in (Fraction(0), Fraction(1), Fraction(-7, 2)):
+            X = x + Fraction(a[0], 3)
+            assert ((x + a[0]) * x + a[1]) * x + a[2] == (X * X + P) * X + Q
+        want = [F.from_int(x.numerator * pow(x.denominator, -1, p))
+                for x in map(Fraction, _formulas(QQ_RING, a))]
+        assert list(_formulas(F, [F.from_int(x) for x in a])) == want
+    # the vector kernel's invariants, elementwise, on F_q models
+    m = data.draw(st.integers(1, 8))
+    idx = data.draw(st.lists(st.lists(st.integers(0, F.q - 1), min_size=m,
+                                      max_size=m), min_size=3, max_size=3))
+    vec = _vector(K, idx)
+    got = [K.encode(x) for x in (weierstrass_discriminant(K, *vec),
+                                 *weierstrass_c4_c6(K, *vec))]
+    for k in range(m):
+        a = [F.decode(ks[k]) for ks in idx]
+        assert [F.decode(int(e[k])) for e in got] == list(_formulas(F, a)[:3])
+
+
+def _gap_1728(R, a):
+    """c4^3 - c6^2 - 1728 Delta of the model a over R."""
+    c4, c6 = weierstrass_c4_c6(R, *a)
+    return R.sub(R.sub(R.mul(R.mul(c4, c4), c4), R.mul(c6, c6)),
+                 R.smul(1728, weierstrass_discriminant(R, *a)))
+
+
+_FQ = [(5, 1), (7, 2), (5, 3), (7, 4)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.tuples(*[rationals] * 3), st.tuples(*[tower_coeffs] * 3),
+       st.tuples(*[_polys(rationals, 3)] * 3), st.sampled_from(_FQ), st.data())
+def test_c4_c6_delta_identity_over_every_ring(qs, ts, ps, pn, data):
+    F, K = _kernel(*pn)
+    elts = st.lists(st.integers(0, F.q - 1), min_size=3, max_size=3)
+    assert _gap_1728(QQ_RING, qs) == 0
+    assert _gap_1728(OpRing(TowerElement.rational(1)), ts).is_zero()
+    assert _gap_1728(OpRing(Poly.const(QQ, QQ.one)),
+                     [Poly(QQ, c) for c in ps]).is_zero()
+    assert _gap_1728(F, [F.decode(k) for k in data.draw(elts)]) == F.zero
+    vec = _vector(K, [data.draw(elts) for _ in range(3)])
+    assert not K.encode(_gap_1728(K, vec)).any()
+    fq = [FqPoly(F, [F.decode(k) for k in data.draw(elts)]) for _ in range(3)]
+    assert _gap_1728(OpRing(FqPoly(F, [F.one])), fq).is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(*[_polys(rationals, 3)] * 3), rationals,
+       st.sampled_from(_FQ), st.data())
+def test_polynomial_rings_agree_pointwise(ps, t0, pn, data):
+    # the formulas over k[t], evaluated at t0, are the formulas over k at a(t0)
+    a = [Poly(QQ, c) for c in ps]
+    over_t = _formulas(OpRing(Poly.const(QQ, QQ.one)), a)
+    assert [f(t0) for f in over_t] == list(_formulas(QQ_RING, [f(t0) for f in a]))
+    F, _ = _kernel(*pn)
+    elts = st.lists(st.integers(0, F.q - 1), max_size=4).map(
+        lambda ks: [F.decode(k) for k in ks])
+    a = [FqPoly(F, data.draw(elts)) for _ in range(3)]
+    x = F.decode(data.draw(st.integers(0, F.q - 1)))
+    over_t = _formulas(OpRing(FqPoly(F, [F.one])), a)
+    assert [f(x) for f in over_t] == list(_formulas(F, [f(x) for f in a]))
 
 
 _FP2_PRIMES = (7, 11, 31, 4871)
@@ -291,7 +393,7 @@ def test_truncated_series_compose_and_inverses(a, inner_tail, lead, tail):
     assert pf._compose(x, x_inv) == pf.S
     assert pf._compose(x_inv, x) == pf.S
     unit = Poly(TOWER, [lead] + tail)
-    assert pf._tmul(unit, LocalRing(pf.S, pf.NTRUNC).inv_unit(unit)) == 1
+    assert pf._tmul(unit, LocalRing(pf.S, pf.NTRUNC).inv(unit)) == 1
 
 
 small_ints = st.integers(-4, 4)

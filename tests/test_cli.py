@@ -2,8 +2,11 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(*args, env=None):
@@ -175,8 +178,26 @@ def test_fixture_failure_exit_code(tmp_path, monkeypatch, capsys, cmd, damage):
     "count -p 9", "count -p 5", "count -p 7 -n 5", "weil --primes 5,7",
     "si-verify --prime 7", "si-verify --prime 31 --ext 3",
     "tate --model e9", "height --model e1",
+    "count -p 1000003 -n 1", "count -p 37 -n 3", "weil --primes 31,191",
+    "si-verify --prime 191 --ext 1 2",
 ])
 def test_bad_argument_exit_code(capsys, argv):
     code, out, err = run_main(argv.split(), capsys)
     assert code == 2
     assert out == "" and "error:" in err
+
+
+def test_field_size_bound_admits_every_count_made():
+    # 31^3 is the largest q the tests, the README and the benchmark count at
+    from dyk3.cli import MAX_Q
+    assert 31 ** 3 <= MAX_Q < 37 ** 3 and f"{MAX_Q:,}" in README.read_text()
+
+
+def test_readme_command_lines_parse():
+    from dyk3.cli import build_parser
+    block = README.read_text().split("## Command line")[1].split("```")[1]
+    lines = [line.split("#")[0].split() for line in block.splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["dyk3"]]
+    assert len(commands) >= 12
+    for argv in commands:
+        build_parser().parse_args(argv)

@@ -108,8 +108,8 @@ def test_j_invariant_basics():
 
 def test_j_of_E1_has_stated_minimal_polynomial():
     cst = load_tower_constants()
-    E1 = WeierstrassModel.with_a2(cst.curves["E1"]["a2"], cst.curves["E1"]["a4"],
-                                  cst.curves["E1"]["a6"])
+    E1 = WeierstrassModel(cst.curves["E1"]["a2"], cst.curves["E1"]["a4"],
+                          cst.curves["E1"]["a6"])
     j = E1.j_invariant()
     assert j.in_k4()
     mp = minimal_polynomial_over_Q(j)
@@ -119,11 +119,11 @@ def test_j_of_E1_has_stated_minimal_polynomial():
 
 def test_twist_by_kappa_matches_E1_j():
     cst = load_tower_constants()
-    E256 = WeierstrassModel.with_a2(cst.curves["E256_i2"]["a2"],
-                                    cst.curves["E256_i2"]["a4"],
-                                    cst.curves["E256_i2"]["a6"])
-    E1 = WeierstrassModel.with_a2(cst.curves["E1"]["a2"], cst.curves["E1"]["a4"],
-                                  cst.curves["E1"]["a6"])
+    E256 = WeierstrassModel(cst.curves["E256_i2"]["a2"],
+                            cst.curves["E256_i2"]["a4"],
+                            cst.curves["E256_i2"]["a6"])
+    E1 = WeierstrassModel(cst.curves["E1"]["a2"], cst.curves["E1"]["a4"],
+                          cst.curves["E1"]["a6"])
     twisted = E256.quadratic_twist(cst.kappa)
     assert twisted.j_invariant() == E1.j_invariant()
 
@@ -245,10 +245,10 @@ def test_walk_rejects_other_degrees():
 
 def _paper_isogeny():
     cst = load_tower_constants()
-    E1 = WeierstrassModel.with_a2(cst.curves["E1"]["a2"], cst.curves["E1"]["a4"],
-                                  cst.curves["E1"]["a6"])
-    E2 = WeierstrassModel.with_a2(cst.curves["E2"]["a2"], cst.curves["E2"]["a4"],
-                                  cst.curves["E2"]["a6"])
+    E1 = WeierstrassModel(cst.curves["E1"]["a2"], cst.curves["E1"]["a4"],
+                          cst.curves["E1"]["a6"])
+    E2 = WeierstrassModel(cst.curves["E2"]["a2"], cst.curves["E2"]["a4"],
+                          cst.curves["E2"]["a6"])
     k4 = TowerElement.k4
     num_x = [k4(0), k4(54, 0, -18, 0), k4(30, 6, -6, -6), k4(7, 0, 0, -2)]
     den_x = [k4(74, 36, 18, 20), k4(-6, -18, -18, -6), k4(9)]

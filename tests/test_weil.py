@@ -6,8 +6,7 @@ from dyk3.ffield import kronecker
 from dyk3.surface import three_way_counts
 from dyk3.weil import (FrobeniusSpectrum, artin_tate_sqclass, charpoly,
                        functional_equation_sign, predicted_count,
-                       reduction_rank, resolve_ambiguity,
-                       solve_transcendental, spectrum_report,
+                       resolve_ambiguity, solve_transcendental, spectrum_report,
                        transcendental_traces, van_luijk)
 
 
@@ -32,8 +31,8 @@ def test_traces_at_31():
 def test_rank_and_square_classes():
     s31 = spectrum_for(31)
     s71 = spectrum_for(71)
-    assert reduction_rank(s31) == 20
-    assert reduction_rank(s71) == 20
+    assert s31.rho == 20
+    assert s71.rho == 20
     assert artin_tate_sqclass(s31) == 3
     assert artin_tate_sqclass(s71) == 35
     assert van_luijk(s31, s71) == 19
