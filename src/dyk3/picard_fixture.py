@@ -123,10 +123,18 @@ class PlaneCurve:
 
 
 def _eval_poly3(d, pt):
-    x, y, z = pt
+    """sum coef x^a y^b z^c, each coordinate's powers computed once."""
+    deg = max(max(e) for e in d)
+    powers = []
+    for v in pt:
+        pw = [ONE]
+        for _ in range(deg):
+            pw.append(pw[-1] * v)
+        powers.append(pw)
+    px, py, pz = powers
     acc = ZERO
     for (a, b, c), coef in d.items():
-        acc = acc + coef * (x ** a) * (y ** b) * (z ** c)
+        acc = acc + coef * px[a] * py[b] * pz[c]
     return acc
 
 

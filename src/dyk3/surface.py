@@ -13,8 +13,15 @@ Two independent routes to |S(F_q)|:
 Both routes run on one numpy kernel (_VecFq) for every q = p^n, n <= 4:
 F_q elements are n-tuples of int64 arrays mod p in the polynomial basis of
 the ExtField modulus, and the quadratic character is one lookup table of
-the squares.  Scalar ExtField versions of both routes live in the tests as
-the differential oracle.
+the squares.  Element arithmetic asserts 2 n^2 p^3 < 2^63 on entry.
+
+Every character sum is one call of _VecFq.char_sum: over the x of the
+chart z = 1, the t of the good fibres, the line z = 0 and the fibre at
+infinity.  The sextic and a2, a4, a6 have F_p coefficients, so it takes
+one row per Frobenius orbit x ~ x^p, weighted by the orbit's size, and
+sums over y by a float64 matrix product that asserts its own exactness
+bound.  Scalar ExtField versions of both routes live in the tests as the
+differential oracle.
 """
 
 from __future__ import annotations
@@ -47,6 +54,12 @@ class SurfaceCount:
 # the F_q kernel
 
 
+# _VecFq.char_sum takes A @ M in blocks of about BLOCK entries, SLAB values
+# of y wide, so that a block, its temporaries and a slab of M stay in cache
+BLOCK = 2 ** 15
+SLAB = 2 ** 9
+
+
 class _VecFq:
     """F_q, q = p^n with n <= 4, as n-tuples of int64 arrays mod p.
 
@@ -65,6 +78,7 @@ class _VecFq:
         # x^n = sum_j fold[j] x^j modulo field.modulus
         self.fold = [-c % p for c in field.modulus]
         self.weights = [p ** i for i in range(n)]
+        self.basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
         k = np.arange(self.q, dtype=np.int64)
         self.elements = tuple(k // w % p for w in self.weights)
         self.chi_q = np.full(self.q, -1, dtype=np.int8)
@@ -122,6 +136,73 @@ class _VecFq:
         """Quadratic character of F_q, chi(0) = 0."""
         return self.chi_q[self.encode(a)]
 
+    def frobenius(self, a):
+        """a^p, elementwise.  x -> x^p is F_p-linear, so a^p is
+        sum_i a_i (x^i)^p."""
+        images = [self.field.pow(e, self.p) for e in self.basis]
+        return tuple(sum(g[j] * u for g, u in zip(images, a)) % self.p
+                     for j in range(self.n))
+
+    def orbits(self):
+        """(reps, sizes): the least index in `elements` of each Frobenius
+        orbit x ~ x^p, and the orbit's size."""
+        frob = self.encode(self.frobenius(self.elements))
+        k = np.arange(self.q)
+        least, size, cur = k.copy(), np.zeros_like(k), k
+        for d in range(1, self.n + 1):
+            cur = frob[cur]
+            np.minimum(least, cur, out=least)
+            size[(size == 0) & (cur == k)] = d
+        reps = np.flatnonzero(least == k)
+        return reps, size[reps]
+
+    def char_sum(self, C, weights) -> int:
+        """sum_r weights[r] * sum_{y in F_q} chi(sum_b C[b][r] y^b).
+
+        C[b] is an element tuple of arrays, one entry per row r, or of
+        scalars shared by every row.  c -> c y^b is F_p-linear, so the
+        coordinates of every sum are one float64 product A @ M: row r of A
+        holds the coordinates of C[0][r], C[1][r], ..., and column (y, j)
+        of M the j-th coordinates of x^i y^b.  Its entries are integers
+        below n (B + 1) (p - 1)^2 < 2^53, exact in float64, and so is their
+        reduction F - floor(F / p) p.  The product is taken a block of rows
+        by a slab of y at a time, each slab reused over every row.
+        """
+        n, p, q = self.n, self.p, self.q
+        m = n * len(C)
+        assert m * (p - 1) ** 2 < 2 ** 53, f"q = {p}^{n} overflows the float64 kernel"
+        weights = np.asarray(weights, dtype=np.int64)
+        A = np.empty((len(weights), m))
+        M = np.empty((m, q, n))
+        yb = tuple(np.full(q, c) for c in self.field.one)
+        for b, c in enumerate(C):
+            for i, e in enumerate(self.basis):
+                A[:, b * n + i] = c[i]
+                M[b * n + i] = np.stack(self.mul(e, yb), axis=1)
+            yb = self.mul(yb, self.elements)
+        encode = np.array(self.weights, dtype=float)
+        ys = min(q, SLAB)
+        rows = max(1, BLOCK // (ys * n))
+        buf, low = np.empty(rows * ys * n), np.empty(rows * ys * n)
+        total = 0
+        for y in range(0, q, ys):
+            Ms = M[:, y:y + ys].reshape(m, -1)
+            for r in range(0, len(weights), rows):
+                Ar = A[r:r + rows]
+                size = len(Ar) * Ms.shape[1]
+                F = buf[:size].reshape(len(Ar), -1)
+                T = low[:size].reshape(F.shape)
+                np.matmul(Ar, Ms, out=F)
+                np.floor(np.divide(F, p, out=T), out=T)
+                T *= p
+                F -= T
+                # at n = 1, F is its own index; a product with the
+                # length-1 vector would double the time of the block
+                idx = F.reshape(len(Ar), -1, n) @ encode if n > 1 else F
+                sums = self.chi_q[idx.astype(np.intp)].sum(axis=1, dtype=np.int64)
+                total += int(sums @ weights[r:r + rows])
+        return total
+
 
 # ---------------------------------------------------------------------------
 # counting the double sextic
@@ -143,24 +224,23 @@ def _x_coeffs(monos, field: ExtField):
 def count_singular(fix: SurfaceFixture, field: ExtField) -> int:
     """sum over P^2(F_q) of (1 + chi(f6)), chi(0) = 0.
 
-    P^2(F_q) is traversed as the charts z = 1, (x : 1 : 0), (1 : 0 : 0);
-    in the chart z = 1 the kernel takes one x per step and every y at once.
+    P^2(F_q) is traversed as the charts z = 1, (x : 1 : 0), (1 : 0 : 0).  In
+    the chart z = 1, f(x, y, 1) = sum_b C_b(x) y^b with C_b over F_p, so the
+    sum over y is the same at x and at x^p.
     """
     _check_good_prime(fix, field.p)
     K = _VecFq(field)
-    q, els = K.q, K.elements
+    q = K.q
     mono = fix.monomials
     ymax = max(b for (_, b, _), _ in mono)
-    # chart z = 1: f(x, y, 1) = sum_b C_b(x) y^b, each C_b evaluated at every x
-    C = [K.horner(_x_coeffs([(a, c) for (a, bb, _), c in mono if bb == b], field), els)
+    reps, sizes = K.orbits()
+    xs = tuple(u[reps] for u in K.elements)
+    C = [K.horner(_x_coeffs([(a, c) for (a, bb, _), c in mono if bb == b], field), xs)
          for b in range(ymax + 1)]
-    total = 0
-    for i in range(q):
-        acc = K.horner([tuple(u[i] for u in Cb) for Cb in C], els)
-        total += q + int(K.chi(acc).sum())
-    # chart (x : 1 : 0)
-    line = K.horner(_x_coeffs([(a, c) for (a, _, cz), c in mono if cz == 0], field), els)
-    total += q + int(K.chi(line).sum())
+    total = q * q + K.char_sum(C, sizes)
+    # chart (x : 1 : 0): one row, f(x, 1, 0) as a polynomial in x
+    line = _x_coeffs([(a, c) for (a, _, cz), c in mono if cz == 0], field)
+    total += q + K.char_sum(line, [1])
     # point (1 : 0 : 0)
     v = sum(c for (_, b, cz), c in mono if b == 0 and cz == 0)
     total += 1 + int(K.chi(field.from_int(v)))
@@ -313,30 +393,27 @@ def count_via_fibration(surface: EllipticSurface, field: ExtField) -> int:
     ua6 = _shifted_fqpoly(field, a6u, None)
     U = ua2.coeff0(), ua4.coeff0(), ua6.coeff0()
     if weierstrass_discriminant(field, *U) != field.zero:
-        total += _good_fibre_count(K, *U)
+        total += field.q + 1 + K.char_sum([*U[::-1], field.one], [1])
     else:
         total += bad_fiber_points(field, ua2, ua4, ua6)
     return total
 
 
-def _good_fibre_count(K: _VecFq, A2, A4, A6) -> int:
-    """Points of y^2 = x^3 + A2 x^2 + A4 x + A6, a smooth fibre, A's in F_q."""
-    rhs = K.horner([A6, A4, A2, K.field.one], K.elements)
-    return K.q + 1 + int(K.chi(rhs).sum())
-
-
 def _fibration_good(K: _VecFq, a2, a4, a6):
     """(sum of the good-fibre counts, bad t's) over the affine t-line.
 
-    a2, a4, a6 are coefficient lists mod p; the discriminant is evaluated
-    at every t at once, then each good fibre is counted over every x.
+    a2, a4, a6 are coefficient lists mod p, so the fibres over t and t^p
+    have equal counts: the good ones are summed one row per orbit.
     """
     field, ts = K.field, K.elements
     A = [K.horner([field.from_int(c) for c in a], ts) for a in (a2, a4, a6)]
     bad = K.encode(weierstrass_discriminant(K, *A)) == 0
-    good = sum(_good_fibre_count(K, *(tuple(u[i] for u in Ak) for Ak in A))
-               for i in np.flatnonzero(~bad))
-    return good, [field.decode(int(i)) for i in np.flatnonzero(bad)]
+    reps, sizes = K.orbits()
+    good = ~bad[reps]
+    reps, sizes = reps[good], sizes[good]
+    A2, A4, A6 = (tuple(u[reps] for u in Ak) for Ak in A)
+    count = (K.q + 1) * int(sizes.sum()) + K.char_sum([A6, A4, A2, field.one], sizes)
+    return count, [field.decode(int(i)) for i in np.flatnonzero(bad)]
 
 
 def _shifted_fqpoly(field: ExtField, int_coeffs, t0) -> FqPoly:

@@ -1,8 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
-from dyk3.ffield import build_extension, kronecker
+from dyk3 import surface
+from dyk3.cli import MAX_Q
+from dyk3.ffield import build_extension, is_prime, kronecker
 from dyk3.fixtures import SurfaceFixture, load_surface
 from dyk3.models import e2_surface, rational_elliptic_test_surface
 from dyk3.surface import (SurfaceCount, count_singular, count_smooth,
@@ -63,7 +66,11 @@ X6 = SurfaceFixture({
     "singular_profile": [], "bad_primes": []})
 
 
-def test_numpy_matches_scalar():
+def test_numpy_matches_scalar(monkeypatch):
+    # blocks of 6 rows by slabs of 5 y-values at n = 2: the 28 orbits of
+    # F_49 and the 49 values of y each end in a partial block or slab
+    monkeypatch.setattr(surface, "BLOCK", 64)
+    monkeypatch.setattr(surface, "SLAB", 5)
     fix = load_surface()
     for p, n in ((7, 1), (11, 1), (13, 1), (7, 2)):
         F = build_extension(p, n)
@@ -92,6 +99,71 @@ def test_kernel_matches_scalar_oracle_in_degree_3_and_4(p, n):
     good_ref, bad_ref = _fibration_good_scalar(F, *coeffs)
     assert good == good_ref
     assert set(bad) == set(bad_ref)
+
+
+def _frobenius_cases():
+    return [(p, n) for p in (3, 5, 7, 11, 13) for n in range(1, 5)
+            if p ** n <= MAX_Q]
+
+
+@pytest.mark.parametrize("p, n", _frobenius_cases())
+def test_frobenius_orbits(p, n):
+    F = build_extension(p, n)
+    K = _VecFq(F)
+    reps, sizes = K.orbits()
+    assert all(n % int(s) == 0 for s in sizes)
+    assert int(sizes.sum()) == F.q
+    # necklace count: (1/n) sum_{d | n} phi(d) p^(n/d) orbits of x -> x^p
+    phi = {1: 1, 2: 1, 3: 2, 4: 2}
+    assert n * len(reps) == sum(phi[d] * p ** (n // d) for d in (1, 2, 3, 4)
+                                if n % d == 0)
+    frob = K.encode(K.frobenius(K.elements))
+    ks = range(F.q) if F.q <= 2401 else random.Random(p * n).sample(range(F.q), 300)
+    for k in ks:
+        assert frob[k] == F.encode(F.pow(F.decode(k), p)), k
+    # each representative is the least element of an orbit of its size
+    for r, s in zip(reps[:50], sizes[:50]):
+        orbit, x = [int(r)], int(frob[r])
+        while x != r:
+            orbit.append(x)
+            x = int(frob[x])
+        assert len(orbit) == s and min(orbit) == r
+
+
+def test_char_sum_bound_admits_every_count_made():
+    # both routes sum polynomials of degree B <= 6 in y: the sextic's
+    # charts and the fibre cubic; the float64 product needs
+    # n (B + 1) (p - 1)^2 < 2^53, the int64 kernel 2 n^2 p^3 < 2^63
+    fix = load_surface()
+    assert max(sum(e) for e, _ in fix.monomials) == 6
+    for n in range(1, 5):
+        for p in range(3, round(MAX_Q ** (1 / n)) + 2):
+            if p ** n <= MAX_Q and is_prime(p):
+                assert n * 7 * (p - 1) ** 2 < 2 ** 53, (p, n)
+                assert 2 * n * n * p ** 3 < 2 ** 63, (p, n)
+
+
+def test_char_sum_exact_at_the_largest_prime():
+    # p = 32,749 is the largest p <= MAX_Q; an all-(p - 1) row gives the
+    # largest entries of A @ M
+    p = 32749
+    assert is_prime(p) and not any(map(is_prime, range(p + 1, MAX_Q + 1)))
+    F = build_extension(p, 1)
+    K = _VecFq(F)
+    rng = random.Random(4)
+    rows = [[p - 1] * 7, [rng.randrange(p) for _ in range(7)],
+            [0, 1, 0, 0, 0, 0, rng.randrange(1, p)]]
+    weights = [1, 3, 2]
+    C = [(np.array([row[b] for row in rows]),) for b in range(7)]
+    expect = 0
+    for row, w in zip(rows, weights):
+        coeffs = [F.from_int(c) for c in row]
+        for y in F.elements():
+            acc = F.zero
+            for c in reversed(coeffs):
+                acc = F.add(F.mul(acc, y), c)
+            expect += w * F.chi(acc)
+    assert K.char_sum(C, weights) == expect
 
 
 def test_count_smooth_structure():
