@@ -128,6 +128,62 @@ def _poly_powmod(base, e, mod, p):
     return result
 
 
+def _poly_divmod(a, b, p):
+    """(quotient, remainder) of a by b != 0 over F_p, lists low-to-high."""
+    r = list(a)
+    db = len(b) - 1
+    binv = pow(b[-1], p - 2, p)
+    q = [0] * max(len(r) - db, 0)
+    for i in range(len(r) - 1 - db, -1, -1):
+        c = r[i + db] * binv % p
+        if c:
+            q[i] = c
+            for j in range(db + 1):
+                r[i + j] = (r[i + j] - c * b[j]) % p
+    return _poly_trim(q), _poly_trim(r[:db])
+
+
+def _poly_monic(a, p):
+    if not a:
+        return a
+    inv = pow(a[-1], p - 2, p)
+    return [c * inv % p for c in a]
+
+
+def _poly_gcd(a, b, p):
+    """Monic gcd over F_p of trimmed lists; [] when both are zero."""
+    while b:
+        a, b = b, _poly_divmod(a, b, p)[1]
+    return _poly_monic(a, p)
+
+
+def _poly_equal_degree_split(g, d, p):
+    """The monic irreducible factors of g, a monic product of distinct
+    irreducibles of degree d over F_p (Cantor-Zassenhaus, p odd).
+
+    For a random u of degree < deg h, u^((p^d - 1)/2) is 0 or +-1 at each
+    root of h, independently, so gcd(u^((p^d - 1)/2) - 1, h) splits h with
+    probability about 1/2.  The random source has a fixed seed.
+    """
+    rng = random.Random(0x5EED)
+    e = (p ** d - 1) // 2
+    out, stack = [], [g] if len(g) > 1 else []
+    while stack:
+        h = stack.pop()
+        if len(h) - 1 == d:
+            out.append(h)
+            continue
+        while True:
+            u = _poly_trim([rng.randrange(p) for _ in range(len(h) - 1)])
+            t = _poly_powmod(u, e, h, p) or [0]
+            t[0] = (t[0] - 1) % p
+            g1 = _poly_gcd(h, _poly_trim(t), p)
+            if 0 < len(g1) - 1 < len(h) - 1:
+                stack += [g1, _poly_divmod(h, g1, p)[0]]
+                break
+    return out
+
+
 def _is_irreducible(coeffs, n, p):
     """Irreducibility of the monic degree-n poly over F_p (n <= 4)."""
     mod = coeffs + [1]

@@ -382,11 +382,11 @@ def count_via_fibration(surface: EllipticSurface, field: ExtField) -> int:
     a6u = _poly_mod_p(inf.a6, p)
     good, bad_ts = _fibration_good(K, a2, a4, a6)
     total = good
-    for t0 in bad_ts:
+    for t0, size in bad_ts:
         sa2 = _shifted_fqpoly(field, a2, t0)
         sa4 = _shifted_fqpoly(field, a4, t0)
         sa6 = _shifted_fqpoly(field, a6, t0)
-        total += bad_fiber_points(field, sa2, sa4, sa6)
+        total += size * bad_fiber_points(field, sa2, sa4, sa6)
     # fibre at infinity
     ua2 = _shifted_fqpoly(field, a2u, None)
     ua4 = _shifted_fqpoly(field, a4u, None)
@@ -400,20 +400,24 @@ def count_via_fibration(surface: EllipticSurface, field: ExtField) -> int:
 
 
 def _fibration_good(K: _VecFq, a2, a4, a6):
-    """(sum of the good-fibre counts, bad t's) over the affine t-line.
+    """(sum of the good-fibre counts, [(bad t, its orbit size)]) over the
+    affine t-line.
 
     a2, a4, a6 are coefficient lists mod p, so the fibres over t and t^p
-    have equal counts: the good ones are summed one row per orbit.
+    have equal counts: the good ones are summed one row per orbit, and one
+    bad t stands for its orbit.
     """
     field, ts = K.field, K.elements
     A = [K.horner([field.from_int(c) for c in a], ts) for a in (a2, a4, a6)]
     bad = K.encode(weierstrass_discriminant(K, *A)) == 0
     reps, sizes = K.orbits()
     good = ~bad[reps]
+    bad_ts = [(field.decode(int(i)), int(s))
+              for i, s in zip(reps[~good], sizes[~good])]
     reps, sizes = reps[good], sizes[good]
     A2, A4, A6 = (tuple(u[reps] for u in Ak) for Ak in A)
     count = (K.q + 1) * int(sizes.sum()) + K.char_sum([A6, A4, A2, field.one], sizes)
-    return count, [field.decode(int(i)) for i in np.flatnonzero(bad)]
+    return count, bad_ts
 
 
 def _shifted_fqpoly(field: ExtField, int_coeffs, t0) -> FqPoly:

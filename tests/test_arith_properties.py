@@ -12,7 +12,9 @@ with their coefficient rings at every point, and c4^3 - c6^2 = 1728 Delta
 holds throughout.  The vector F_q kernel of the surface counts is checked
 elementwise against ExtField, and ExtField's closed forms at n = 2 against
 the generic polynomial product, the Euler criterion and the powers they
-invert.  The truncated series of the intersection-matrix derivation are
+invert.  The sieve's F_p root finder is checked against an exhaustive search
+of F_{p^2} on products of irreducibles of every shape up to degree 4.  The
+truncated series of the intersection-matrix derivation are
 checked against untruncated Poly composition, and the Smith normal form
 against unimodular changes of basis.
 """
@@ -31,11 +33,13 @@ from dyk3 import numfield as nf
 from dyk3 import picard_fixture as pf
 from dyk3.elliptic import (OpRing, cubic_node, depressed_cubic,
                            weierstrass_c4_c6, weierstrass_discriminant)
-from dyk3.ffield import FqPoly, _poly_mulmod, build_extension
+from dyk3.ffield import (FqPoly, _is_irreducible, _poly_mulmod,
+                         build_extension, find_roots)
 from dyk3.lattice import _kernel_basis, _matmul, matrix_rank, smith
 from dyk3.numfield import TowerElement, rational_sqrt, sqrt_in_quadratic
 from dyk3.poly import Poly, QQ, TOWER
 from dyk3.siverify import sqrt_in_k4
+from dyk3.sscan import roots_in_fp2
 from dyk3.surface import _VecFq
 from dyk3.tate import EllipticSurface, LocalRing, residue_is_square
 
@@ -379,6 +383,60 @@ def test_fp2_cbrt(fab):
         assert r is not None and F.mul(r, F.mul(r, r)) == a
     else:
         assert r is None
+
+
+_SPLIT_PRIMES = (7, 11, 13)
+# degrees of the distinct irreducible factors: every shape of a quartic,
+# and a few larger products
+_SPLIT_SHAPES = [(1,), (2,), (3,), (4,), (1, 1), (1, 2), (2, 2), (1, 1, 2),
+                 (1, 3), (1, 1, 1, 1), (1, 2, 3), (1, 1, 2, 2), (3, 4)]
+
+
+@cache
+def _irreducibles(p, d):
+    """Every monic irreducible of degree d <= 3 over F_p, low-to-high."""
+    cands = ([(k // p ** i) % p for i in range(d)] for k in range(p ** d))
+    return [c + [1] for c in cands if d == 1 or _is_irreducible(c, d, p)]
+
+
+def _irreducible_quartic_from(k, p):
+    """The first monic irreducible quartic over F_p from index k on."""
+    while True:
+        c = [(k // p ** i) % p for i in range(4)]
+        if _is_irreducible(c, 4, p):
+            return c + [1]
+        k += 1
+
+
+@st.composite
+def _split_case(draw):
+    """(p, f, shape): f is a scalar times distinct monic irreducibles over
+    F_p with the degrees in shape, and maybe the square of the first."""
+    p = draw(st.sampled_from(_SPLIT_PRIMES))
+    shape = draw(st.sampled_from(_SPLIT_SHAPES))
+    factors = []
+    for d in sorted(set(shape)):
+        if d == 4:
+            factors.append(_irreducible_quartic_from(
+                draw(st.integers(0, p ** 4 - 1)), p))
+            continue
+        pool = _irreducibles(p, d)
+        picks = st.lists(st.integers(0, len(pool) - 1), min_size=shape.count(d),
+                         max_size=shape.count(d), unique=True)
+        factors += [pool[i] for i in draw(picks)]
+    f = [draw(st.integers(1, p - 1))]
+    for g in factors + factors[:draw(st.integers(0, 1))]:
+        f = [int(c) for c in np.convolve(f, g)]
+    return p, f, shape
+
+
+@settings(max_examples=100, deadline=None)
+@given(_split_case())
+def test_fp_root_finder_matches_fp2_search(case):
+    p, f, shape = case
+    F2, roots = roots_in_fp2(f, p)
+    assert roots == find_roots(FqPoly.from_ints(F2, f), F2, exhaustive=True)
+    assert len(roots) == sum(d for d in shape if d <= 2)
 
 
 @settings(max_examples=20, deadline=None)

@@ -2,8 +2,9 @@ from dataclasses import replace
 
 import pytest
 
+from dyk3 import ffield
 from dyk3.elliptic import curve_with_j, is_supersingular
-from dyk3.ffield import build_extension
+from dyk3.ffield import FqPoly, build_extension, find_roots, is_prime
 from dyk3.fixtures import load_tower_constants
 from dyk3.sscan import (ScanConfig, ScanReport, Witness, density_guard,
                         is_supersingular_prime, roots_in_fp2, scan)
@@ -39,6 +40,32 @@ def test_scan_range_3500():
     expected = [p for p in PAPER_LIST if p <= 3500]
     assert rep.primes == expected
     assert expected[-6:] == [1511, 1709, 1889, 2351, 3037, 3389]
+
+
+def test_roots_match_the_fp2_route():
+    # the F_p route against Cantor-Zassenhaus over F_{p^2} on every prime
+    # up to 3500 and on the 40 primes from 4520; the quartic's discriminant
+    # is 2^82 3^4 5^2 13^12 29^4 953^2 15973^2, so it has repeated roots
+    # mod 13, 29 and 953, all three supersingular
+    quartic = load_tower_constants().j_min_poly
+    primes = [p for p in range(7, 3501) if is_prime(p)]
+    primes += [p for p in range(4520, 5000) if is_prime(p)][:40]
+    assert {13, 29, 953} <= set(primes) and primes[-1] > 4871
+    for p in primes:
+        F2, roots = roots_in_fp2(quartic, p)
+        f = FqPoly.from_ints(F2, [c % p for c in quartic])
+        assert roots == find_roots(f, F2, exhaustive=False), p
+    assert [len(roots_in_fp2(quartic, p)[1]) for p in (13, 29, 953)] == [1, 2, 3]
+
+
+def test_root_finding_off_the_fp2_polynomial_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("F_{p^2} polynomial arithmetic on the sieve's path")
+
+    monkeypatch.setattr(ffield.FqPoly, "powmod", refuse)
+    monkeypatch.setattr(ffield, "find_roots", refuse)
+    cfg = ScanConfig(load_tower_constants().j_min_poly, 7, 1000)
+    assert scan(cfg).primes == [13, 29, 41, 113, 337, 839, 853, 881, 953]
 
 
 def test_hasse_agrees_with_count_small():
