@@ -117,7 +117,7 @@ def cmd_lattice(args, out):
     from .fixtures import load_gram
     from .lattice import (GramLattice, c2_cohomology, discriminant_group,
                           index2_overlattice_candidates, kernel_relation,
-                          rank_det, span_basis, _reduced_gram, _solve_int)
+                          rank_det, span_action)
     fix = load_gram(args.fixture)
     L = GramLattice.from_fixture(fix)
     prov = fix.meta.get("provenance", "unknown")
@@ -136,22 +136,12 @@ def cmd_lattice(args, out):
         rec["radical_rank"] = len(rad)
         rec["radical"] = [dict(zip(fix.labels, v)) for v in rad]
     elif args.op == "cohomology":
-        perm = fix.galois_permutation()
-        basis = span_basis(L)
-        red = _reduced_gram(L, basis)
-        n = L.n
-        images = [[basis[k][perm.index(j)] for j in range(n)]
-                  for k in range(len(basis))]
-        sig = [[0] * len(basis) for _ in range(len(basis))]
-        for k, img in enumerate(images):
-            sol = _solve_int(basis, img)
-            if sol is None:
-                _emit(out, {"op": "lattice", "error": "action does not "
-                            "preserve the span"})
-                return EXIT_ASSERT
-            for i in range(len(basis)):
-                sig[i][k] = sol[i]
-        h0, h1, h2 = c2_cohomology(red, sig)
+        action = span_action(L, fix.galois_permutation())
+        if action is None:
+            _emit(out, {"op": "lattice", "error": "action does not "
+                        "preserve the span"})
+            return EXIT_ASSERT
+        h0, h1, h2 = c2_cohomology(*action)
         rec.update({"H0_rank": h0, "H1": h1 or "0",
                     "H2": "x".join(f"Z/{d}" for d in h2),
                     "brauer_quotient_trivial": h1 == []})

@@ -5,11 +5,13 @@ Every model here is y^2 = x^3 + a2 x^2 + a4 x + a6, and its standard
 quantities (Silverman, AEC III.1) are written once, against a ring
 protocol: an object R with R.add, R.sub, R.mul, R.smul(k, a) for an
 integer k, R.inv of a unit, and R.zero and R.one.  The invariants need only
-sub, mul and smul.  The rings that serve it:
+sub, mul and smul.  A field in the protocol that also has neg, is_zero and
+from_int is a coefficient field of poly.Poly.  The rings that serve it:
   * ExtField, on its tuples;
   * surface's vector kernel _VecFq, invariants only, elementwise;
-  * OpRing, for elements with arithmetic operators: Fraction,
-    TowerElement, Poly and FqPoly (whose units are the constants);
+  * poly.OpRing, for elements with arithmetic operators: Fraction (QQ),
+    TowerElement (numfield.TOWER) and Poly over any of these fields
+    (whose units are the constants);
   * tate.LocalRing, on Poly residues mod a power of a place.
 WeierstrassModel holds exact coefficients (Fraction or TowerElement);
 CurveOverFq holds ExtField ones and counts points.
@@ -17,29 +19,12 @@ CurveOverFq holds ExtField ones and counts points.
 
 from __future__ import annotations
 
-import operator
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .ffield import ExtField, build_extension, sqrt_mod
-from .numfield import SplitEmbedding, TowerElement, reduce_mod_p
-
-
-class OpRing:
-    """The ring protocol for elements with arithmetic operators; `one` fixes
-    the ring.  inv inverts a unit as one / a."""
-
-    add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
-    mul = staticmethod(operator.mul)
-    smul = staticmethod(operator.mul)
-
-    def __init__(self, one):
-        self.one, self.zero = one, one - one
-
-    def inv(self, a):
-        return self.one / a
+from .ffield import ExtField, build_extension, rational_mod_p, sqrt_mod
+from .numfield import TOWER, SplitEmbedding, TowerElement, reduce_mod_p
+from .poly import OpRing, Poly, RationalFunc
 
 
 def _b2_b4_b6(R, a2, a4, a6):
@@ -122,7 +107,7 @@ class WeierstrassModel:
         def red(c):
             if isinstance(c, TowerElement):
                 return (reduce_mod_p(c, emb),)
-            return ((Fraction(c).numerator * pow(Fraction(c).denominator, emb.p - 2, emb.p)) % emb.p,)
+            return (rational_mod_p(c, emb.p),)
         return CurveOverFq(F, red(self.a2), red(self.a4), red(self.a6))
 
 
@@ -419,7 +404,6 @@ def _eval_int_poly(coeffs, x, p):
 
 
 def _verify_isogeny_symbolic(phi: IsogenyMap) -> dict:
-    from .poly import Poly, RationalFunc, TOWER
     src, tgt = phi.source, phi.target
     Nx = Poly(TOWER, list(phi.num_x))
     Dx = Poly(TOWER, list(phi.den_x))

@@ -9,6 +9,9 @@ no floating point anywhere in this module.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+
+from .poly import Poly
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -87,6 +90,14 @@ def sqrt_mod(a: int, p: int):
 def require_odd_prime(p: int):
     if p == 2 or not is_prime(p):
         raise ValueError(f"p = {p} is not an odd prime")
+
+
+def rational_mod_p(c, p: int) -> int:
+    """The image in F_p of a rational c; its denominator must be prime to p."""
+    c = Fraction(c)
+    if c.denominator % p == 0:
+        raise ValueError(f"denominator of {c} divisible by p = {p}")
+    return c.numerator * pow(c.denominator, -1, p) % p
 
 
 # ---------------------------------------------------------------------------
@@ -210,10 +221,13 @@ def lex_min_irreducible(p: int, n: int):
     Candidates x^n + c_{n-1}x^{n-1} + ... + c_0 are ordered by the integer
     sum(c_i p^i), ascending; the scan is deterministic so every run and
     every implementation picks the same modulus.  At n = 2 it is always
-    x^2 + c_0: some -c_0 < p is a non-residue.
+    x^2 + c_0 with -c_0 the first non-residue below p, so one Legendre
+    symbol per candidate c_0 = 1, 2, ... finds it.
     """
     if n == 1:
         return (0,)
+    if n == 2:
+        return (next(c for c in range(1, p) if _legendre(-c, p) == -1), 0)
     for k in range(p ** n):
         c = [(k // p ** i) % p for i in range(n)]
         if _is_irreducible(c, n, p):
@@ -273,6 +287,9 @@ class ExtField:
             yield self.decode(k)
 
     # -- arithmetic ------------------------------------------------------------
+    def is_zero(self, a) -> bool:
+        return a == self.zero
+
     def add(self, a, b):
         p = self.p
         if self.n == 2:
@@ -435,139 +452,15 @@ def build_extension(p: int, n: int) -> ExtField:
 # polynomials over F_q and root finding
 
 
-class FqPoly:
-    """Dense polynomial over an ExtField; coefficients low-to-high."""
+class FqPoly(Poly):
+    """A Poly over an ExtField, with the modular powers of root finding."""
 
-    def __init__(self, field: ExtField, coeffs):
-        self.field = field
-        cs = list(coeffs)
-        while cs and cs[-1] == field.zero:
-            cs.pop()
-        self.coeffs = cs
+    __slots__ = ()
 
-    @classmethod
-    def from_ints(cls, field, ints):
-        return cls(field, [field.from_int(c) for c in ints])
-
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return self.field == other.field and self.coeffs == other.coeffs
-
-    def __call__(self, x):
+    def powmod(self, e: int, mod: Poly) -> Poly:
+        """self^e mod `mod`, by repeated squaring."""
         F = self.field
-        acc = F.zero
-        for c in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, x), c)
-        return acc
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        F = self.field
-        lead = self.coeffs[-1]
-        if lead == F.one:
-            return self
-        li = F.inv(lead)
-        return FqPoly(F, [F.mul(c, li) for c in self.coeffs])
-
-    def __mul__(self, other):
-        F = self.field
-        if self.is_zero() or other.is_zero():
-            return FqPoly(F, [])
-        out = [F.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a != F.zero:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return FqPoly(F, out)
-
-    def __add__(self, other):
-        F = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [F.zero] * n
-        for i, a in enumerate(self.coeffs):
-            out[i] = a
-        for i, b in enumerate(other.coeffs):
-            out[i] = F.add(out[i], b)
-        return FqPoly(F, out)
-
-    def __rmul__(self, k: int):
-        F = self.field
-        return FqPoly(F, [F.smul(k, c) for c in self.coeffs])
-
-    def coeff0(self):
-        return self.coeffs[0] if self.coeffs else self.field.zero
-
-    def shift_down(self, k: int):
-        """Exact division by t^k."""
-        F = self.field
-        if self.is_zero():
-            return self
-        if any(c != F.zero for c in self.coeffs[:k]):
-            raise ValueError("not divisible by t^k")
-        return FqPoly(F, self.coeffs[k:])
-
-    def shift(self, t0):
-        """p(t + t0)."""
-        F = self.field
-        acc = FqPoly(F, [])
-        lin = FqPoly(F, [t0, F.one])
-        for c in reversed(self.coeffs):
-            acc = acc * lin + FqPoly(F, [c])
-        return acc
-
-    def __sub__(self, other):
-        F = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [F.zero] * n
-        for i, a in enumerate(self.coeffs):
-            out[i] = a
-        for i, b in enumerate(other.coeffs):
-            out[i] = F.sub(out[i], b)
-        return FqPoly(F, out)
-
-    def divmod(self, other):
-        F = self.field
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        a = list(self.coeffs)
-        b = other.coeffs
-        binv = F.inv(b[-1])
-        if len(a) < len(b):
-            return FqPoly(F, []), FqPoly(F, a)
-        q = [F.zero] * (len(a) - len(b) + 1)
-        for i in range(len(a) - len(b), -1, -1):
-            c = F.mul(a[i + len(b) - 1], binv)
-            if c != F.zero:
-                q[i] = c
-                for j, bj in enumerate(b):
-                    a[i + j] = F.sub(a[i + j], F.mul(c, bj))
-        return FqPoly(F, q), FqPoly(F, a)
-
-    def __mod__(self, other):
-        return self.divmod(other)[1]
-
-    def __truediv__(self, other):
-        """Exact quotient."""
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError("division is not exact")
-        return q
-
-    def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
-
-    def powmod(self, e: int, mod: "FqPoly") -> "FqPoly":
-        F = self.field
-        result = FqPoly(F, [F.one])
+        result = Poly.const(F, F.one)
         base = self % mod
         while e:
             if e & 1:
@@ -577,11 +470,12 @@ class FqPoly:
         return result
 
 
-def find_roots(f: FqPoly, field: ExtField, exhaustive: bool | None = None) -> set:
-    """All roots of f in F_q, each once, verified by re-substitution.
+def find_roots(f: Poly, field: ExtField, exhaustive: bool | None = None) -> set:
+    """All roots in F_q of the Poly f over F_q, each once, verified by
+    re-substitution.
 
     Default strategy: gcd with x^q - x, then equal-degree splitting with a
-    fixed-seed random source.  Small fields (q <= 4096) may instead scan
+    fixed-seed random source.  Small fields (q <= 256) instead scan
     exhaustively; both paths are cross-checked in the tests.
     """
     if f.is_zero():
@@ -590,11 +484,10 @@ def find_roots(f: FqPoly, field: ExtField, exhaustive: bool | None = None) -> se
     if exhaustive is None:
         exhaustive = F.q <= 256
     if exhaustive:
-        roots = {x for x in F.elements() if f(x) == F.zero}
+        roots = {x for x in F.elements() if F.is_zero(f(x))}
     else:
-        x = FqPoly(F, [F.zero, F.one])
-        xq = x.powmod(F.q, f)
-        g = f.gcd(xq - x)
+        x = FqPoly.x(F)
+        g = f.gcd(x.powmod(F.q, f) - x)
         roots = set()
         rng = random.Random(0x5EED)
         stack = [g]
@@ -610,15 +503,10 @@ def find_roots(f: FqPoly, field: ExtField, exhaustive: bool | None = None) -> se
             # Cantor-Zassenhaus split of a product of distinct linear factors
             while True:
                 a = F.decode(rng.randrange(F.q))
-                shift = FqPoly(F, [a, F.one])
-                trial = shift.powmod((F.q - 1) // 2, h) - FqPoly(F, [F.one])
-                g1 = h.gcd(trial)
+                g1 = h.gcd(FqPoly(F, [a, F.one]).powmod((F.q - 1) // 2, h) - 1)
                 if 0 < g1.degree() < d:
-                    g2 = h.divmod(g1)[0]
-                    stack.append(g1)
-                    stack.append(g2)
+                    stack += [g1, h // g1]
                     break
-    for r in roots:
-        if f(r) != F.zero:
-            raise AssertionError("root verification failed")
+    if not all(F.is_zero(f(r)) for r in roots):
+        raise AssertionError("root verification failed")
     return roots

@@ -287,6 +287,23 @@ def _reduced_gram(L: GramLattice, basis):
     return _matmul(BG, Bt)
 
 
+def span_action(L: GramLattice, perm):
+    """(reduced Gram, sigma) for a permutation of the generators: the Gram
+    on span_basis(L), and the integer matrix sigma of the induced action on
+    that basis (column k = image of basis row k), the input of
+    c2_cohomology.  None when the permutation does not map the span to
+    itself."""
+    basis = span_basis(L)
+    sig = [[0] * len(basis) for _ in basis]
+    for k, row in enumerate(basis):
+        sol = _solve_int(basis, [row[perm.index(j)] for j in range(L.n)])
+        if sol is None:
+            return None
+        for i, x in enumerate(sol):
+            sig[i][k] = x
+    return _reduced_gram(L, basis), sig
+
+
 def discriminant_group(L: GramLattice):
     """Elementary divisors != 1 of the Gram on a basis of the span."""
     rank = matrix_rank(L.gram)

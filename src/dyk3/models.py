@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .numfield import TowerElement
-from .poly import Poly, QQ, TOWER
+from .numfield import TOWER, TowerElement
+from .poly import Poly, QQ
 from .tate import EllipticSurface, SectionPoint
 
 

@@ -20,8 +20,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .ffield import (FqPoly, build_extension, find_roots, kronecker,
+from .ffield import (build_extension, find_roots, kronecker, rational_mod_p,
                      require_odd_prime)
+from .poly import OpRing, Poly
 
 DIM = 24
 
@@ -138,7 +139,7 @@ class TowerElement:
         return hash(self.co)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.co)
 
     def __repr__(self):
         parts = [f"({c})*{_MONOMIAL_NAMES[i]}" for i, c in enumerate(self.co) if c]
@@ -261,6 +262,7 @@ SQRT5 = TowerElement.monomial(0, 1, 0, 0)
 ALPHA = TowerElement.monomial(0, 0, 1, 0)
 BETA = TowerElement.monomial(0, 0, 0, 1)
 ONE = TowerElement.rational(1)
+TOWER = OpRing(ONE)
 
 
 def minimal_polynomial_over_Q(x: TowerElement):
@@ -309,7 +311,7 @@ def eval_poly_at_tower(coeffs, x: TowerElement) -> TowerElement:
 def _cube_roots_mod(c: int, p: int):
     """All cube roots of c in F_p, ascending."""
     F = build_extension(p, 1)
-    f = FqPoly.from_ints(F, [-c, 0, 0, 1])
+    f = Poly.from_ints(F, [-c, 0, 0, 1])
     return sorted(r[0] for r in find_roots(f, F))
 
 
@@ -406,10 +408,7 @@ def reduce_mod_p(x: TowerElement, emb: SplitEmbedding) -> int:
         if c:
             if imgs[i] is None:
                 raise ValueError("embedding lacks an image for a generator in x")
-            if c.denominator % p == 0:
-                raise ValueError(f"denominator of x divisible by p = {p}")
-            v = c.numerator % p * pow(c.denominator % p, p - 2, p) % p
-            acc = (acc + v * imgs[i]) % p
+            acc = (acc + rational_mod_p(c, p) * imgs[i]) % p
     return acc
 
 

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .numfield import TowerElement
-from .poly import Poly, TOWER
+from .numfield import TOWER, TowerElement
+from .poly import Poly
 from .siverify import sqrt_in_k4
 from .tate import LocalRing
 
@@ -53,13 +53,6 @@ def _ord(a):
     """The s-adic order, NTRUNC for a series that is zero mod s^NTRUNC."""
     return next((i for i, c in enumerate(a.coeffs[:NTRUNC]) if not c.is_zero()),
                 NTRUNC)
-
-
-def _shift_down(a, k):
-    """a / s^k."""
-    if _ord(a) < k:
-        raise ValueError("series not divisible by s^k")
-    return Poly(TOWER, a.coeffs[k:])
 
 
 def _compose(a, inner):
@@ -381,7 +374,7 @@ def analyze_singularity(F, germs, level=1):
         return landings, meets
     # recurse on the strict transform
     F2 = _poly2_blowup_u(Fs)
-    sub = [Germ(g.gid, _shift_down(g.v, 1), _shift_down(g.w, 1))
+    sub = [Germ(g.gid, g.v.shift_down(1), g.w.shift_down(1))
            for g in tangents]
     m2 = _mult_at_origin({k: v for k, v in F2.items()
                           if not (k == (0, 0) and v.is_zero())})

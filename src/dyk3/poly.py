@@ -1,58 +1,55 @@
 """Dense univariate polynomials and rational functions over an exact field.
 
-Coefficients are operator-capable exact objects (Fraction or TowerElement);
-the small field adapters below supply the constants.  Everything here is
-exact; polynomial gcds make intermediate results monic to control growth.
+A coefficient field is an object in the ring protocol of elliptic.py: it
+has add, sub, mul, neg, inv of a nonzero element, is_zero, from_int, zero
+and one.  OpRing serves elements with arithmetic operators: QQ on
+Fraction here, and numfield's TOWER on TowerElement.  ffield.ExtField
+serves F_q on its tuples.  Everything here is exact; polynomial gcds make
+intermediate results monic to control growth.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
-from .numfield import TowerElement
+
+class OpRing:
+    """The ring protocol for elements with arithmetic operators; `one` fixes
+    the ring.  inv inverts a unit as one / a, and is_zero reads an
+    element's truth value."""
+
+    add = staticmethod(operator.add)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    smul = staticmethod(operator.mul)
+    neg = staticmethod(operator.neg)
+    is_zero = staticmethod(operator.not_)
+
+    def __init__(self, one):
+        self.one, self.zero = one, one - one
+
+    def inv(self, a):
+        return self.one / a
+
+    def from_int(self, n):
+        return self.one * n
 
 
-class _FractionField:
-    name = "QQ"
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def from_int(n):
-        return Fraction(n)
-
-    @staticmethod
-    def is_zero(x):
-        return x == 0
-
-
-class _TowerCoeffField:
-    name = "tower"
-    zero = TowerElement.rational(0)
-    one = TowerElement.rational(1)
-
-    @staticmethod
-    def from_int(n):
-        return TowerElement.rational(n)
-
-    @staticmethod
-    def is_zero(x):
-        return x.is_zero()
-
-
-QQ = _FractionField()
-TOWER = _TowerCoeffField()
+QQ = OpRing(Fraction(1))
 
 
 class Poly:
-    """coeffs low-to-high, no trailing zeros."""
+    """coeffs low-to-high, no trailing zeros; `field` is in the ring protocol
+    and does all the coefficient arithmetic."""
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
         self.field = field
         cs = list(coeffs)
-        while cs and field.is_zero(cs[-1]):
+        is_zero = field.is_zero
+        while cs and is_zero(cs[-1]):
             cs.pop()
         self.coeffs = cs
 
@@ -74,6 +71,9 @@ class Poly:
 
     def is_zero(self):
         return not self.coeffs
+
+    def __bool__(self):
+        return bool(self.coeffs)
 
     def lead(self):
         if self.is_zero():
@@ -100,48 +100,55 @@ class Poly:
                                     if not self.field.is_zero(c)) + ")"
 
     def __call__(self, x):
-        acc = self.field.zero if not isinstance(x, Poly) else Poly(self.field, [])
+        """The value at a coefficient x, or the composite self(x(t)) at a Poly."""
+        F = self.field
+        if isinstance(x, Poly):
+            acc = Poly(F, [])
+            for c in reversed(self.coeffs):
+                acc = acc * x + c
+            return acc
+        acc = F.zero
         for c in reversed(self.coeffs):
-            acc = acc * x + c
+            acc = F.add(F.mul(acc, x), c)
         return acc
 
     # -- arithmetic -------------------------------------------------------------
     def __add__(self, other):
         if not isinstance(other, Poly):
             other = Poly.const(self.field, self._lift(other))
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [self.field.zero] * n
-        for i, c in enumerate(self.coeffs):
-            out[i] = out[i] + c
-        for i, c in enumerate(other.coeffs):
-            out[i] = out[i] + c
-        return Poly(self.field, out)
+        a, b = self.coeffs, other.coeffs
+        out = [self.field.add(x, y) for x, y in zip(a, b)]
+        return Poly(self.field, out + (a[len(b):] or b[len(a):]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
+        return Poly(self.field, [self.field.neg(c) for c in self.coeffs])
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
             other = Poly.const(self.field, self._lift(other))
-        return self + (-other)
+        F = self.field
+        a, b = self.coeffs, other.coeffs
+        out = [F.sub(x, y) for x, y in zip(a, b)]
+        return Poly(F, out + (a[len(b):] or [F.neg(y) for y in b[len(a):]]))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        F = self.field
         if not isinstance(other, Poly):
             c = self._lift(other)
-            return Poly(self.field, [a * c for a in self.coeffs])
+            return Poly(F, [F.mul(a, c) for a in self.coeffs])
         if self.is_zero() or other.is_zero():
-            return Poly(self.field, [])
-        F = self.field
+            return Poly(F, [])
+        add, mul, is_zero = F.add, F.mul, F.is_zero
         out = [F.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
-            if not F.is_zero(a):
+            if not is_zero(a):
                 for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
+                    out[i + j] = add(out[i + j], mul(a, b))
         return Poly(F, out)
 
     __rmul__ = __mul__
@@ -164,15 +171,16 @@ class Poly:
         b = other.coeffs
         if len(a) < len(b):
             return Poly(F, []), self
+        sub, mul, is_zero = F.sub, F.mul, F.is_zero
         q = [F.zero] * (len(a) - len(b) + 1)
-        lead_inv = F.one / b[-1]
+        lead_inv = F.inv(b[-1])
         for i in range(len(a) - len(b), -1, -1):
             top = a[i + len(b) - 1]
-            if not F.is_zero(top):
-                c = top * lead_inv
+            if not is_zero(top):
+                c = mul(top, lead_inv)
                 q[i] = c
                 for j, bj in enumerate(b):
-                    a[i + j] = a[i + j] - c * bj
+                    a[i + j] = sub(a[i + j], mul(c, bj))
         return Poly(F, q), Poly(F, a)
 
     def __floordiv__(self, other):
@@ -193,8 +201,7 @@ class Poly:
     def monic(self):
         if self.is_zero():
             return self
-        li = self.field.one / self.lead()
-        return self * li
+        return self * self.field.inv(self.lead())
 
     def gcd(self, other):
         a, b = self, other
@@ -206,7 +213,7 @@ class Poly:
 
     def derivative(self):
         F = self.field
-        return Poly(F, [c * F.from_int(i) for i, c in enumerate(self.coeffs)][1:])
+        return Poly(F, [F.mul(c, F.from_int(i)) for i, c in enumerate(self.coeffs)][1:])
 
     # -- structure ---------------------------------------------------------------
     def valuation(self, pi: "Poly") -> int:
@@ -219,6 +226,12 @@ class Poly:
             if not r.is_zero():
                 return v
             v, cur = v + 1, q
+
+    def shift_down(self, k: int):
+        """Exact division by t^k."""
+        if not all(map(self.field.is_zero, self.coeffs[:k])):
+            raise ValueError("not divisible by t^k")
+        return Poly(self.field, self.coeffs[k:])
 
     def shift(self, c):
         """p(t + c)."""
@@ -250,7 +263,7 @@ class Poly:
         g = self.gcd(self.derivative())
         if g.degree() <= 0:
             return self.monic()
-        return self.exact_div(g * (self.field.one / g.lead())).monic()
+        return self.exact_div(g).monic()
 
     def squarefree_decomposition(self):
         """[(factor, multiplicity)] by Yun's algorithm (char 0)."""
@@ -289,9 +302,9 @@ class RationalFunc:
         if num.is_zero():
             den = Poly.const(num.field, num.field.one)
         else:
-            lead = den.lead()
-            if not den.field.is_zero(lead - den.field.one):
-                inv = den.field.one / lead
+            F, lead = den.field, den.lead()
+            if not F.is_zero(F.sub(lead, F.one)):
+                inv = F.inv(lead)
                 num, den = num * inv, den * inv
         self.num, self.den = num, den
 

@@ -11,8 +11,9 @@ from .elliptic import WeierstrassModel
 from .ffield import kronecker
 from .fixtures import load_tower_constants
 from .models import kummer_surface
-from .numfield import (SplitEmbedding, TowerElement, sqrt_in_quadratic,
-                       verify_si_system)
+from .numfield import (TOWER, SplitEmbedding, TowerElement,
+                       sqrt_in_quadratic, verify_si_system)
+from .poly import Poly, RationalFunc
 
 
 def _inose_normalized_coeffs():
@@ -94,14 +95,12 @@ def verify_kummer_match(constants=None) -> dict:
 def _j_as_even_function(surf):
     """j of a fibration whose coefficients depend only on t^2, returned as
     (numerator, denominator) polynomials in v = t^2."""
-    from .poly import RationalFunc, Poly, TOWER
     c4, _, d = surf.c4_c6_delta()
     j = RationalFunc(c4) ** 3 / RationalFunc(d)
     for p in (j.num, j.den):
         if any(not TOWER.is_zero(c) for i, c in enumerate(p.coeffs) if i % 2):
             raise ValueError("j has odd-degree terms")
-    from .poly import Poly as _P
-    return (_P(TOWER, j.num.coeffs[0::2]), _P(TOWER, j.den.coeffs[0::2]))
+    return (Poly(TOWER, j.num.coeffs[0::2]), Poly(TOWER, j.den.coeffs[0::2]))
 
 
 def verify_inose_compatibility(constants=None) -> dict:
@@ -114,7 +113,6 @@ def verify_inose_compatibility(constants=None) -> dict:
     isomorphic over the quadratic extension K4(eta).
     """
     from .models import inose_surface, kummer_surface
-    from .poly import Poly, TOWER
     cst = constants or load_tower_constants()
     E1 = _curve(cst, "E1")
     E2 = _curve(cst, "E2")

@@ -19,10 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .elliptic import curve_with_j, is_supersingular, supersingular_walk
-from .ffield import (FqPoly, _poly_divmod, _poly_equal_degree_split,
-                     _poly_gcd, _poly_monic, _poly_powmod, _poly_trim,
-                     build_extension, is_prime)
+from .ffield import (_poly_divmod, _poly_equal_degree_split, _poly_gcd,
+                     _poly_monic, _poly_powmod, _poly_trim, build_extension,
+                     is_prime)
 from .fixtures import load_tower_constants
+from .poly import Poly
 
 
 def default_quartic():
@@ -77,7 +78,7 @@ def roots_in_fp2(quartic, p: int):
         r = F2.sqrt(F2.from_int(b * b - 4 * c))
         for s in (r, F2.neg(r)):
             roots.add(F2.smul(half, F2.sub(s, F2.from_int(b))))
-    fq = FqPoly.from_ints(F2, f)
+    fq = Poly.from_ints(F2, f)
     if any(fq(r) != F2.zero for r in roots):
         raise AssertionError("root verification failed")
     return F2, roots
@@ -130,7 +131,7 @@ class ScanReport:
             if not self.witnesses.get(p):
                 return False
             F2 = build_extension(p, 2)
-            f = FqPoly.from_ints(F2, [c % p for c in self.config.quartic])
+            f = Poly.from_ints(F2, self.config.quartic)
             for w in self.witnesses[p]:
                 if f(w.root) != F2.zero:
                     return False

@@ -31,11 +31,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .elliptic import (OpRing, cubic_node, depressed_cubic, weierstrass_c4_c6,
+from .elliptic import (cubic_node, depressed_cubic, weierstrass_c4_c6,
                        weierstrass_discriminant)
-from .ffield import ExtField, FqPoly, build_extension, find_roots
+from .ffield import ExtField, build_extension, find_roots, rational_mod_p
 from .fixtures import SurfaceFixture, load_surface
-from .poly import Poly, QQ
+from .poly import OpRing, Poly, QQ
 from .tate import EllipticSurface, classify_tame
 
 @dataclass
@@ -280,32 +280,28 @@ def _assert_point_singular(fix, point):
 
 
 def _poly_mod_p(poly: Poly, p: int):
-    out = []
-    for c in poly.coeffs:
-        c = Fraction(c)
-        if c.denominator % p == 0:
-            raise ValueError(f"coefficient denominator divisible by {p}")
-        out.append(c.numerator * pow(c.denominator, p - 2, p) % p)
+    out = [rational_mod_p(c, p) for c in poly.coeffs]
     while out and out[-1] == 0:
         out.pop()
     return out
 
 
-def bad_fiber_points(field: ExtField, a2: FqPoly, a4: FqPoly, a6: FqPoly) -> int:
+def bad_fiber_points(field: ExtField, a2: Poly, a4: Poly, a6: Poly) -> int:
     """F_q-points of the minimal regular fibre over t = 0.
 
-    The coefficient polynomials are localized at the place t; the Kodaira
-    type, splitness, and component rationality are recomputed over F_q.
+    The coefficient polynomials, Polys over F_q, are localized at the place
+    t; the Kodaira type, splitness, and component rationality are
+    recomputed over F_q.
     """
     F = field
     q = F.q
-    R = OpRing(FqPoly(F, [F.one]))
+    R = OpRing(Poly.const(F, F.one))
 
-    def val(fp: FqPoly) -> int:
+    def val(fp: Poly) -> int:
         if fp.is_zero():
             return 10 ** 9
         v = 0
-        while fp.coeffs[v] == F.zero:
+        while F.is_zero(fp.coeffs[v]):
             v += 1
         return v
 
@@ -323,8 +319,8 @@ def bad_fiber_points(field: ExtField, a2: FqPoly, a4: FqPoly, a6: FqPoly) -> int
     if sym == "I0":
         raise ValueError("fibre is smooth after minimalisation")
     if sym.startswith("I") and sym[1:].isdigit():
-        A2 = a2.coeff0()
-        x0 = cubic_node(F, A2, a4.coeff0(), a6.coeff0())
+        A2 = a2.coeff(0)
+        x0 = cubic_node(F, A2, a4.coeff(0), a6.coeff(0))
         if x0 is None:
             raise AssertionError("multiplicative fibre without a unique node")
         tangent = F.add(F.smul(3, x0), A2)
@@ -337,8 +333,8 @@ def bad_fiber_points(field: ExtField, a2: FqPoly, a4: FqPoly, a6: FqPoly) -> int
     if sym == "I0*":
         # legs from the step-6 cubic X^3 + (P/pi^2) X + Q/pi^3
         P, Q = depressed_cubic(R, a2, a4, a6)
-        cubic = FqPoly(F, [Q.shift_down(3).coeff0(), P.shift_down(2).coeff0(),
-                           F.zero, F.one])
+        cubic = Poly(F, [Q.shift_down(3).coeff(0), P.shift_down(2).coeff(0),
+                         F.zero, F.one])
         return 1 + q * (2 + len(find_roots(cubic, F)))
     if sym == "II":
         return q + 1
@@ -348,7 +344,7 @@ def bad_fiber_points(field: ExtField, a2: FqPoly, a4: FqPoly, a6: FqPoly) -> int
     if sym == "IV":
         # split iff a6/pi^2 is a square after depressing the cubic
         _, Q = depressed_cubic(R, a2, a4, a6)
-        return 1 + 3 * q if F.chi(Q.shift_down(2).coeff0()) == 1 else 1 + q
+        return 1 + 3 * q if F.chi(Q.shift_down(2).coeff(0)) == 1 else 1 + q
     if sym == "II*":
         return 1 + 9 * q
     if sym == "III*":
@@ -359,7 +355,7 @@ def bad_fiber_points(field: ExtField, a2: FqPoly, a4: FqPoly, a6: FqPoly) -> int
         # the two non-identity simple arm ends are swapped unless a6/pi^4 is
         # a square (Tate step 8) after depressing the cubic
         _, Q = depressed_cubic(R, a2, a4, a6)
-        return 1 + 7 * q if F.chi(Q.shift_down(4).coeff0()) == 1 else 1 + 3 * q
+        return 1 + 7 * q if F.chi(Q.shift_down(4).coeff(0)) == 1 else 1 + 3 * q
     raise NotImplementedError(f"fibre counting for type {sym} not implemented")
 
 
@@ -383,15 +379,15 @@ def count_via_fibration(surface: EllipticSurface, field: ExtField) -> int:
     good, bad_ts = _fibration_good(K, a2, a4, a6)
     total = good
     for t0, size in bad_ts:
-        sa2 = _shifted_fqpoly(field, a2, t0)
-        sa4 = _shifted_fqpoly(field, a4, t0)
-        sa6 = _shifted_fqpoly(field, a6, t0)
+        sa2 = _shifted_poly(field, a2, t0)
+        sa4 = _shifted_poly(field, a4, t0)
+        sa6 = _shifted_poly(field, a6, t0)
         total += size * bad_fiber_points(field, sa2, sa4, sa6)
     # fibre at infinity
-    ua2 = _shifted_fqpoly(field, a2u, None)
-    ua4 = _shifted_fqpoly(field, a4u, None)
-    ua6 = _shifted_fqpoly(field, a6u, None)
-    U = ua2.coeff0(), ua4.coeff0(), ua6.coeff0()
+    ua2 = _shifted_poly(field, a2u, None)
+    ua4 = _shifted_poly(field, a4u, None)
+    ua6 = _shifted_poly(field, a6u, None)
+    U = ua2.coeff(0), ua4.coeff(0), ua6.coeff(0)
     if weierstrass_discriminant(field, *U) != field.zero:
         total += field.q + 1 + K.char_sum([*U[::-1], field.one], [1])
     else:
@@ -420,11 +416,11 @@ def _fibration_good(K: _VecFq, a2, a4, a6):
     return count, bad_ts
 
 
-def _shifted_fqpoly(field: ExtField, int_coeffs, t0) -> FqPoly:
-    """Coefficient list mod p recentred at t0 (t0 None = already local)."""
-    F = field
-    poly = FqPoly(F, [F.from_int(c) for c in int_coeffs])
-    if t0 is None or t0 == F.zero:
+def _shifted_poly(field: ExtField, int_coeffs, t0) -> Poly:
+    """Coefficient list mod p as a Poly over F_q, recentred at t0 (t0 None =
+    already local)."""
+    poly = Poly.from_ints(field, int_coeffs)
+    if t0 is None or field.is_zero(t0):
         return poly
     return poly.shift(t0)
 

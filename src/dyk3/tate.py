@@ -12,10 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .elliptic import (CurveOverFq, OpRing, cubic_node, depressed_cubic,
+from .elliptic import (CurveOverFq, cubic_node, depressed_cubic,
                        weierstrass_c4_c6, weierstrass_discriminant)
-from .numfield import TowerElement, rational_sqrt, reduce_mod_p, sqrt_in_quadratic
-from .poly import Poly, QQ, RationalFunc, TOWER
+from .ffield import rational_mod_p
+from .numfield import (TOWER, TowerElement, rational_sqrt, reduce_mod_p,
+                       sqrt_in_quadratic)
+from .poly import OpRing, Poly, QQ, RationalFunc
 
 __all__ = [
     "Place", "LocalFibreData", "EllipticSurface", "SectionPoint",
@@ -884,25 +886,15 @@ def reduce_fiber(E: EllipticSurface, t0, field, emb=None):
     need a SplitEmbedding covering their generators; denominators must be
     prime to p.
     """
-    p = field.p
-
     def red_coeff(c):
         if isinstance(c, TowerElement):
             if emb is None:
                 raise ValueError("tower coefficients need an embedding")
             return field.from_int(reduce_mod_p(c, emb))
-        c = Fraction(c)
-        if c.denominator % p == 0:
-            raise ValueError(f"denominator divisible by p = {p}")
-        return field.from_int(c.numerator * pow(c.denominator, p - 2, p))
+        return field.from_int(rational_mod_p(c, field.p))
 
-    def evalp(poly):
-        acc = field.zero
-        for c in reversed(poly.coeffs):
-            acc = field.add(field.mul(acc, t0), red_coeff(c))
-        return acc
-
-    A2, A4, A6 = evalp(E.a2), evalp(E.a4), evalp(E.a6)
+    A2, A4, A6 = (Poly(field, map(red_coeff, a.coeffs))(t0)
+                  for a in (E.a2, E.a4, E.a6))
     try:
         return CurveOverFq(field, A2, A4, A6), False
     except ValueError:

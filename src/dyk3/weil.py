@@ -79,6 +79,20 @@ class FrobeniusSpectrum:
         assert self.mu2 == p * p * (self.c * self.c - 1)
 
 
+def _branches(mu1: int, mu2: int, p: int):
+    """The (s, c) consistent with the traces: c = +-sqrt(mu2/p^2 + 1)
+    rational with |c| <= 2, and s = mu1/p - c in {+-1}."""
+    c0 = rational_sqrt(Fraction(mu2, p * p) + 1)
+    if c0 is None:
+        raise ValueError("c^2 is not a rational square: inconsistent counts")
+    sols = []
+    for c in {c0, -c0}:
+        s = Fraction(mu1, p) - c
+        if s in (1, -1) and abs(c) <= 2:
+            sols.append((int(s), c))
+    return sols
+
+
 def solve_transcendental(mu1: int, mu2: int, p: int,
                          kron5: int | None = None) -> FrobeniusSpectrum:
     """Recover (s, c) from the two transcendental traces.
@@ -90,15 +104,7 @@ def solve_transcendental(mu1: int, mu2: int, p: int,
     if kron5 is None:
         kron5 = kronecker(5, p)
     spec = FrobeniusSpectrum(p, kron5, mu1, mu2)
-    c2 = Fraction(mu2, p * p) + 1
-    c0 = rational_sqrt(c2)
-    if c0 is None:
-        raise ValueError("c^2 is not a rational square: inconsistent counts")
-    sols = []
-    for c in {c0, -c0}:
-        s = Fraction(mu1, p) - c
-        if s in (1, -1) and abs(c) <= 2:
-            sols.append((int(s), c))
+    sols = _branches(mu1, mu2, p)
     if not sols:
         raise ValueError("no consistent (s, c): inconsistent counts")
     if len(sols) > 1:
@@ -112,15 +118,7 @@ def solve_transcendental(mu1: int, mu2: int, p: int,
 
 def resolve_ambiguity(spec: FrobeniusSpectrum, count3: int) -> FrobeniusSpectrum:
     """Pick the (s, c) branch matching a direct degree-3 count."""
-    p = spec.p
-    candidates = []
-    c2 = Fraction(spec.mu2, p * p) + 1
-    c0 = rational_sqrt(c2)
-    for c in {c0, -c0}:
-        s = Fraction(spec.mu1, p) - c
-        if s in (1, -1) and abs(c) <= 2:
-            candidates.append((int(s), c))
-    for s, c in candidates:
+    for s, c in _branches(spec.mu1, spec.mu2, spec.p):
         trial = FrobeniusSpectrum(spec.p, spec.kron5, spec.mu1, spec.mu2, s, c)
         if predicted_count(trial, 3) == count3:
             trial.verify_roundtrip()

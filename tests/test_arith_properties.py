@@ -31,13 +31,13 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dyk3 import numfield as nf
 from dyk3 import picard_fixture as pf
-from dyk3.elliptic import (OpRing, cubic_node, depressed_cubic,
-                           weierstrass_c4_c6, weierstrass_discriminant)
+from dyk3.elliptic import (cubic_node, depressed_cubic, weierstrass_c4_c6,
+                           weierstrass_discriminant)
 from dyk3.ffield import (FqPoly, _is_irreducible, _poly_mulmod,
                          build_extension, find_roots)
 from dyk3.lattice import _kernel_basis, _matmul, matrix_rank, smith
-from dyk3.numfield import TowerElement, rational_sqrt, sqrt_in_quadratic
-from dyk3.poly import Poly, QQ, TOWER
+from dyk3.numfield import TOWER, TowerElement, rational_sqrt, sqrt_in_quadratic
+from dyk3.poly import OpRing, Poly, QQ
 from dyk3.siverify import sqrt_in_k4
 from dyk3.sscan import roots_in_fp2
 from dyk3.surface import _VecFq

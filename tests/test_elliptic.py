@@ -9,8 +9,8 @@ from dyk3.elliptic import (PHI2, CurveOverFq, IsogenyMap, TraceRecord,
                            supersingular_walk, trace_lift, verify_isogeny)
 from dyk3.ffield import FqPoly, build_extension, kronecker
 from dyk3.fixtures import load_tower_constants
-from dyk3.numfield import (SQRT2, SQRT5, TowerElement, eval_poly_at_tower,
-                           minimal_polynomial_over_Q)
+from dyk3.numfield import (SQRT2, SQRT5, SplitEmbedding, TowerElement,
+                           eval_poly_at_tower, minimal_polynomial_over_Q)
 
 
 def brute_count(field, a2, a4, a6):
@@ -291,3 +291,11 @@ def test_identity_map_symbolic():
     ident = IsogenyMap(E, E, [z, TowerElement.rational(1)], [TowerElement.rational(1)],
                        [TowerElement.rational(1)], [TowerElement.rational(1)], 1)
     assert verify_isogeny(ident, mode="symbolic")["ok"]
+
+
+def test_reduce_rejects_a_denominator_divisible_by_p():
+    emb = SplitEmbedding.enumerate_k4(31)[0]
+    assert WeierstrassModel.short(Fraction(1, 2), 1).reduce(emb).a4 == (16,)
+    # 1/31 has no image in F_31
+    with pytest.raises(ValueError, match="divisible by p = 31"):
+        WeierstrassModel.short(Fraction(1, 31), 1).reduce(emb)

@@ -1,10 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from dyk3.ffield import (ExtField, FqPoly, build_extension, find_roots,
-                         is_prime, kronecker, lex_min_irreducible,
-                         sqrt_mod)
+from dyk3.ffield import (ExtField, FqPoly, _is_irreducible, build_extension,
+                         find_roots, is_prime, kronecker, lex_min_irreducible,
+                         rational_mod_p, sqrt_mod)
 
 
 def test_kronecker_examples():
@@ -50,6 +51,23 @@ def test_build_extension_examples():
     assert F31.q == 961
     F1 = build_extension(31, 1)
     assert F1.q == 31
+
+
+def test_quadratic_modulus_matches_the_scan():
+    # at n = 2 the modulus is read off Legendre symbols; the reference is the
+    # lexicographic scan with the int-list irreducibility test
+    for p in range(3, 2000, 2):
+        if is_prime(p):
+            scan = next([k % p, k // p] for k in range(p * p)
+                        if _is_irreducible([k % p, k // p], 2, p))
+            assert lex_min_irreducible(p, 2) == tuple(scan), p
+
+
+def test_rational_mod_p():
+    assert rational_mod_p(Fraction(3, 4), 7) == 6
+    assert rational_mod_p(-5, 7) == 2
+    with pytest.raises(ValueError, match="divisible by p = 7"):
+        rational_mod_p(Fraction(1, 14), 7)
 
 
 def test_modulus_exhaustive_minimality():

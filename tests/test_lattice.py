@@ -7,7 +7,7 @@ from dyk3.lattice import (GramLattice, apply_basis_change, bareiss_det,
                           c2_cohomology, direct_sum_split_check,
                           discriminant_group, index2_overlattice_candidates,
                           kernel_relation, matrix_rank, rank_det, smith,
-                          span_basis, _matmul)
+                          span_action, span_basis, _matmul)
 
 
 def U_lattice():
@@ -233,6 +233,16 @@ def test_radical_block_additivity():
     assert len(kernel_relation(L2)) == 2
     nondeg = GramLattice(["x"], [[-2]])
     assert kernel_relation(nondeg) == []
+
+
+def test_span_action():
+    # a - b spans the radical, so the span basis is (b, c)
+    L = GramLattice(["a", "b", "c"], [[2, 2, 1], [2, 2, 1], [1, 1, -2]])
+    red = [[2, 1], [1, -2]]
+    assert span_action(L, [0, 1, 2]) == (red, [[1, 0], [0, 1]])
+    assert span_action(L, [0, 2, 1]) == (red, [[0, 1], [1, 0]])
+    # a -> c, b -> a: the image a of the basis row b leaves the span
+    assert span_action(L, [2, 0, 1]) is None
 
 
 def test_span_basis_reduces_correctly():

@@ -4,8 +4,8 @@ import pytest
 
 from dyk3.fixtures import load_gram
 from dyk3.lattice import (GramLattice, c2_cohomology, discriminant_group,
-                          index2_overlattice_candidates, rank_det, span_basis,
-                          _reduced_gram)
+                          index2_overlattice_candidates, rank_det,
+                          span_action, span_basis, _reduced_gram)
 
 
 def test_lambda24_invariants():
@@ -92,6 +92,8 @@ def test_lambda24_galois_cohomology():
     assert h0 == 18
     assert h1 == []
     assert h2 == [2] * 17
+    # the action the CLI builds agrees with this permutation-matrix one
+    assert span_action(L, perm) == (red, sig)
 
 
 def test_rederivation_matches_fixture():

@@ -87,7 +87,7 @@ def test_prediction_matches_counts():
 
 def test_kummer_model_examples():
     from dyk3.models import kummer_surface
-    from dyk3.poly import TOWER
+    from dyk3.numfield import TOWER
     from fractions import Fraction
     cst = load_tower_constants()
     _, laurent = kummer_surface(cst.a, cst.b, cst.c, cst.d)

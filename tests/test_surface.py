@@ -8,9 +8,11 @@ from dyk3.cli import MAX_Q
 from dyk3.ffield import build_extension, is_prime, kronecker
 from dyk3.fixtures import SurfaceFixture, load_surface
 from dyk3.models import e2_surface, rational_elliptic_test_surface
+from dyk3.poly import Poly, QQ
 from dyk3.surface import (SurfaceCount, count_singular, count_smooth,
                           count_via_fibration, _fibration_good, _poly_mod_p,
                           _VecFq, three_way_counts)
+from dyk3.tate import EllipticSurface
 from scalar_oracle import _count_singular_scalar, _fibration_good_scalar
 
 
@@ -239,6 +241,53 @@ def test_rational_surface_free_section():
     for p in (7, 11, 13):
         F = build_extension(p, 1)
         assert count_via_fibration(E, F) == p * p + 10 * p + 1, p
+
+
+def _rational_surface(a4, a6):
+    """y^2 = x^3 + a4 x + a6 over Q, a4 and a6 integer lists low-to-high."""
+    return EllipticSurface(QQ, Poly(QQ, []), Poly.from_ints(QQ, a4),
+                           Poly.from_ints(QQ, a6), chi=1)
+
+
+# (7, 3) has q = 343 > 256, so find_roots splits the I0* cubics by
+# Cantor-Zassenhaus rather than by scanning F_q
+ADDITIVE_FIELDS = ((7, 1), (11, 1), (13, 1), (31, 1), (7, 2), (5, 3), (7, 3))
+
+
+def test_rational_surface_iv_and_iv_star():
+    # y^2 = x^3 + c t^2: IV over 0, IV* over infinity.  |S(F_q)| is
+    # q^2 + 10q + 1 when c is a square in F_q, and q^2 + 4q + 1 otherwise
+    for c in (1, 2, 3):
+        E = _rational_surface([], [0, 0, c])
+        assert sorted(f.kodaira for _, f in E.bad_fibres()) == ["IV", "IV*"]
+        for p, n in ADDITIVE_FIELDS:
+            F = build_extension(p, n)
+            q = F.q
+            want = q * q + (10 if F.chi(F.from_int(c)) == 1 else 4) * q + 1
+            assert count_via_fibration(E, F) == want, (c, p, n)
+
+
+def test_rational_surface_two_i0_star_with_rational_legs():
+    # y^2 = x^3 - t^2 (t-1)^2 x: I0* over 0 and 1, the step-6 cubic
+    # X^3 - X splits over F_p, so every leg is rational
+    E = _rational_surface([0, 0, -1, 2, -1], [])
+    assert [f.kodaira for _, f in E.bad_fibres()] == ["I0*", "I0*"]
+    for p, n in ADDITIVE_FIELDS:
+        q = p ** n
+        assert count_via_fibration(E, build_extension(p, n)) == q * q + 10 * q + 1
+
+
+def test_rational_surface_two_i0_star_with_cube_root_legs():
+    # y^2 = x^3 + 2 t^3 (t-1)^3: I0* over 0 and 1, with legs at the cube
+    # roots of 2 and of -2, so r rational legs each
+    E = _rational_surface([], [0, 0, 0, -2, 6, -6, 2])
+    assert [f.kodaira for _, f in E.bad_fibres()] == ["I0*", "I0*"]
+    for p, n in ADDITIVE_FIELDS:
+        F = build_extension(p, n)
+        q = F.q
+        r = sum(1 for x in F.elements()
+                if F.mul(x, F.mul(x, x)) == F.from_int(2))
+        assert count_via_fibration(E, F) == q * q + q * (4 + 2 * r) + 1, (p, n)
 
 
 def test_three_way_agreement_all_primes():

@@ -5,8 +5,8 @@ import pytest
 
 from dyk3 import models
 from dyk3.fixtures import load_tower_constants
-from dyk3.numfield import TowerElement
-from dyk3.poly import Poly, QQ, RationalFunc, TOWER
+from dyk3.numfield import TOWER, TowerElement
+from dyk3.poly import Poly, QQ, RationalFunc
 from dyk3.tate import (EllipticSurface, Place, SectionPoint,
                        analyze_quartic_double_cover, component_index,
                        cubic_root_count, factor_over_base, local_contribution,
