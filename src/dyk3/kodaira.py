@@ -13,9 +13,10 @@ one (fibres x curves) int8 divisor matrix D and its key matrix D.G.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, wraps
 from itertools import chain, combinations, islice, permutations
 from math import gcd, lcm
 
@@ -104,6 +105,21 @@ def fibre_key(S: CurveSet, cfg: FibreConfig):
     return tuple(_keys(S, _divisors([cfg], S.n))[0].tolist())
 
 
+def _gc_paused(fn):
+    """fn with the cyclic collector paused, its state restored after, on
+    errors too: the searches build 10^5 small objects holding no cycles."""
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+    return paused
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -120,6 +136,7 @@ def _nonzero_masks(S: CurveSet):
             for v, row in enumerate(S.gram)]
 
 
+@_gc_paused
 def find_fibres(S: CurveSet, max_n: int = 16):
     """All Kodaira fibres supported on S with I_n cycles up to length max_n.
 
@@ -324,6 +341,7 @@ class Fibration:
         return gcd(*self.key) == 1
 
 
+@_gc_paused
 def group_fibrations(fibres, S: CurveSet):
     """Group fibres by their intersection key; check pairwise disjointness.
 

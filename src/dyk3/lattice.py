@@ -234,27 +234,29 @@ def rank_det(L: GramLattice):
     return rank, det
 
 
+def _radical_split(L: GramLattice):
+    """(V, W, r): W = V^-1 is unimodular, its first r rows span the radical
+    and the others are span_basis(L).  A generator vector x has coordinates
+    x V on the rows of W, so its class in L/rad is (x V)[r:]."""
+    kernel = kernel_relation(L)
+    if not kernel:
+        ident = [[int(i == j) for j in range(L.n)] for i in range(L.n)]
+        return ident, ident, 0
+    # with U K V = D and D = (I 0) for a saturated K, the rows of K span the
+    # same lattice as the first r rows of V^-1
+    snf = smith(kernel)
+    for x in snf.d:
+        if x not in (0, 1):
+            raise AssertionError("radical is not saturated")
+    return snf.V, _int_inverse(snf.V), len(kernel)
+
+
 def span_basis(L: GramLattice):
     """Rows of an integer matrix B (r x n) such that the classes of the
     generators span the same lattice as the rows of B, with the radical
     quotiented away exactly (unimodular completion of the kernel)."""
-    kernel = kernel_relation(L)
-    n = L.n
-    if not kernel:
-        return [[int(i == j) for j in range(n)] for i in range(n)]
-    # rows of K form a saturated sublattice; complete to a unimodular basis
-    K = kernel
-    snf = smith(K)
-    r = len(K)
-    # K = U^{-1} D V^{-1} ... easier: V columns give a basis adapted to K:
-    # with U K V = D (r x n), the lattice Z^n decomposes along V^{-1}
-    Vinv = _int_inverse(snf.V)
-    # rows of Vinv: first r rows correspond to directions hit by K (since D
-    # has ones: K is saturated), remaining rows complete the basis
-    for x in snf.d:
-        if x not in (0, 1):
-            raise AssertionError("radical is not saturated")
-    return Vinv[r:]
+    _, W, r = _radical_split(L)
+    return W[r:]
 
 
 def _int_inverse(M):
@@ -290,18 +292,19 @@ def _reduced_gram(L: GramLattice, basis):
 def span_action(L: GramLattice, perm):
     """(reduced Gram, sigma) for a permutation of the generators: the Gram
     on span_basis(L), and the integer matrix sigma of the induced action on
-    that basis (column k = image of basis row k), the input of
-    c2_cohomology.  None when the permutation does not map the span to
-    itself."""
-    basis = span_basis(L)
-    sig = [[0] * len(basis) for _ in basis]
-    for k, row in enumerate(basis):
-        sol = _solve_int(basis, [row[perm.index(j)] for j in range(L.n)])
-        if sol is None:
-            return None
-        for i, x in enumerate(sol):
-            sig[i][k] = x
-    return _reduced_gram(L, basis), sig
+    that basis (column k = class in L/rad of the image of basis row k), the
+    input of c2_cohomology.  None when those classes are no basis of L/rad,
+    so that the permutation does not map the span onto itself."""
+    V, W, r = _radical_split(L)
+    n = L.n
+    sig = [[0] * (n - r) for _ in range(n - r)]
+    for k, row in enumerate(W[r:]):
+        x = [row[perm.index(j)] for j in range(n)]
+        for i in range(r, n):
+            sig[i - r][k] = sum(x[m] * V[m][i] for m in range(n))
+    if abs(bareiss_det(sig)) != 1:
+        return None
+    return _reduced_gram(L, W[r:]), sig
 
 
 def discriminant_group(L: GramLattice):

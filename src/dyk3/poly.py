@@ -159,8 +159,9 @@ class Poly:
         while e:
             if e & 1:
                 r = r * b
-            b = b * b
             e >>= 1
+            if e:
+                b = b * b
         return r
 
     def divmod(self, other):
@@ -173,7 +174,7 @@ class Poly:
             return Poly(F, []), self
         sub, mul, is_zero = F.sub, F.mul, F.is_zero
         q = [F.zero] * (len(a) - len(b) + 1)
-        lead_inv = F.inv(b[-1])
+        lead_inv = F.one if b[-1] == F.one else F.inv(b[-1])
         for i in range(len(a) - len(b), -1, -1):
             top = a[i + len(b) - 1]
             if not is_zero(top):

@@ -60,6 +60,11 @@ BLOCK = 2 ** 15
 SLAB = 2 ** 9
 
 
+def _mod(a, p):
+    """a mod p; numpy's int64 // by a scalar is faster than its %."""
+    return a - a // p * p
+
+
 class _VecFq:
     """F_q, q = p^n with n <= 4, as n-tuples of int64 arrays mod p.
 
@@ -109,10 +114,10 @@ class _VecFq:
         return r[:n]
 
     def mul(self, a, b):
-        return tuple(c % self.p for c in self._product(a, b))
+        return tuple(_mod(c, self.p) for c in self._product(a, b))
 
     def sub(self, a, b):
-        return tuple((u - v) % self.p for u, v in zip(a, b))
+        return tuple(_mod(u - v, self.p) for u, v in zip(a, b))
 
     def smul(self, k: int, a):
         return tuple(k * u % self.p for u in a)
@@ -125,7 +130,7 @@ class _VecFq:
             return tuple(np.zeros_like(u) for u in x)
         acc = tuple(np.full_like(x[0], c) for c in coeffs[-1])
         for c in reversed(coeffs[:-1]):
-            acc = tuple((r + ck) % p for r, ck in zip(self._product(acc, x), c))
+            acc = tuple(_mod(r + ck, p) for r, ck in zip(self._product(acc, x), c))
         return acc
 
     def encode(self, a):

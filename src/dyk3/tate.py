@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .elliptic import (CurveOverFq, cubic_node, depressed_cubic,
                        weierstrass_c4_c6, weierstrass_discriminant)
+from .factor import irreducible_factors
 from .ffield import rational_mod_p
 from .numfield import (TOWER, TowerElement, rational_sqrt, reduce_mod_p,
                        sqrt_in_quadratic)
@@ -379,77 +380,26 @@ class EllipticSurface:
 
 
 # ---------------------------------------------------------------------------
-# sympy bridge for factorization over Q and Q(sqrt 5)
-
-
-def _tower_to_sympy(c):
-    import sympy
-    if isinstance(c, (int, Fraction)):
-        return sympy.Rational(c.numerator, c.denominator)
-    if not c.in_k4():
-        raise NotImplementedError("factorization base restricted to K4 subfields")
-    co = c.co
-    return (sympy.Rational(co[0].numerator, co[0].denominator)
-            + sympy.Rational(co[1].numerator, co[1].denominator) * sympy.sqrt(2)
-            + sympy.Rational(co[2].numerator, co[2].denominator) * sympy.sqrt(5)
-            + sympy.Rational(co[3].numerator, co[3].denominator) * sympy.sqrt(10))
-
-
-def _sympy_extension(base_label: str):
-    """The sympy `extension` that makes the base field of a model."""
-    import sympy
-    return {"QQ": None, "Qsqrt5": sympy.sqrt(5)}[base_label]
-
-
-def _sympy_to_coeff(expr, fieldad):
-    import sympy
-    expr = sympy.expand(expr)
-    if fieldad is QQ:
-        r = sympy.Rational(expr)
-        return Fraction(r.p, r.q)
-    s2, s5 = sympy.sqrt(2), sympy.sqrt(5)
-    poly = sympy.Poly(expr, s2, s5)
-    out = TowerElement.rational(0)
-    for monom, coef in poly.terms():
-        e2, e5 = monom
-        r = sympy.Rational(coef)
-        base = TowerElement.rational(Fraction(r.p, r.q))
-        term = base * (TowerElement.monomial(1, 0, 0, 0) ** e2) \
-            * (TowerElement.monomial(0, 1, 0, 0) ** e5)
-        out = out + term
-    return out
-
-
-def _poly_to_sympy(coeffs, x):
-    """sum c_i x^i for low-to-high coefficients (Fraction or K4 elements)."""
-    return sum(_tower_to_sympy(c) * x ** i for i, c in enumerate(coeffs))
+# factorization over Q and Q(sqrt 5)
 
 
 def cubic_root_count(b, c, d, base_label: str = "QQ") -> int:
     """Number of distinct roots of x^3 + b x^2 + c x + d in the base field."""
-    import sympy
-    x = sympy.Symbol("x")
-    expr = _poly_to_sympy((d, c, b, 1), x)
-    factors = sympy.factor_list(expr, x, extension=_sympy_extension(base_label))[1]
-    return sum(1 for fac, _ in factors if sympy.degree(fac, x) == 1)
+    F = QQ if base_label == "QQ" else TOWER
+    cubic = Poly(F, [F.one * d, F.one * c, F.one * b, F.one])
+    return sum(1 for f in irreducible_factors(cubic.squarefree_part())
+               if f.degree() == 1)
 
 
 def factor_over_base(p: Poly, base_label: str):
     """Monic irreducible factors of p over the base field named by
-    base_label ("QQ" or "Qsqrt5"), each once."""
-    import sympy
-    t = sympy.Symbol("t")
-    expr = _poly_to_sympy(p.squarefree_part().coeffs, t)
-    _, factors = sympy.factor_list(expr, t,
-                                   extension=_sympy_extension(base_label))
-    out = []
-    for fac, _ in factors:
-        spoly = sympy.Poly(fac, t)
-        if spoly.degree() == 0:
-            continue
-        coeffs = list(reversed(spoly.all_coeffs()))
-        out.append(Poly(p.field, [_sympy_to_coeff(c, p.field)
-                                  for c in coeffs]).monic())
+    base_label ("QQ" or "Qsqrt5"), each once.  A factor t^v is split off
+    first, read off the low coefficients: the rest has a smaller square-free
+    part to compute, and one rational root fewer for Trager's shift."""
+    F = p.field
+    v = next((i for i, c in enumerate(p.coeffs) if not F.is_zero(c)), 0)
+    out = [f.monic() for f in irreducible_factors(p.shift_down(v).squarefree_part())]
+    out += [Poly.x(F)] * (v > 0)
     out.sort(key=lambda f: (f.degree(), repr(f)))
     return out
 
@@ -526,6 +476,17 @@ def _x_at_infinity(P: SectionPoint) -> RationalFunc:
     return P.x.subs(inv_u) * RationalFunc(u) ** (2 * E.weight)
 
 
+def critical_point(R: LocalRing, a2: Poly, a4: Poly, x0: Poly) -> Poly:
+    """The root mod pi^N of f' = 3x^2 + 2 a2 x + a4 over the node x0: Newton
+    on f', keeping v = 1/f''(xs) by v (2 - f'' v), until f'(xs) = 0 mod pi^N."""
+    A2, A4 = R.red(a2), R.red(a4)
+    xs, v = x0, R.inv(6 * x0 + 2 * A2)
+    while not (fp := R.red(3 * xs * xs + 2 * A2 * xs + A4)).is_zero():
+        xs = R.red(xs - fp * v)
+        v = R.red(v * (2 - R.red((6 * xs + 2 * A2) * v)))
+    return xs
+
+
 def section_component_data(P: SectionPoint, place: Place, fib: LocalFibreData):
     """(kind, m) where kind in {'identity','cycle','nonidentity'};
     for I_n, m = min(k, n-k) identifies the unordered component pair."""
@@ -548,13 +509,7 @@ def section_component_data(P: SectionPoint, place: Place, fib: LocalFibreData):
         x0 = local.model._node_residue(pi)
         if x0 is None:
             raise RuntimeError("no node found at a multiplicative place")
-        # Hensel-lift the critical point of f near the node
-        xs = x0
-        A2, A4 = R.red(a2), R.red(a4)
-        for _ in range(max(3, N.bit_length() + 1)):
-            fp = R.red(3 * xs * xs + 2 * A2 * xs + A4)
-            fpp = R.red(6 * xs + 2 * A2)
-            xs = R.red(xs - fp * R.inv(fpp))
+        xs = critical_point(R, a2, a4, x0)
         xloc = R.from_rational(x)
         m = R.valuation(xloc - xs)
         if m == 0:

@@ -1,3 +1,4 @@
+import gc
 import random
 from math import gcd
 
@@ -215,6 +216,26 @@ def test_group_fibrations_disjoint_vs_meeting():
     assert len(tri) == 2
     keys = {fibre_key(S, f) for f in tri}
     assert len(keys) == 2
+
+
+def test_search_restores_the_collector_state():
+    # find_fibres and group_fibrations pause the cyclic collector while they
+    # run; after a normal return and after an error it is as it was before
+    S = triangle()
+    bad = [FibreConfig("I2", ((0, 1), (5, 1)))]    # curve 5 is not in S
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert len(group_fibrations(find_fibres(S), S)) == 1
+            assert gc.isenabled() is enabled
+            with pytest.raises(ValueError):
+                find_fibres(S, max_n=1)
+            assert gc.isenabled() is enabled
+            with pytest.raises(IndexError):
+                group_fibrations(bad, S)
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
 
 
 def test_orbit_count_identity_and_symmetry():

@@ -245,6 +245,15 @@ def test_span_action():
     assert span_action(L, [2, 0, 1]) is None
 
 
+def test_span_action_works_modulo_the_radical():
+    # swapping a and b is an isometry and fixes L/rad, though the image a of
+    # the span-basis row b lies outside the span of (b, c) inside Z^3
+    L = GramLattice(["a", "b", "c"], [[2, 2, 1], [2, 2, 1], [1, 1, -2]])
+    red, sig = span_action(L, [1, 0, 2])
+    assert (red, sig) == ([[2, 1], [1, -2]], [[1, 0], [0, 1]])
+    assert c2_cohomology(red, sig) == (2, [], [2, 2])
+
+
 def test_span_basis_reduces_correctly():
     fix, L = fibration_lattice()
     basis = span_basis(L)

@@ -438,6 +438,29 @@ def test_node_residue_is_a_double_root_at_every_multiplicative_place():
     assert len(seen) == 25 and max(seen) == 8
 
 
+def test_critical_point_is_lifted_to_full_precision():
+    # the critical point that places a section on the I_n cycle solves
+    # f'(xs) = 0 mod pi^N at the precision section_component_data uses, and
+    # lies over the node
+    from dyk3.tate import LocalRing, critical_point
+    lifted = 0
+    for name, surface in _surfaces_for_local_models():
+        _, _, delta = surface.c4_c6_delta()
+        places = [Place(pi) for pi in factor_over_base(delta, surface.base_label)]
+        for place in places + [Place(infinity=True)]:
+            chart, pi = surface._chart(place)
+            local = chart._local_minimal(pi)
+            if local.vdelta == 0 or local.vc4 != 0 or pi.degree() > 2:
+                continue
+            m, x0 = local.model, local.model._node_residue(pi)
+            R = LocalRing(pi, local.vdelta + 4)
+            xs = critical_point(R, m.a2, m.a4, x0)
+            assert R.red(3 * xs * xs + 2 * m.a2 * xs + m.a4).is_zero(), name
+            assert ((xs - x0) % pi).is_zero(), name
+            lifted += not ((xs - x0) % pi ** 2).is_zero()
+    assert lifted > 0
+
+
 def test_surface_caches_are_reused():
     E2 = models.e2_surface()
     assert E2.infinity_model() is E2.infinity_model()
