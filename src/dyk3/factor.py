@@ -161,7 +161,7 @@ def factor_integer(f, scan=10_000):
 
 def _qsqrt5_factors(f: Poly):
     """Trager's norm method over Q(sqrt5) for a monic square-free f."""
-    if any(x for c in f.coeffs for i, x in enumerate(c.co) if i not in (0, 2)):
+    if any(k not in (0, 2) for c in f.coeffs for k in c.num):
         raise NotImplementedError("coefficient outside Q(sqrt5)")
     # g(t) = f(t - k sqrt5), k = 0, 1, -1, 2, ...: roots a of f and b of its
     # conjugate meet in the norm only at k = (b - a) / (2 sqrt5), so at most
@@ -169,8 +169,8 @@ def _qsqrt5_factors(f: Poly):
     for i in range(2 * f.degree() ** 2 + 2):
         k = (i + 1) // 2 if i % 2 else -(i // 2)
         g = f.shift(SQRT5 * -k) if k else f
-        A = Poly(QQ, [c.co[0] for c in g.coeffs])
-        B = Poly(QQ, [c.co[2] for c in g.coeffs])
+        A = Poly(QQ, [Fraction(c.num.get(0, 0), c.den) for c in g.coeffs])
+        B = Poly(QQ, [Fraction(c.num.get(2, 0), c.den) for c in g.coeffs])
         factors = factor_integer(_primitive((A * A - B * B * 5).coeffs), 30)
         if factors is not None:
             break

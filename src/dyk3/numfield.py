@@ -5,9 +5,12 @@ Generators and relations:
     r2^2 = 2,   r5^2 = 5,   al^2 = (r5 + 1)/2,   be^3 = r2 - 1.
 
 Basis monomials are r2^e1 r5^e2 al^e3 be^e4 with e1, e2, e3 in {0, 1} and
-e4 in {0, 1, 2}; an element is the tuple of its 24 rational coordinates in
-the order index = e1 + 2*e2 + 4*e3 + 8*e4.  Coordinates are exact
-fractions, always in normal form.
+e4 in {0, 1, 2}, numbered index = e1 + 2*e2 + 4*e3 + 8*e4.  An element is
+an integer vector over one common denominator (Cohen, A Course in
+Computational Algebraic Number Theory, 4.2): integer numerators on its
+nonzero basis indices only, over a denominator den > 0 with
+gcd(den, *numerators) = 1, so equal elements hold equal data.  `.co` reads
+the 24 rational coordinates.
 
 The biquadratic subfield Q(r2, r5) (coordinates supported on e3 = e4 = 0)
 is where curve coefficients, j-invariants and the eta^2 constant live;
@@ -18,11 +21,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt, lcm
 
-from .ffield import (build_extension, find_roots, kronecker, rational_mod_p,
-                     require_odd_prime)
-from .poly import OpRing, Poly
+from .ffield import kronecker, require_odd_prime
+from .poly import OpRing
 
 DIM = 24
 
@@ -67,121 +69,164 @@ def _reduce_monomial(e1, e2, e3, e4, coef):
 
 
 @lru_cache(maxsize=None)
-def _structure_row(i: int, j: int):
+def _structure_rows(i: int):
+    """For each j, the basis expansion of 2 * b_i * b_j as (k, int) pairs.
+
+    Every structure constant lies in Z/2 (al^2 = (r5 + 1)/2 is the only
+    halving), so twice the product has integer coefficients.  Rows are
+    built on first use, not at import.
+    """
     e1, e2, e3, e4 = i & 1, (i >> 1) & 1, (i >> 2) & 1, i >> 3
-    f1, f2, f3, f4 = j & 1, (j >> 1) & 1, (j >> 2) & 1, j >> 3
-    prod = _reduce_monomial(e1 + f1, e2 + f2, e3 + f3, e4 + f4, Fraction(1))
-    return tuple((k, c) for k, c in prod.items() if c)
+    rows = []
+    for j in range(DIM):
+        f1, f2, f3, f4 = j & 1, (j >> 1) & 1, (j >> 2) & 1, j >> 3
+        prod = _reduce_monomial(e1 + f1, e2 + f2, e3 + f3, e4 + f4, Fraction(2))
+        assert all(c.denominator == 1 for c in prod.values())
+        rows.append(tuple((k, int(c)) for k, c in prod.items() if c))
+    return rows
 
 
-_ZERO = (Fraction(0),) * DIM
+def _element(num: dict, den: int) -> "TowerElement":
+    """The element with numerators num over den, taken as they are: num has
+    no zero value, den > 0 and gcd(den, *num.values()) = 1."""
+    x = object.__new__(TowerElement)
+    x.num, x.den = num, den
+    return x
+
+
+def _reduced(num: dict, den: int) -> "TowerElement":
+    """The element with numerators num over den > 0, zeros dropped and put
+    in lowest terms."""
+    num = {k: v for k, v in num.items() if v}
+    g = gcd(den, *num.values())
+    if g != 1:
+        num = {k: v // g for k, v in num.items()}
+        den //= g
+    return _element(num, den)
+
+
+def _sum(x, y, sign):
+    """x + sign * y, for y an element or a rational; else NotImplemented."""
+    if isinstance(y, (int, Fraction)):
+        y = TowerElement.rational(y)
+    elif not isinstance(y, TowerElement):
+        return NotImplemented
+    if not y.num:
+        return x
+    a, b = x.den, y.den
+    out = {k: v * b for k, v in x.num.items()}
+    for k, v in y.num.items():
+        out[k] = out.get(k, 0) + sign * v * a
+    return _reduced(out, a * b)
 
 
 class TowerElement:
-    """An element of the tower field as 24 exact rational coordinates."""
+    """An element of the tower field: integer numerators `num` on its
+    nonzero basis indices over one common denominator `den`."""
 
-    __slots__ = ("co",)
+    __slots__ = ("num", "den")
 
     def __init__(self, co):
-        self.co = tuple(Fraction(c) for c in co)
-        if len(self.co) != DIM:
+        co = list(co)
+        if len(co) != DIM:
             raise ValueError("need exactly 24 coordinates")
+        co = [(i, Fraction(c)) for i, c in enumerate(co) if c]
+        self.den = lcm(*(q.denominator for _, q in co))
+        self.num = {i: q.numerator * (self.den // q.denominator)
+                    for i, q in co if q}
 
-    @classmethod
-    def _wrap(cls, co: tuple):
-        """Element on a tuple of 24 Fractions, taken as they are.
-
-        Ring operations build their results here: their coordinates are
-        already Fractions, so the normalising pass of __init__ is skipped.
-        """
-        x = object.__new__(cls)
-        x.co = co
-        return x
+    @property
+    def co(self) -> tuple:
+        """The 24 rational coordinates."""
+        co = [Fraction(0)] * DIM
+        for k, v in self.num.items():
+            co[k] = Fraction(v, self.den)
+        return tuple(co)
 
     # -- constructors -------------------------------------------------------
     @classmethod
     def rational(cls, q):
-        return cls._wrap((Fraction(q),) + _ZERO[1:])
+        return cls.monomial(0, 0, 0, 0, q)
 
     @classmethod
     def monomial(cls, e1, e2, e3, e4, coef=1):
-        co = list(_ZERO)
-        co[monomial_index(e1, e2, e3, e4)] = Fraction(coef)
-        return cls._wrap(tuple(co))
+        q = Fraction(coef)
+        return _element({monomial_index(e1, e2, e3, e4): q.numerator} if q else {},
+                        q.denominator)
 
     @classmethod
     def k4(cls, c1=0, c_s2=0, c_s5=0, c_s10=0):
         """c1 + c_s2*sqrt2 + c_s5*sqrt5 + c_s10*sqrt10."""
-        return cls._wrap((Fraction(c1), Fraction(c_s2), Fraction(c_s5),
-                          Fraction(c_s10)) + _ZERO[4:])
+        return cls([c1, c_s2, c_s5, c_s10] + [0] * (DIM - 4))
 
     # -- predicates ----------------------------------------------------------
     def is_zero(self):
-        return not any(self.co)
+        return not self.num
 
     def in_k4(self):
-        return not any(self.co[4:])
+        return max(self.num, default=0) < 4
 
     def is_rational(self):
-        return not any(self.co[1:])
+        return max(self.num, default=0) == 0
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("element is not rational")
-        return self.co[0]
+        return Fraction(self.num.get(0, 0), self.den)
 
     def __eq__(self, other):
+        if isinstance(other, TowerElement):
+            return self.den == other.den and self.num == other.num
         if isinstance(other, (int, Fraction)):
-            other = TowerElement.rational(other)
-        return isinstance(other, TowerElement) and self.co == other.co
+            return self.is_rational() and self.as_rational() == other
+        return NotImplemented
 
     def __hash__(self):
-        return hash(self.co)
+        # a rational element hashes as the Fraction it equals
+        if self.is_rational():
+            return hash(self.as_rational())
+        return hash((self.den, frozenset(self.num.items())))
 
     def __bool__(self):
-        return any(self.co)
+        return bool(self.num)
 
     def __repr__(self):
-        parts = [f"({c})*{_MONOMIAL_NAMES[i]}" for i, c in enumerate(self.co) if c]
+        parts = [f"({Fraction(self.num[i], self.den)})*{_MONOMIAL_NAMES[i]}"
+                 for i in sorted(self.num)]
         return " + ".join(parts) if parts else "0"
 
     # -- ring operations -----------------------------------------------------
-    # Results skip the Fraction arithmetic of zero coordinates: the Q(sqrt5)
-    # and K4 elements of the bad-fibre tables leave over 92% of them zero.
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TowerElement._wrap((self.co[0] + other,) + self.co[1:])
-        return TowerElement._wrap(tuple(a + b if a and b else a or b
-                                        for a, b in zip(self.co, other.co)))
+        return _sum(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TowerElement._wrap(tuple(-a for a in self.co))
+        return _element({k: -v for k, v in self.num.items()}, self.den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return TowerElement._wrap((self.co[0] - other,) + self.co[1:])
-        return TowerElement._wrap(tuple(a - b if b else a
-                                        for a, b in zip(self.co, other.co)))
+        return _sum(self, other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return TowerElement._wrap(tuple(a * q if a else a for a in self.co))
-        out = list(_ZERO)
-        right = [(j, b) for j, b in enumerate(other.co) if b]
-        for i, a in enumerate(self.co):
-            if a:
-                for j, b in right:
-                    ab = a * b
-                    for k, c in _structure_row(i, j):
-                        t = ab * c
-                        out[k] = out[k] + t if out[k] else t
-        return TowerElement._wrap(tuple(out))
+            n = other.numerator
+            return _reduced({k: v * n for k, v in self.num.items()},
+                            self.den * other.denominator)
+        if not isinstance(other, TowerElement):
+            return NotImplemented
+        out = {}
+        get = out.get
+        right = other.num.items()
+        for i, a in self.num.items():
+            row = _structure_rows(i)
+            for j, b in right:
+                ab = a * b
+                for k, c in row[j]:
+                    out[k] = get(k, 0) + ab * c
+        return _reduced(out, 2 * self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -207,16 +252,16 @@ class TowerElement:
                     * self.conjugate_k4(-1, -1))
             norm = (self * conj).as_rational()
             return conj * (1 / norm)
-        # multiplication matrix M[i][j] = coord_i of (self * basis_j)
-        M = [[Fraction(0)] * DIM for _ in range(DIM)]
-        for j in range(DIM):
-            for i, a in enumerate(self.co):
-                if a:
-                    for k, c in _structure_row(i, j):
-                        M[k][j] += a * c
-        # solve M y = e0 by Gaussian elimination
+        # M[k][j] = coord_k of (self * basis_j) times 2 den, an integer
+        M = [[0] * DIM for _ in range(DIM)]
+        for i, a in self.num.items():
+            for j, row in enumerate(_structure_rows(i)):
+                for k, c in row:
+                    M[k][j] += a * c
+        M = [[Fraction(x) for x in r] for r in M]
+        # solve M y = 2 den e0 by Gaussian elimination
         rhs = [Fraction(0)] * DIM
-        rhs[0] = Fraction(1)
+        rhs[0] = Fraction(2 * self.den)
         n = DIM
         for col in range(n):
             piv = next((r for r in range(col, n) if M[r][col] != 0), None)
@@ -232,12 +277,11 @@ class TowerElement:
                     f = M[r][col]
                     M[r] = [x - f * y for x, y in zip(M[r], M[col])]
                     rhs[r] -= f * rhs[col]
-        return TowerElement._wrap(tuple(rhs))
+        return TowerElement(rhs)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = 1 / Fraction(other)
-            return TowerElement._wrap(tuple(a * q if a else a for a in self.co))
+            return self * (1 / Fraction(other))
         return self * other.inv()
 
     def __rtruediv__(self, other):
@@ -252,9 +296,8 @@ class TowerElement:
         """
         if not self.in_k4():
             raise ValueError("conjugation is only defined on K4 elements")
-        c = self.co
-        return TowerElement.k4(c[0], sign2 * c[1], sign5 * c[2],
-                               sign2 * sign5 * c[3])
+        signs = (1, sign2, sign5, sign2 * sign5)
+        return _element({k: v * signs[k] for k, v in self.num.items()}, self.den)
 
 
 SQRT2 = TowerElement.monomial(1, 0, 0, 0)
@@ -265,62 +308,15 @@ ONE = TowerElement.rational(1)
 TOWER = OpRing(ONE)
 
 
-def minimal_polynomial_over_Q(x: TowerElement):
-    """Monic minimal polynomial of a K4 element, as Fraction coefficients.
-
-    Product of (T - sigma(x)) over the distinct images under the four sign
-    embeddings (sqrt2, sqrt5) -> (+-sqrt2, +-sqrt5); repeated conjugates
-    (subfield elements) are collapsed so the result is squarefree.
-    Coefficient list is low-to-high and ends with 1.
-    """
-    if not x.in_k4():
-        raise ValueError("element is not in K4")
-    conjs = []
-    for s2 in (1, -1):
-        for s5 in (1, -1):
-            c = x.conjugate_k4(s2, s5)
-            if c not in conjs:
-                conjs.append(c)
-    # multiply out (T - c) factors with TowerElement coefficients
-    poly = [ONE]
-    for c in conjs:
-        new = [TowerElement.rational(0)] * (len(poly) + 1)
-        for i, a in enumerate(poly):
-            new[i + 1] += a
-            new[i] += a * (-c)
-        poly = new
-    coeffs = []
-    for a in poly:
-        if not a.is_rational():
-            raise AssertionError("minimal polynomial has irrational coefficient")
-        coeffs.append(a.as_rational())
-    return coeffs
-
-
-def eval_poly_at_tower(coeffs, x: TowerElement) -> TowerElement:
-    acc = TowerElement.rational(0)
-    for c in reversed(coeffs):
-        acc = acc * x + TowerElement.rational(c)
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # reduction to F_p
-
-
-def _cube_roots_mod(c: int, p: int):
-    """All cube roots of c in F_p, ascending."""
-    F = build_extension(p, 1)
-    f = Poly.from_ints(F, [-c, 0, 0, 1])
-    return sorted(r[0] for r in find_roots(f, F))
 
 
 class SplitEmbedding:
     """A choice of images in F_p for the tower generators.
 
-    r2, r5 square roots of 2 and 5; ra a root of x^2 = (r5+1)/2; rb the
-    smallest nonnegative cube root of r2 - 1 (recorded so runs are
-    reproducible).  K4 elements only need (r2, r5); full-tower elements
+    r2, r5 square roots of 2 and 5; ra a root of x^2 = (r5+1)/2; rb a cube
+    root of r2 - 1.  K4 elements only need (r2, r5); full-tower elements
     need all four images.
     """
 
@@ -349,28 +345,6 @@ class SplitEmbedding:
             raise ValueError(f"p = {p} is not split in Q(sqrt2, sqrt5)")
         r2, r5 = sqrt_mod(2, p), sqrt_mod(5, p)
         return [cls(p, s2, s5) for s2 in (r2, p - r2) for s5 in (r5, p - r5)]
-
-    @classmethod
-    def full_tower(cls, p: int):
-        """Embeddings of the whole tower at p, possibly empty.
-
-        For each K4 embedding with (r5+1)/2 a square, ra is the smaller
-        square root; rb is the smallest nonnegative cube root of r2 - 1
-        when one exists.
-        """
-        from .ffield import sqrt_mod
-        out = []
-        for emb in cls.enumerate_k4(p):
-            t = (emb.r5 + 1) * pow(2, p - 2, p) % p
-            ra = sqrt_mod(t, p)
-            if ra is None:
-                continue
-            ra = min(ra, p - ra)
-            roots = _cube_roots_mod((emb.r2 - 1) % p, p)
-            if not roots:
-                continue
-            out.append(cls(p, emb.r2, emb.r5, ra, roots[0]))
-        return out
 
     def images(self):
         if self._images is None:
@@ -403,13 +377,11 @@ def reduce_mod_p(x: TowerElement, emb: SplitEmbedding) -> int:
     """Ring-homomorphism image of x in F_p under the embedding."""
     p = emb.p
     imgs = emb.images()
-    acc = 0
-    for i, c in enumerate(x.co):
-        if c:
-            if imgs[i] is None:
-                raise ValueError("embedding lacks an image for a generator in x")
-            acc = (acc + rational_mod_p(c, p) * imgs[i]) % p
-    return acc
+    if any(imgs[i] is None for i in x.num):
+        raise ValueError("embedding lacks an image for a generator in x")
+    if x.den % p == 0:
+        raise ValueError(f"denominator of {x} divisible by p = {p}")
+    return sum(v * imgs[i] for i, v in x.num.items()) * pow(x.den, -1, p) % p
 
 
 # ---------------------------------------------------------------------------

@@ -196,8 +196,8 @@ def test_criterion_7_supersingular_sieve():
 
 def test_criterion_8_shioda_inose_system():
     from dyk3.elliptic import WeierstrassModel
-    from dyk3.numfield import (eval_poly_at_tower, minimal_polynomial_over_Q,
-                               verify_si_system)
+    from dyk3.numfield import verify_si_system
+    from tower_oracle import minimal_polynomial_over_Q
     cst = load_tower_constants()
     rep = verify_si_system(cst.A, cst.a, cst.b, cst.c, cst.d)
     ok = all(e["zero"] for e in rep)

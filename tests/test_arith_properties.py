@@ -1,8 +1,11 @@
 """Property tests of the exact arithmetic shortcuts.
 
-Poly.divmod inverts the divisor's leading coefficient once, and the tower
-ring operations build their results without re-normalising them; both are
-checked here against the identities and the normalising constructor.  The
+Poly.divmod inverts the divisor's leading coefficient once; it is checked
+against the division identity.  Tower elements hold integer numerators over
+one common denominator: every ring result is checked to be in lowest terms
+and equal to the element the constructor builds from its coordinates, and
+each operation is checked against the 24-Fraction oracle of
+tests/tower_oracle.py on K4, Q(sqrt5) and sparse full-tower elements.  The
 square roots in quadratic fields and K4 are checked against the values they
 invert.  The Weierstrass formulas of elliptic (Delta, c4, c6, the depressed
 cubic and the node of a cubic with a double root) are checked across every
@@ -21,6 +24,7 @@ against unimodular changes of basis.
 
 from fractions import Fraction
 from functools import cache
+from math import gcd
 
 import numpy as np
 
@@ -42,6 +46,7 @@ from dyk3.siverify import sqrt_in_k4
 from dyk3.sscan import roots_in_fp2
 from dyk3.surface import _VecFq
 from dyk3.tate import EllipticSurface, LocalRing, residue_is_square
+from tower_oracle import TowerElement as OracleElement
 
 rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))
 nonzero_rationals = rationals.filter(bool)
@@ -100,7 +105,11 @@ def test_exact_div_recovers_the_quotient(q, b):
 
 
 def _normal(x):
-    """x holds only Fractions and equals its normalised copy."""
+    """x is in lowest terms with no stored zero, its coordinates are
+    Fractions, and it equals the element built from them."""
+    assert type(x.den) is int and x.den > 0
+    assert all(type(v) is int and v for v in x.num.values())
+    assert gcd(x.den, *x.num.values()) == 1
     assert all(type(c) is Fraction for c in x.co)
     assert len(x.co) == nf.DIM
     assert TowerElement(list(x.co)) == x
@@ -141,6 +150,54 @@ def test_k4_inverse_is_normal(x):
         return
     inv = _normal(x.inv())
     assert x * inv == 1
+
+
+def _padded(coords):
+    return [coords.get(i, Fraction(0)) for i in range(nf.DIM)]
+
+
+# coordinate lists of K4 elements, of Q(sqrt5) elements, and of sparse
+# elements of the whole tower
+oracle_coords = st.one_of(
+    st.dictionaries(st.integers(0, 3), rationals, max_size=4).map(_padded),
+    st.dictionaries(st.sampled_from([0, 2]), rationals).map(_padded),
+    st.dictionaries(st.integers(0, nf.DIM - 1), rationals, max_size=4).map(_padded))
+
+
+def _agrees(x, X):
+    """x is normal and holds the oracle element X."""
+    assert _normal(x).co == X.co
+    assert repr(x) == repr(X)
+    assert (x.in_k4(), x.is_rational(), bool(x)) == (X.in_k4(), X.is_rational(), bool(X))
+
+
+@settings(max_examples=80, deadline=None)
+@given(oracle_coords, oracle_coords, st.one_of(rationals, st.integers(-20, 20)),
+       st.integers(-2, 4))
+def test_tower_matches_the_oracle(a, b, q, e):
+    x, y, X, Y = TowerElement(a), TowerElement(b), OracleElement(a), OracleElement(b)
+    _agrees(x, X)
+    _agrees(x + y, X + Y)
+    _agrees(x - y, X - Y)
+    _agrees(-x, -X)
+    _agrees(x * y, X * Y)
+    _agrees(x + q, X + q)
+    _agrees(q - x, q - X)
+    _agrees(x * q, X * q)
+    if q:
+        _agrees(x / q, X / q)
+    if y:
+        _agrees(y.inv(), Y.inv())
+        _agrees(x / y, X / Y)
+    if x or e >= 0:
+        _agrees(x ** e, X ** e)
+    assert (x == y) == (X == Y) and (x == q) == (X == q)
+    # the oracle hashes a rational element apart from its value; here equal
+    # elements hash alike, and a rational one as its Fraction
+    if X == Y:
+        assert hash(x) == hash(y)
+    if X.is_rational():
+        assert hash(x) == hash(X.co[0])
 
 
 @settings(max_examples=40, deadline=None)

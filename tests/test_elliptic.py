@@ -9,8 +9,8 @@ from dyk3.elliptic import (PHI2, CurveOverFq, IsogenyMap, TraceRecord,
                            supersingular_walk, trace_lift, verify_isogeny)
 from dyk3.ffield import FqPoly, build_extension, kronecker
 from dyk3.fixtures import load_tower_constants
-from dyk3.numfield import (SQRT2, SQRT5, SplitEmbedding, TowerElement,
-                           eval_poly_at_tower, minimal_polynomial_over_Q)
+from dyk3.numfield import SQRT2, SQRT5, SplitEmbedding, TowerElement
+from tower_oracle import eval_poly_at_tower, minimal_polynomial_over_Q
 
 
 def brute_count(field, a2, a4, a6):

@@ -5,10 +5,10 @@ import pytest
 
 from dyk3 import numfield as nf
 from dyk3.fixtures import load_tower_constants
-from dyk3.numfield import (ALPHA, BETA, ONE, SQRT2, SQRT5, SplitEmbedding,
-                           TowerElement, minimal_polynomial_over_Q,
-                           eval_poly_at_tower, reduce_mod_p, sqrt_in_quadratic,
-                           verify_si_system)
+from dyk3.numfield import (ALPHA, BETA, ONE, SQRT2, SQRT5, TowerElement,
+                           reduce_mod_p, sqrt_in_quadratic, verify_si_system)
+from tower_oracle import (SplitEmbedding, eval_poly_at_tower,
+                          minimal_polynomial_over_Q)
 
 
 def _random_element(rng, sparse=6):
@@ -50,6 +50,16 @@ def test_inverse():
     x = ALPHA + BETA + 1
     assert x * x.inv() == 1
     assert x.inv() * x == 1
+
+
+def test_rational_elements_hash_as_their_value():
+    three = TowerElement.rational(3)
+    assert three == 3 and hash(three) == hash(3)
+    assert {three: 1}.get(3) == 1 and {3: 1}.get(three) == 1
+    half = TowerElement.rational(Fraction(1, 2))
+    assert {Fraction(1, 2): 1}.get(half) == 1
+    assert three.__eq__("3") is NotImplemented and three != "3"
+    assert hash(SQRT2 + 3) == hash(TowerElement.k4(3, 1))
 
 
 def test_normal_form_idempotent():
