@@ -30,8 +30,7 @@ def e1_surface(field: str = "QQ") -> EllipticSurface:
     a2 = _poly(F, [1, 4, -10, 4, 1])
     a4 = _poly(F, [0, 0, 0, -16, 32, -16])
     a6 = Poly(F, [])
-    return EllipticSurface(F, a2, a4, a6, chi=2, name="E1",
-                           base_label="QQ" if field == "QQ" else "Qsqrt5")
+    return EllipticSurface(F, a2, a4, a6, chi=2, name="E1")
 
 
 def e2_surface(field: str = "QQ") -> EllipticSurface:
@@ -40,8 +39,7 @@ def e2_surface(field: str = "QQ") -> EllipticSurface:
     a2 = _poly(F, [1, 0, 2, -8, -3])
     a4 = _poly(F, [0, 0, 0, 0, 0, -16, 16, 16])
     a6 = Poly(F, [])
-    return EllipticSurface(F, a2, a4, a6, chi=2, name="E2",
-                           base_label="QQ" if field == "QQ" else "Qsqrt5")
+    return EllipticSurface(F, a2, a4, a6, chi=2, name="E2")
 
 
 def e1_sections(surface: EllipticSurface | None = None):
@@ -132,8 +130,7 @@ def inose_surface() -> EllipticSurface:
     z = TOWER.zero
     a4 = Poly(TOWER, [z, z, z, z, c4x])
     a6 = Poly(TOWER, [z, z, z, z, c8, z, c6, z, c8])
-    return EllipticSurface(TOWER, Poly(TOWER, []), a4, a6, chi=2, name="Inose",
-                           base_label="Qsqrt5")
+    return EllipticSurface(TOWER, Poly(TOWER, []), a4, a6, chi=2, name="Inose")
 
 
 def kummer_surface(a: TowerElement, b: TowerElement, c: TowerElement,
@@ -155,8 +152,7 @@ def kummer_surface(a: TowerElement, b: TowerElement, c: TowerElement,
     z = TOWER.zero
     a4 = Poly(TOWER, [z, z, z, z, p])
     a6 = Poly(TOWER, [z, z, z, z, q_um2, z, q_0, z, q_u2])
-    surf = EllipticSurface(TOWER, Poly(TOWER, []), a4, a6, chi=2,
-                           name="Kummer", base_label="Qsqrt5")
+    surf = EllipticSurface(TOWER, Poly(TOWER, []), a4, a6, chi=2, name="Kummer")
     laurent = {"x_coeff": p, "u2": q_u2, "const": q_0, "um2": q_um2,
                "disc_ab": D1, "disc_cd": D2}
     return surf, laurent

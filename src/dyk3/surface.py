@@ -6,9 +6,9 @@ Two independent routes to |S(F_q)|:
     w^2 = f6, plus q * 14 for the exceptional curves of the five rational
     A-type singularities;
   * count_via_fibration: sum of fibre counts of the second elliptic
-    fibration, good fibres by character sums, bad fibres by the
-    minimal-model fibre table (component count and rationality recomputed
-    over F_q at each rational bad point).
+    fibration, good fibres by character sums, bad fibres by a table of
+    point counts keyed by the Kodaira data that tate.EllipticSurface's
+    local_type finds for the fibration reduced mod p, over F_q.
 
 Both routes run on one numpy kernel (_VecFq) for every q = p^n, n <= 4:
 F_q elements are n-tuples of int64 arrays mod p in the polynomial basis of
@@ -31,12 +31,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .elliptic import (cubic_node, depressed_cubic, weierstrass_c4_c6,
-                       weierstrass_discriminant)
-from .ffield import ExtField, build_extension, find_roots, rational_mod_p
+from .elliptic import weierstrass_discriminant
+from .ffield import ExtField, build_extension, rational_mod_p
 from .fixtures import SurfaceFixture, load_surface
-from .poly import OpRing, Poly, QQ
-from .tate import EllipticSurface, classify_tame
+from .poly import Poly, QQ
+from .tate import COMPONENTS, EllipticSurface, LocalFibreData, Place
 
 @dataclass
 class SurfaceCount:
@@ -291,81 +290,47 @@ def _poly_mod_p(poly: Poly, p: int):
     return out
 
 
-def bad_fiber_points(field: ExtField, a2: Poly, a4: Poly, a6: Poly) -> int:
-    """F_q-points of the minimal regular fibre over t = 0.
+def bad_fiber_points(surface: EllipticSurface, fib: LocalFibreData) -> int:
+    """F_q-points of the minimal regular fibre that local_type found.
 
-    The coefficient polynomials, Polys over F_q, are localized at the place
-    t; the Kodaira type, splitness, and component rationality are
-    recomputed over F_q.
+    The count is read off the Kodaira symbol and the data that decide which
+    components are rational: the splitness of I_n, IV and IV*, and the
+    rational legs of I0*.  The k rational components of an additive fibre
+    are lines forming a tree, k (q + 1) - (k - 1) = 1 + k q points.
     """
-    F = field
-    q = F.q
-    R = OpRing(Poly.const(F, F.one))
-
-    def val(fp: Poly) -> int:
-        if fp.is_zero():
-            return 10 ** 9
-        v = 0
-        while F.is_zero(fp.coeffs[v]):
-            v += 1
-        return v
-
-    while True:
-        c4, c6 = weierstrass_c4_c6(R, a2, a4, a6)
-        vd = val(weierstrass_discriminant(R, a2, a4, a6))
-        vc4, vc6 = val(c4), val(c6)
-        if vd >= 12 and vc4 >= 4 and vc6 >= 6:
-            a2 = a2.shift_down(2)
-            a4 = a4.shift_down(4)
-            a6 = a6.shift_down(6)
-            continue
-        break
-    sym, n = classify_tame(vc4, vc6, vd)
+    q = surface.fieldad.q
+    sym, n = fib.kodaira, fib.n
     if sym == "I0":
         raise ValueError("fibre is smooth after minimalisation")
-    if sym.startswith("I") and sym[1:].isdigit():
-        A2 = a2.coeff(0)
-        x0 = cubic_node(F, A2, a4.coeff(0), a6.coeff(0))
-        if x0 is None:
+    if sym[1:].isdigit():
+        if fib.split is None:
             raise AssertionError("multiplicative fibre without a unique node")
-        tangent = F.add(F.smul(3, x0), A2)
-        split = F.chi(tangent) == 1
-        if n == 1:
-            return q if split else q + 2
-        if split:
-            return n * q
-        return 2 + 2 * q if n % 2 == 0 else 2 + q
+        # a split n-gon has n (q - 1) smooth points and n nodes.  Otherwise
+        # Frobenius reflects it: the identity component gives q + 1 points
+        # and what lies opposite a node (odd n) or a component (even n)
+        return n * q if fib.split else 2 + q * (2 - n % 2)
     if sym == "I0*":
-        # legs from the step-6 cubic X^3 + (P/pi^2) X + Q/pi^3
-        P, Q = depressed_cubic(R, a2, a4, a6)
-        cubic = Poly(F, [Q.shift_down(3).coeff(0), P.shift_down(2).coeff(0),
-                         F.zero, F.one])
-        return 1 + q * (2 + len(find_roots(cubic, F)))
-    if sym == "II":
-        return q + 1
-    if sym == "III":
-        # identity plus a unique second component: both rational
-        return 1 + 2 * q
-    if sym == "IV":
-        # split iff a6/pi^2 is a square after depressing the cubic
-        _, Q = depressed_cubic(R, a2, a4, a6)
-        return 1 + 3 * q if F.chi(Q.shift_down(2).coeff(0)) == 1 else 1 + q
-    if sym == "II*":
-        return 1 + 9 * q
-    if sym == "III*":
-        # the only simple component besides the identity is unique, so the
-        # arm-swap symmetry cannot act: all 8 components rational
-        return 1 + 8 * q
-    if sym == "IV*":
-        # the two non-identity simple arm ends are swapped unless a6/pi^4 is
-        # a square (Tate step 8) after depressing the cubic
-        _, Q = depressed_cubic(R, a2, a4, a6)
-        return 1 + 7 * q if F.chi(Q.shift_down(4).coeff(0)) == 1 else 1 + 3 * q
-    raise NotImplementedError(f"fibre counting for type {sym} not implemented")
+        rational = 1 + fib.legs_rational
+    elif sym in ("IV", "IV*"):
+        # every component, or only the identity arm: IV's identity
+        # component, IV*'s identity component, its neighbour and the centre
+        split = surface.iv_split(fib.place)
+        rational = COMPONENTS[sym] if split else {"IV": 1, "IV*": 3}[sym]
+    elif sym in COMPONENTS:
+        # II, III, III*, II*: no symmetry of the dual graph fixes the
+        # identity and moves another component, so every one is rational
+        rational = COMPONENTS[sym]
+    else:
+        raise NotImplementedError(f"fibre counting for type {sym} not implemented")
+    return 1 + q * rational
 
 
 def count_via_fibration(surface: EllipticSurface, field: ExtField) -> int:
-    """|S(F_q)| as good-fibre character sums plus bad-fibre table counts."""
+    """|S(F_q)| as good-fibre character sums plus bad-fibre table counts.
+
+    The surface is reduced mod p to an EllipticSurface over F_q, whose
+    local_type classifies each bad fibre.
+    """
     if surface.fieldad is not QQ:
         raise NotImplementedError("fibration counting needs Q coefficients")
     p = field.p
@@ -374,29 +339,24 @@ def count_via_fibration(surface: EllipticSurface, field: ExtField) -> int:
         # valuations, which is Tate's algorithm only where reduction is tame
         raise ValueError(f"fibration counting needs p >= 5, got p = {p}")
     K = _VecFq(field)
-    a2 = _poly_mod_p(surface.a2, p)
-    a4 = _poly_mod_p(surface.a4, p)
-    a6 = _poly_mod_p(surface.a6, p)
-    inf = surface.infinity_model()
-    a2u = _poly_mod_p(inf.a2, p)
-    a4u = _poly_mod_p(inf.a4, p)
-    a6u = _poly_mod_p(inf.a6, p)
+    a2, a4, a6 = (_poly_mod_p(a, p) for a in (surface.a2, surface.a4, surface.a6))
+    polys = [Poly.from_ints(field, a) for a in (a2, a4, a6)]
+    try:
+        E = EllipticSurface(field, *polys, chi=surface.chi)
+    except ValueError:
+        raise ValueError(f"the discriminant vanishes identically mod p = {p}") from None
     good, bad_ts = _fibration_good(K, a2, a4, a6)
     total = good
     for t0, size in bad_ts:
-        sa2 = _shifted_poly(field, a2, t0)
-        sa4 = _shifted_poly(field, a4, t0)
-        sa6 = _shifted_poly(field, a6, t0)
-        total += size * bad_fiber_points(field, sa2, sa4, sa6)
+        place = Place(Poly(field, [field.neg(t0), field.one]))
+        total += size * bad_fiber_points(E, E.local_type(place))
     # fibre at infinity
-    ua2 = _shifted_poly(field, a2u, None)
-    ua4 = _shifted_poly(field, a4u, None)
-    ua6 = _shifted_poly(field, a6u, None)
-    U = ua2.coeff(0), ua4.coeff(0), ua6.coeff(0)
+    inf = E.infinity_model()
+    U = inf.a2.coeff(0), inf.a4.coeff(0), inf.a6.coeff(0)
     if weierstrass_discriminant(field, *U) != field.zero:
         total += field.q + 1 + K.char_sum([*U[::-1], field.one], [1])
     else:
-        total += bad_fiber_points(field, ua2, ua4, ua6)
+        total += bad_fiber_points(E, E.local_type(Place(infinity=True)))
     return total
 
 
@@ -419,15 +379,6 @@ def _fibration_good(K: _VecFq, a2, a4, a6):
     A2, A4, A6 = (tuple(u[reps] for u in Ak) for Ak in A)
     count = (K.q + 1) * int(sizes.sum()) + K.char_sum([A6, A4, A2, field.one], sizes)
     return count, bad_ts
-
-
-def _shifted_poly(field: ExtField, int_coeffs, t0) -> Poly:
-    """Coefficient list mod p as a Poly over F_q, recentred at t0 (t0 None =
-    already local)."""
-    poly = Poly.from_ints(field, int_coeffs)
-    if t0 is None or field.is_zero(t0):
-        return poly
-    return poly.shift(t0)
 
 
 # three-way driver -----------------------------------------------------------

@@ -1,10 +1,13 @@
 """Elliptic surfaces over k(t): Kodaira types, bad-fibre tables, sections,
 Shioda heights, and the discriminant bookkeeping.
 
-Base fields are Q (Fraction coefficients) or real quadratic fields embedded
-in the tower (TowerElement coefficients).  All places are tame here, so the
-Kodaira type is read off the valuations of (c4, c6, Delta) after
-minimalisation, with the step-6 cubic consulted for I0* leg data.
+Base fields are Q (Fraction coefficients), real quadratic fields embedded
+in the tower (TowerElement coefficients) and F_q, p >= 5 (ExtField tuples).
+All places are tame here, so the Kodaira type is read off the valuations of
+(c4, c6, Delta) after minimalisation, with the step-6 cubic consulted for
+I0* leg data.  The base field enters only where a residue is asked whether
+it is a square, or how many roots a cubic has: over F_q by the quadratic
+character and find_roots, over Q and Q(sqrt 5) through factor.py.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from fractions import Fraction
 from .elliptic import (CurveOverFq, cubic_node, depressed_cubic,
                        weierstrass_c4_c6, weierstrass_discriminant)
 from .factor import irreducible_factors
-from .ffield import rational_mod_p
+from .ffield import ExtField, find_roots, rational_mod_p
 from .numfield import (TOWER, TowerElement, rational_sqrt, reduce_mod_p,
                        sqrt_in_quadratic)
 from .poly import OpRing, Poly, QQ, RationalFunc
@@ -44,7 +47,7 @@ def poly_ext_gcd(a: Poly, b: Poly):
         t0, t1 = t1, t0 - q * t1
     if r0.is_zero():
         return r0, s0, t0
-    c = F.one / r0.lead()
+    c = F.inv(r0.lead())
     return r0 * c, s0 * c, t0 * c
 
 
@@ -88,7 +91,7 @@ class LocalRing(OpRing):
         g, s, _ = poly_ext_gcd(u, self.mod)
         if g.degree() != 0:
             raise ZeroDivisionError("not a unit in the local ring")
-        return self.red(s * (self.field.one / g.coeffs[0]))
+        return self.red(s * self.field.inv(g.coeffs[0]))
 
     def valuation(self, p: Poly) -> int:
         p = self.red(p)
@@ -104,13 +107,14 @@ class LocalRing(OpRing):
 def residue_is_square(c, pi: Poly, base_label: str = "QQ"):
     """Is the residue class of c a square in kappa = (base)[t]/(pi)?
 
-    Supported: kappa = Q, Q(sqrt d), and quadratic extensions of Q; larger
-    residue fields return None (undecided at the number-field level; fibre
-    splitness over F_q is recomputed separately during counting).
+    Supported: kappa = F_q, Q, Q(sqrt d), and quadratic extensions of Q;
+    larger residue fields over a number field return None (undecided).
     """
     F = pi.field
     if pi.degree() == 1:
         val = (c % pi).coeff(0) if isinstance(c, Poly) else c
+        if isinstance(F, ExtField):
+            return F.chi(val) == 1
         return _constant_is_square(val, base_label)
     if pi.degree() == 2 and base_label == "QQ":
         # kappa = Q[t]/(t^2 + bt + a): map to Q(sqrt D), D = b^2 - 4a
@@ -244,7 +248,9 @@ class EllipticSurface:
         self.a2, self.a4, self.a6 = a2, a4, a6
         self.chi = chi
         self.name = name
-        self.base_label = base_label or ("QQ" if fieldad is QQ else "Qsqrt5")
+        self.base_label = base_label or (
+            "QQ" if fieldad is QQ else "Qsqrt5" if fieldad is TOWER
+            else repr(fieldad))
         self._c4c6d = None
         self._delta = None
         self._inf = None
@@ -357,8 +363,23 @@ class EllipticSurface:
         p, q = depressed_cubic(self.ring, self.a2, self.a4, self.a6)
         p2 = p.exact_div(pi ** 2) % pi if not p.is_zero() else Poly(F, [])
         q3 = q.exact_div(pi ** 3) % pi if not q.is_zero() else Poly(F, [])
+        if isinstance(F, ExtField):
+            cubic = Poly(F, [q3.coeff(0), p2.coeff(0), F.zero, F.one])
+            return 1 + len(find_roots(cubic, F))
         return 1 + cubic_root_count(F.zero, p2.coeff(0), q3.coeff(0),
                                     self.base_label)
+
+    def iv_split(self, place: Place):
+        """At a IV or IV* fibre: are its non-identity simple components
+        rational?  Yes iff Q/pi^2 (IV) or Q/pi^4 (IV*) of the depressed cubic
+        X^3 + P X + Q of the minimal model is a square mod pi (Tate steps 5
+        and 8).  v(Q) = v(c6) is 2 and 4 there, half of v(Delta)."""
+        surf, pi = self._chart(place)
+        m = surf._local_minimal(pi)
+        E = m.model
+        _, q = depressed_cubic(E.ring, E.a2, E.a4, E.a6)
+        return residue_is_square(q.exact_div(pi ** (m.vdelta // 2)), pi,
+                                 self.base_label)
 
     def bad_fibres(self):
         """[(Place, LocalFibreData)] over every place; sum v(Delta) = 12 chi."""
@@ -521,7 +542,7 @@ def section_component_data(P: SectionPoint, place: Place, fib: LocalFibreData):
         return ("cycle", m)
     # additive: through the cusp or not
     F = E.fieldad
-    s = a2 * (F.one / F.from_int(3))
+    s = a2 * F.inv(F.from_int(3))
     xc = -s  # exact triple-root shift
     xloc = R.from_rational(x)
     v = R.valuation(xloc - R.red(xc))
@@ -707,8 +728,7 @@ def quartic_to_weierstrass(coeffs, fieldad, chi: int = 2, name: str = ""):
     zero = Poly(fieldad, [])
     a4 = -27 * I
     a6 = -27 * J
-    return EllipticSurface(fieldad, zero, a4, a6, chi=chi, name=name,
-                           base_label="QQ" if fieldad is QQ else "Qsqrt5")
+    return EllipticSurface(fieldad, zero, a4, a6, chi=chi, name=name)
 
 
 # ---------------------------------------------------------------------------

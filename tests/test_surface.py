@@ -1,18 +1,23 @@
+import ast
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dyk3 import surface
 from dyk3.cli import MAX_Q
-from dyk3.ffield import build_extension, is_prime, kronecker
+from dyk3.elliptic import weierstrass_discriminant
+from dyk3.ffield import build_extension, is_prime, kronecker, rational_mod_p
 from dyk3.fixtures import SurfaceFixture, load_surface
 from dyk3.models import e2_surface, rational_elliptic_test_surface
 from dyk3.poly import Poly, QQ
 from dyk3.surface import (SurfaceCount, count_singular, count_smooth,
                           count_via_fibration, _fibration_good, _poly_mod_p,
                           _VecFq, three_way_counts)
-from dyk3.tate import EllipticSurface
+from dyk3.tate import EllipticSurface, Place
+from fibre_oracle import bad_fiber_points_oracle, shifted_poly
 from scalar_oracle import _count_singular_scalar, _fibration_good_scalar
 
 
@@ -305,3 +310,120 @@ def test_weil_window():
         c2 = three_way_counts(p, 2)["count_smooth"]
         mu1, mu2 = transcendental_traces(c1, c2, p)
         assert abs(mu1) <= 3 * p and abs(mu2) <= 3 * p * p
+
+
+def test_vanishing_discriminant_mod_p_is_refused():
+    # y^2 = x^3 + 7t x reduces to y^2 = x^3 mod 7: every fibre is a cusp
+    E = _rational_surface([0, 7], [])
+    with pytest.raises(ValueError, match="mod p = 7"):
+        count_via_fibration(E, build_extension(7, 1))
+    assert count_via_fibration(E, build_extension(11, 1)) == 11 * 11 + 10 * 11 + 1
+
+
+def _reduced(E, F):
+    """E over Q reduced mod p, as the int lists and the EllipticSurface over F_q."""
+    coeffs = [_poly_mod_p(a, F.p) for a in (E.a2, E.a4, E.a6)]
+    Ep = EllipticSurface(F, *(Poly.from_ints(F, a) for a in coeffs), chi=E.chi)
+    return coeffs, Ep
+
+
+def _linear_place(F, t0):
+    return Place(Poly(F, [F.neg(t0), F.one]))
+
+
+def _compare_with_old_classifier(E, F):
+    """Per-place fibre counts of E mod p: bad_fiber_points on local_type
+    against the old classifier, over each bad orbit and infinity."""
+    coeffs, Ep = _reduced(E, F)
+    _, bad = _fibration_good(_VecFq(F), *coeffs)
+    for t0, _ in bad:
+        want = bad_fiber_points_oracle(F, *(shifted_poly(F, a, t0) for a in coeffs))
+        fib = Ep.local_type(_linear_place(F, t0))
+        assert surface.bad_fiber_points(Ep, fib) == want, (F, t0, fib)
+    inf = E.infinity_model()
+    U = [shifted_poly(F, _poly_mod_p(a, F.p), None) for a in (inf.a2, inf.a4, inf.a6)]
+    fib = Ep.local_type(Place(infinity=True))
+    bad_at_inf = weierstrass_discriminant(F, *(u.coeff(0) for u in U)) == F.zero
+    assert bad_at_inf == (fib.vdelta > 0)
+    if bad_at_inf:
+        want = bad_fiber_points_oracle(F, *U)
+        assert surface.bad_fiber_points(Ep, fib) == want, (F, fib)
+    return len(bad) + bad_at_inf
+
+
+def _separate_rational_places(E, F):
+    """[(t0, Q symbol)] for the degree-1 bad places t - r of E over Q whose
+    r reduces to a t0 of F_q where no other finite bad place does."""
+    polys = [pl.poly for pl, _ in E.bad_fibres() if not pl.infinity]
+    out = []
+    for pl, fib in E.bad_fibres():
+        if pl.infinity or pl.degree != 1:
+            continue
+        r = -pl.poly.coeff(0)
+        if Fraction(r).denominator % F.p == 0:
+            continue
+        t0 = F.from_int(rational_mod_p(r, F.p))
+        others = [Poly.from_ints(F, _poly_mod_p(pi, F.p)) for pi in polys
+                  if pi != pl.poly]
+        if all(not F.is_zero(pi(t0)) for pi in others):
+            out.append((t0, fib.kodaira))
+    return out
+
+
+E2_FIELDS = [(p, n) for p in (31, 37, 41, 43, 47, 71) for n in (1, 2)]
+
+
+def _chi1_surfaces():
+    return [rational_elliptic_test_surface(),
+            rational_elliptic_test_surface("free-section"),
+            *(_rational_surface([], [0, 0, c]) for c in (1, 2, 3)),
+            _rational_surface([0, 0, -1, 2, -1], []),
+            _rational_surface([], [0, 0, 0, -2, 6, -6, 2])]
+
+
+@pytest.mark.parametrize("p, n", E2_FIELDS)
+def test_e2_fibre_counts_match_the_old_classifier(p, n):
+    E = e2_surface()
+    F = build_extension(p, n)
+    assert _compare_with_old_classifier(E, F) >= 4
+    coeffs, Ep = _reduced(E, F)
+    separate = _separate_rational_places(E, F)
+    # t = 0, 1, -1 (I10, I4, I2) stay apart mod every tested prime
+    assert len(separate) >= 3
+    for t0, sym in separate:
+        assert Ep.local_type(_linear_place(F, t0)).kodaira == sym, (p, n, t0)
+
+
+@pytest.mark.parametrize("p, n", ADDITIVE_FIELDS)
+def test_chi1_fibre_counts_match_the_old_classifier(p, n):
+    F = build_extension(p, n)
+    symbols = set()
+    for E in _chi1_surfaces():
+        _compare_with_old_classifier(E, F)
+        _, Ep = _reduced(E, F)
+        for t0, sym in _separate_rational_places(E, F):
+            fib = Ep.local_type(_linear_place(F, t0))
+            assert fib.kodaira == sym, (E.a4, E.a6, p, n, t0)
+            symbols.add(sym)
+        symbols.add(Ep.local_type(Place(infinity=True)).kodaira)
+    assert {"I0*", "IV", "IV*", "III*", "II*"} <= symbols
+
+
+def test_surface_has_no_classifier_of_its_own():
+    # Kodaira types over F_q come from tate.EllipticSurface.local_type
+    path = Path(__file__).resolve().parents[1] / "src" / "dyk3" / "surface.py"
+    banned = {"classify_tame", "weierstrass_c4_c6", "shift_down", "_shifted_poly"}
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.ImportFrom):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        found += [f"{n}:{node.lineno}" for n in names if n in banned]
+    assert found == []

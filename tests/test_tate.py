@@ -465,3 +465,31 @@ def test_surface_caches_are_reused():
     E2 = models.e2_surface()
     assert E2.infinity_model() is E2.infinity_model()
     assert E2.delta() is E2.c4_c6_delta()[2]
+
+
+def test_local_ring_inverse_over_fp2():
+    # the gcd inversion divides through F.inv, so it runs over an ExtField:
+    # u = 3 + a t + t^2 at the place t - a, a in F_49 outside F_7
+    from dyk3.ffield import build_extension
+    from dyk3.tate import LocalRing
+    F = build_extension(7, 2)
+    a = (2, 5)
+    pi = Poly(F, [F.neg(a), F.one])
+    R = LocalRing(pi, 3)
+    u = Poly(F, [F.from_int(3), a, F.one])
+    v = R.inv(u)
+    assert R.mul(u, v) == Poly.const(F, F.one)
+    with pytest.raises(ZeroDivisionError):
+        R.inv(pi * u)
+
+
+def test_surface_over_fq_labels_its_field():
+    from dyk3.ffield import build_extension
+    F = build_extension(31, 2)
+    E = EllipticSurface(F, Poly(F, []), Poly.from_ints(F, [1]), Poly.from_ints(F, [0, 1]),
+                        chi=1)
+    assert E.base_label == "GF(31^2)" and E.infinity_model().base_label == "GF(31^2)"
+    assert E.local_type(Place(infinity=True)).kodaira == "II*"
+    assert models.e1_surface().base_label == "QQ"
+    assert models.e1_surface("tower").base_label == "Qsqrt5"
+    assert models.inose_surface().base_label == "Qsqrt5"
