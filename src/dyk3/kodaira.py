@@ -6,19 +6,24 @@ diagram (I_n cycles, D~_n, E~_6/7/8) with the standard multiplicities,
 group them into genus-1 fibrations by their intersection key, detect
 sections, and count orbits under a small symmetry group.
 
-The search keeps vertex sets as int bitmasks, so every chordless and
-disjointness test is one `&`.  Checks, keys, grouping and orbits run on
-one (fibres x curves) int8 divisor matrix D and its key matrix D.G.
+A census holds its fibres as one (fibres x curves) int8 divisor matrix D,
+built once, with its key matrix K = D.G.  The I_n and D~_n searches keep
+vertex sets as int bitmasks, so every chordless and disjointness test is
+one `&`, and emit flat (column, multiplicity) lists into D.  The E~ types
+are numpy row blocks: each centre's arms are tested against each other
+by broadcasting their vertex and reach masks.  find_fibres returns its
+configurations, read off D's rows, as a RowTuple carrying D and K;
+group_fibrations reuses both and returns a RowTuple carrying the key
+matrix, from which orbit_count takes its rows.
 """
 
 from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cache, wraps
-from itertools import chain, combinations, islice, permutations
-from math import gcd, lcm
+from functools import wraps
+from itertools import chain, combinations
+from math import gcd
 
 import numpy as np
 
@@ -65,44 +70,84 @@ class CurveSet:
         return all(sum(g[i][j] * mj for j, mj in comps) == 0 for i, _ in comps)
 
 
+class RowTuple(tuple):
+    """A tuple that carries, as attributes, matrices with one row per item:
+    find_fibres' configurations carry their divisor matrix D and key matrix
+    K and the CurveSet `curves` they belong to; group_fibrations'
+    fibrations carry their uint8 key matrix `keys`.  The matrices are
+    read-only, and a slice of a RowTuple is a plain tuple."""
+
+    def __new__(cls, items, **carried):
+        self = super().__new__(cls, items)
+        for value in carried.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        vars(self).update(carried)
+        return self
+
+
 # ---------------------------------------------------------------------------
 # divisor and key matrices
 
 
-def _divisors(fibres, n):
-    """The (fibres x n) int8 matrix whose rows are the fibre divisors."""
-    lens = [len(cfg.components) for cfg in fibres]
-    flat = np.fromiter(
-        chain.from_iterable(chain.from_iterable(cfg.components for cfg in fibres)),
-        dtype=np.int16, count=2 * sum(lens))
-    cols, mults = flat[0::2], flat[1::2]
+def _divisors(cols, mults, lens, n):
+    """The (len(lens) x n) int8 matrix whose row f takes the next lens[f]
+    entries of the flat lists: multiplicity mults[k] in column cols[k]."""
+    mults = np.asarray(mults, dtype=np.int64)
     if mults.size and int(np.abs(mults).max()) > 127:
         raise AssertionError("fibre multiplicities must fit in int8")
-    D = np.zeros((len(fibres), n), dtype=np.int8)
-    D[np.repeat(np.arange(len(fibres), dtype=np.int32), lens), cols] = mults
+    D = np.zeros((len(lens), n), dtype=np.int8)
+    D[np.repeat(np.arange(len(lens), dtype=np.intp), lens), cols] = mults
     return D
 
 
+def _config_divisors(fibres, n):
+    """_divisors of a sequence of FibreConfig."""
+    lens = [len(cfg.components) for cfg in fibres]
+    flat = np.fromiter(
+        chain.from_iterable(chain.from_iterable(cfg.components for cfg in fibres)),
+        dtype=np.int64, count=2 * sum(lens))
+    return _divisors(flat[0::2], flat[1::2], lens, n)
+
+
 def _keys(S: CurveSet, D):
-    """K = D.G, exact in int16: |K| <= max_f sum_i |D_fi| * max |G| < 2^15."""
+    """K = D.G as int16, by one float32 matrix product.  It is exact: every
+    partial sum is an integer of size at most max_f sum_i |D_fi| * max |G|,
+    asserted below 2^15, and float32 holds every integer below 2^24."""
     G = np.array(S.gram, dtype=np.int64)
-    bound = int(np.abs(D).sum(axis=1).max(initial=0)) * int(np.abs(G).max(initial=0))
+    bound = int(np.abs(D).sum(axis=1, dtype=np.int64).max(initial=0)) \
+        * int(np.abs(G).max(initial=0))
     if bound >= 2 ** 15:
         raise AssertionError(f"fibre keys may reach {bound}, beyond int16")
-    return D @ G.astype(np.int16)
+    return (D.astype(np.float32) @ G.astype(np.float32)).astype(np.int16)
 
 
-def _key_blocks(S: CurveSet, fibres):
-    """(start, D, K) over blocks of 8192 fibres, so that the int
-    temporaries stay a few MB however many fibres there are."""
-    for s in range(0, len(fibres), 8192):
-        D = _divisors(fibres[s:s + 8192], S.n)
-        yield s, D, _keys(S, D)
+def _matrices(fibres, S: CurveSet):
+    """(D, K) of a fibre sequence: those find_fibres(S) carries, or else
+    built from the configurations."""
+    if isinstance(fibres, RowTuple) and getattr(fibres, "curves", None) is S:
+        return fibres.D, fibres.K
+    D = _config_divisors(fibres, S.n)
+    return D, _keys(S, D)
+
+
+def _configs(kinds, D):
+    """A FibreConfig per row of D, its components the row's nonzero entries
+    in column order; equal (index, multiplicity) pairs are one tuple."""
+    rows, cols = np.nonzero(D)
+    codes = cols * 128 + D[rows, cols]                  # multiplicities > 0
+    pairs = [None] * (128 * D.shape[1])
+    for c in np.flatnonzero(np.bincount(codes)).tolist():
+        pairs[c] = (c >> 7, c & 127)
+    flat = list(map(pairs.__getitem__, codes.tolist()))
+    ends = np.cumsum(np.bincount(rows, minlength=len(D))).tolist()
+    return [FibreConfig(kind, tuple(flat[a:b]))
+            for kind, a, b in zip(kinds, [0] + ends, ends)]
 
 
 def fibre_key(S: CurveSet, cfg: FibreConfig):
     """Intersection vector (D.C_0, ..., D.C_{n-1}) of the fibre divisor D."""
-    return tuple(_keys(S, _divisors([cfg], S.n))[0].tolist())
+    return tuple(_keys(S, _config_divisors([cfg], S.n))[0].tolist())
 
 
 def _gc_paused(fn):
@@ -143,31 +188,41 @@ def find_fibres(S: CurveSet, max_n: int = 16):
     I2 = pairs meeting with intersection number 2; I_n (n >= 3) = chordless
     unit-edge cycles; D~_n and E~_6/7/8 by explicit diagram matching.  Each
     search finds every configuration once.  Every emitted configuration is
-    re-verified against the Gram matrix.
+    re-verified against the Gram matrix.  The result is a RowTuple carrying
+    the divisor matrix D, the key matrix K and S.
     """
     if max_n < 2:
         raise ValueError("max_n must be >= 2")
     g = S.gram
     n = S.n
+    kinds, cols, mults, lens = [], [], [], []
     # I2: intersection number exactly 2
-    out = [FibreConfig("I2", ((i, 1), (j, 1)))
-           for i in range(n) for j in range(i + 1, n) if g[i][j] == 2]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if g[i][j] == 2]
     # I_m cycles, m >= 3: chordless cycles in the unit graph, where
     # "chordless" forbids any nonzero intersection between non-neighbours
     adj1 = _neighbors(S)
     nz = _nonzero_masks(S)
-    for cyc in _chordless_cycles(S, adj1, nz, max_n):
-        out.append(FibreConfig(f"I{len(cyc)}", tuple(sorted((i, 1) for i in cyc))))
-    # D~_n and E~ types
-    for kind, comps in _tree_fibres(S, adj1, nz):
-        out.append(FibreConfig(kind, tuple(sorted(comps))))
-    # D.C_i = 0 on every component (hence D.D = 0), a block at a time
-    for s, D, K in _key_blocks(S, out):
-        bad = ((D != 0) & (K != 0)).any(axis=1)
-        if bad.any():
-            raise AssertionError("enumerated config fails the invariants: "
-                                 f"{out[s + int(bad.argmax())]}")
-    return out
+    cycles = _chordless_cycles(S, adj1, nz, max_n)
+    for kind, c, m in chain((("I2", p, (1, 1)) for p in pairs),
+                            ((f"I{len(c)}", c, (1,) * len(c)) for c in cycles),
+                            _d_fibres(adj1, nz, n)):
+        kinds.append(kind)
+        cols.extend(c)
+        mults.extend(m)
+        lens.append(len(c))
+    blocks = [_divisors(cols, mults, lens, n)]
+    for kind in _E_ARMS:
+        blocks.append(_e_rows(adj1, nz, n, kind))
+        kinds.extend([kind] * len(blocks[-1]))
+    D = np.concatenate(blocks)
+    K = _keys(S, D)
+    # D.C_i = 0 on every component (hence D.D = 0)
+    bad = ((D != 0) & (K != 0)).any(axis=1)
+    if bad.any():
+        f = int(bad.argmax())
+        raise AssertionError("enumerated config fails the invariants: "
+                             f"{_configs(kinds[f:f + 1], D[f:f + 1])[0]}")
+    return RowTuple(_configs(kinds, D), curves=S, D=D, K=K)
 
 
 def _chordless_cycles(S, adj1, nz, max_n):
@@ -203,31 +258,25 @@ def _chordless_cycles(S, adj1, nz, max_n):
                     stack.append((w, path + (w,), pm | 1 << w))
 
 
-def _tree_fibres(S, adj1, nz):
-    """D~_n (n >= 4) and E~_6, E~_7, E~_8 configurations."""
-    n = S.n
+def _d_fibres(adj1, nz, n):
+    """(kind, columns, multiplicities) of the D~_n (n >= 4) configurations."""
     # D~_4: central c with four legs, pairwise disjoint
     for c in range(n):
         for legs in combinations(adj1[c], 4):
             lm = sum(1 << l for l in legs)
             if not any(nz[l] & lm for l in legs):
-                yield "D4", ((c, 2),) + tuple((l, 1) for l in legs)
+                yield "D4", (c,) + legs, (2, 1, 1, 1, 1)
 
     # D~_m, m >= 5: chain c_1 .. c_{m-3} (multiplicity 2) with fork pairs
     # at both ends
     for path, pm, left in _d_chains(adj1, nz, n):
         right = _fork_pairs(adj1, nz, path[-1], pm)
-        chain2 = tuple((c, 2) for c in path)
-        m = len(path) + 3
+        kind, mults = f"D{len(path) + 3}", (2,) * len(path) + (1, 1, 1, 1)
         for l1, l2, lreach in left:
             for r1, r2, _ in right:
                 if lreach & (1 << r1 | 1 << r2):
                     continue
-                yield (f"D{m}", chain2 + ((l1, 1), (l2, 1), (r1, 1), (r2, 1)))
-
-    # E~ types by arm search from a central vertex
-    for kind in _E_ARMS:
-        yield from _e_type(adj1, nz, n, kind)
+                yield kind, path + (l1, l2, r1, r2), mults
 
 
 def _d_chains(adj1, nz, n):
@@ -271,29 +320,39 @@ _E_ARMS = {
 }
 
 
-def _e_type(adj1, nz, n, kind):
-    """Affine E diagrams: three disjoint, mutually untouching chordless arms
-    from a center.  Arms of equal length are taken in increasing list order,
-    so each diagram is found once, in the order of its first arm triple."""
+def _e_rows(adj1, nz, n, kind):
+    """The affine E diagrams of one kind as int8 divisor rows: three
+    disjoint, mutually untouching chordless arms from a center.  Arms of
+    equal length are taken in increasing list order, so each diagram is
+    found once, in the order of its first arm triple: arm pairs pass
+    r1 & m2 = 0, then triples (r1 | r2) & m3 = 0, for vertex masks m and
+    reach masks r, broadcast over each center's arms."""
     center_mult, arm_mults = _E_ARMS[kind]
-    L1, L2, L3 = (len(a) for a in arm_mults)
+    lengths = [len(a) for a in arm_mults]
+    mults = np.array((center_mult,) + tuple(chain(*arm_mults)), dtype=np.int8)
+    word = np.int64 if n < 64 else object       # masks of n bits
+    blocks = [np.zeros((0, n), dtype=np.int8)]
     for c in range(n):
-        arms = {L: _arms_from(adj1, nz, c, L) for L in {L1, L2, L3}}
-        A1, A2, A3 = arms[L1], arms[L2], arms[L3]
-        for i, (a1, _, r1) in enumerate(A1):
-            for j in range(i + 1 if L2 == L1 else 0, len(A2)):
-                a2, m2, r2 = A2[j]
-                if r1 & m2:
-                    continue
-                r12 = r1 | r2
-                for k in range(j + 1 if L3 == L2 else 0, len(A3)):
-                    a3, m3, _ = A3[k]
-                    if r12 & m3:
-                        continue
-                    comps = [(c, center_mult)]
-                    for arm, mults in zip((a1, a2, a3), arm_mults):
-                        comps.extend(zip(arm, mults))
-                    yield kind, comps
+        arms = {L: _arms_from(adj1, nz, c, L) for L in set(lengths)}
+        (V1, _, R1), (V2, M2, R2), (V3, M3, _) = (
+            (np.array([a for a, _, _ in arms[L]], dtype=np.intp).reshape(-1, L),
+             np.array([m for _, m, _ in arms[L]], dtype=word),
+             np.array([r for _, _, r in arms[L]], dtype=word))
+            for L in lengths)
+        ok = (R1[:, None] & M2) == 0
+        if lengths[1] == lengths[0]:
+            ok &= np.arange(len(V2)) > np.arange(len(V1))[:, None]
+        i, j = np.nonzero(ok)
+        ok = ((R1[i] | R2[j])[:, None] & M3) == 0
+        if lengths[2] == lengths[1]:
+            ok &= np.arange(len(V3)) > j[:, None]
+        t, k = np.nonzero(ok)
+        i, j = i[t], j[t]
+        cols = np.hstack([np.full((len(k), 1), c), V1[i], V2[j], V3[k]])
+        block = np.zeros((len(k), n), dtype=np.int8)
+        block[np.arange(len(k))[:, None], cols] = mults
+        blocks.append(block)
+    return np.concatenate(blocks)
 
 
 def _arms_from(adj1, nz, c, length):
@@ -346,19 +405,18 @@ def group_fibrations(fibres, S: CurveSet):
     """Group fibres by their intersection key; check pairwise disjointness.
 
     Fibrations come out sorted by key, each listing its fibres in input
-    order.  Keys are compared as int8 byte strings: their entries are
-    asserted to lie in [0, 127], where byte order is numeric order.
+    order, as a RowTuple carrying their uint8 key matrix.  Keys are
+    compared as byte strings: their entries are asserted to lie in
+    [0, 127], where byte order is numeric order.
     """
-    if not fibres:
-        return []
     n = S.n
-    K = np.empty((len(fibres), n), dtype=np.int8)
-    dd = np.empty(len(fibres), dtype=np.int64)          # D.D = D.key
-    for s, D, Kb in _key_blocks(S, fibres):
-        if Kb.min() < 0 or Kb.max() > 127:
-            raise AssertionError("fibre key entries must lie in [0, 127]")
-        K[s:s + len(Kb)] = Kb
-        dd[s:s + len(Kb)] = np.einsum("ij,ij->i", D, Kb, dtype=np.int64)
+    if not fibres:
+        return RowTuple((), keys=np.zeros((0, n), dtype=np.uint8))
+    D, K = _matrices(fibres, S)
+    if K.min() < 0 or K.max() > 127:
+        raise AssertionError("fibre key entries must lie in [0, 127]")
+    K = K.astype(np.uint8)
+    dd = np.einsum("ij,ij->i", D, K, dtype=np.int64)      # D.D = D.key
     uniq, inv, counts = np.unique(K.view(np.dtype((np.void, n))).ravel(),
                                   return_inverse=True, return_counts=True)
     order = np.argsort(inv, kind="stable")
@@ -370,13 +428,16 @@ def group_fibrations(fibres, S: CurveSet):
         raise ValueError(
             "key collision with nonzero intersection: the curve "
             "set does not span the ambient Picard lattice")
-    U = uniq.view(np.int8).reshape(-1, n)
-    members = map(fibres.__getitem__, order)
+    U = uniq.view(np.uint8).reshape(-1, n)
+    members = list(map(fibres.__getitem__, order.tolist()))
+    ends = np.cumsum(counts).tolist()
+    starts = [0] + ends[:-1]
     out = []
     for s in range(0, len(U), 4096):        # key tuples in small chunks
-        for row, c in zip(U[s:s + 4096].tolist(), counts[s:s + 4096].tolist()):
-            out.append(Fibration(tuple(row), list(islice(members, c))))
-    return out
+        for row, a, b in zip(U[s:s + 4096].tolist(), starts[s:s + 4096],
+                             ends[s:s + 4096]):
+            out.append(Fibration(tuple(row), members[a:b]))
+    return RowTuple(out, keys=U)
 
 
 def find_sections(fib: Fibration, S: CurveSet):
@@ -395,19 +456,31 @@ def orbit_count(fibrations, generators, S: CurveSet,
     for perm in generators:
         if not np.array_equal(G[np.ix_(perm, perm)], G):
             raise ValueError("generator does not preserve the Gram")
-    fibs = [f for f in fibrations if predicate is None or predicate(f)]
-    if not fibs:
-        return 0
     n = S.n
-    keys = np.empty((len(fibs), n), dtype=np.uint8)
-    for s in range(0, len(fibs), 4096):
-        block = b"".join(bytes(f.key) for f in fibs[s:s + 4096])
-        keys[s:s + 4096] = np.frombuffer(block, dtype=np.uint8).reshape(-1, n)
+    keys = _key_rows(fibrations, predicate, n)
+    if not len(keys):
+        return 0
     canon = None
     for p in _generated_group(generators, n):
         moved = np.ascontiguousarray(keys[:, p]).view(f"S{n}").ravel()
         canon = moved if canon is None else np.where(moved < canon, moved, canon)
-    return len(np.unique(canon))
+    return len(np.unique(canon.view(np.dtype((np.void, n)))))
+
+
+def _key_rows(fibrations, predicate, n):
+    """uint8 key rows of the fibrations that satisfy the predicate: taken
+    from group_fibrations' key matrix, or else packed from the keys."""
+    if isinstance(fibrations, RowTuple) and hasattr(fibrations, "keys"):
+        if predicate is None:
+            return fibrations.keys
+        return fibrations.keys[[k for k, f in enumerate(fibrations)
+                                if predicate(f)]]
+    fibs = [f for f in fibrations if predicate is None or predicate(f)]
+    keys = np.empty((len(fibs), n), dtype=np.uint8)
+    for s in range(0, len(fibs), 4096):
+        block = b"".join(bytes(f.key) for f in fibs[s:s + 4096])
+        keys[s:s + 4096] = np.frombuffer(block, dtype=np.uint8).reshape(-1, n)
+    return keys
 
 
 def _generated_group(generators, n):
@@ -423,182 +496,3 @@ def _generated_group(generators, n):
                 group.add(comp)
                 frontier.append(comp)
     return sorted(group)
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle (independent of the constructive search)
-
-
-@cache
-def _diagram(kind):
-    """Adjacency + multiplicities of the affine diagram as a small graph."""
-    if kind.startswith("I"):
-        raise ValueError("cycles handled separately")
-    if kind.startswith("D"):
-        m = int(kind[1:])
-        # chain of m-3 double vertices, two forks each end
-        mults = {v: 2 for v in range(m - 3)}
-        edges = [(v, v + 1) for v in range(m - 4)]
-        for k, end in enumerate((0, 0, m - 4, m - 4)):
-            mults[m - 3 + k] = 1
-            edges.append((end, m - 3 + k))
-        return edges, mults
-    edges = []
-    center_m, arms = _E_ARMS[kind]
-    mults = {0: center_m}
-    nxt = 1
-    for arm in arms:
-        prev = 0
-        for m in arm:
-            mults[nxt] = m
-            edges.append((prev, nxt))
-            prev = nxt
-            nxt += 1
-    return edges, mults
-
-
-def brute_force_fibres(S: CurveSet, max_mult: int = 6, max_n: int = 16):
-    """Exhaustive oracle, independent of the constructive search.
-
-    For every connected subset, the multiplicity vector of a fibre must span
-    the kernel of the restricted Gram matrix (D.C_i = 0 for all components);
-    corank-1 subsets with a positive primitive kernel vector bounded by
-    max_mult are then classified against the affine diagrams directly.
-    """
-    n = S.n
-    g = S.gram
-    found = set()
-    for size in range(2, n + 1):
-        for sub in combinations(range(n), size):
-            if not _connected(g, sub):
-                continue
-            sub_gram = [[g[i][j] for j in sub] for i in sub]
-            kern = _int_kernel(sub_gram)
-            if len(kern) != 1:
-                continue
-            m = kern[0]
-            if any(x == 0 for x in m):
-                continue
-            if all(x < 0 for x in m):
-                m = [-x for x in m]
-            if any(x <= 0 for x in m) or max(m) > max_mult or min(m) != 1:
-                continue
-            comps = tuple(zip(sub, m))
-            if not S.check_config(comps):
-                continue
-            kind = _classify_config(S, comps, max_n)
-            if kind is None:
-                continue
-            found.add((kind, tuple(sorted(comps))))
-    return {FibreConfig(k, c) for k, c in found}
-
-
-def _int_kernel(mat):
-    """Primitive integer basis of the kernel of a small integer matrix."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] for row in mat]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, n) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(n):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    out = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for ri, c in enumerate(pivots):
-            v[c] = -a[ri][fc]
-        den = lcm(*(x.denominator for x in v))
-        iv = [int(x * den) for x in v]
-        gg = gcd(*iv)
-        out.append([x // gg for x in iv])
-    return out
-
-
-def _connected(g, sub):
-    seen = {sub[0]}
-    frontier = [sub[0]]
-    while frontier:
-        v = frontier.pop()
-        for w in sub:
-            if w not in seen and g[v][w] != 0:
-                seen.add(w)
-                frontier.append(w)
-    return len(seen) == len(sub)
-
-
-def _classify_config(S, comps, max_n):
-    """Match the weighted support against a Kodaira diagram, or None."""
-    g = S.gram
-    idx = [i for i, _ in comps]
-    mults = {i: m for i, m in comps}
-    size = len(idx)
-    edges = [(a, b) for k, a in enumerate(idx) for b in idx[k + 1:]
-             if g[a][b] != 0]
-    if all(m == 1 for m in mults.values()):
-        if size == 2 and g[idx[0]][idx[1]] == 2:
-            return "I2"
-        # cycle: every vertex degree 2 with unit edges
-        if size >= 3 and size <= max_n and len(edges) == size and \
-                all(g[a][b] == 1 for a, b in edges):
-            deg = {i: 0 for i in idx}
-            for a, b in edges:
-                deg[a] += 1
-                deg[b] += 1
-            if all(d == 2 for d in deg.values()):
-                return f"I{size}"
-        return None
-    # weighted tree types: D~_m has m + 1 vertices, E~_k has k + 1
-    if size < 5:
-        return None
-    for kind in [f"D{size - 1}"] + ([f"E{size - 1}"] if 7 <= size <= 9 else []):
-        if _matches_diagram(S, comps, kind):
-            return kind
-    return None
-
-
-def _matches_diagram(S, comps, kind):
-    edges, mults = _diagram(kind)
-    g = S.gram
-    idx = [i for i, _ in comps]
-    want = sorted(mults.values())
-    have = sorted(m for _, m in comps)
-    if want != have:
-        return False
-    k = len(idx)
-    eset = {(min(a, b), max(a, b)) for a, b in edges}
-    cm = {i: m for i, m in comps}
-    for perm in permutations(range(k)):
-        ok = True
-        for pos in range(k):
-            if cm[idx[perm[pos]]] != mults[pos]:
-                ok = False
-                break
-        if not ok:
-            continue
-        for a in range(k):
-            for b in range(a + 1, k):
-                want_edge = (a, b) in eset
-                val = g[idx[perm[a]]][idx[perm[b]]]
-                if want_edge and val != 1:
-                    ok = False
-                    break
-                if not want_edge and val != 0:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False

@@ -9,7 +9,6 @@ the index-2 overlattice candidate search over F_2, and C2 group cohomology.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 def _check_symmetric(m):
@@ -98,6 +97,7 @@ class SmithDecomposition:
     d: list          # full diagonal, including trailing zeros
     U: list
     V: list
+    V_inv: list      # the exact integer inverse of V
 
     @property
     def elementary_divisors(self):
@@ -105,12 +105,16 @@ class SmithDecomposition:
 
 
 def smith(m) -> SmithDecomposition:
-    """U*M*V = D diagonal with the divisibility chain, det U, V = +-1."""
+    """U*M*V = D diagonal with the divisibility chain, det U, V = +-1.
+
+    V^-1 is kept alongside V: a column operation on V is the inverse row
+    operation on V^-1."""
     a = [list(map(int, row)) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     U = [[int(i == j) for j in range(rows)] for i in range(rows)]
     V = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    V_inv = [row[:] for row in V]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -121,6 +125,7 @@ def smith(m) -> SmithDecomposition:
             r[i], r[j] = r[j], r[i]
         for r in V:
             r[i], r[j] = r[j], r[i]
+        V_inv[i], V_inv[j] = V_inv[j], V_inv[i]
 
     def add_row(i, j, k):
         a[i] = [x + k * y for x, y in zip(a[i], a[j])]
@@ -131,6 +136,7 @@ def smith(m) -> SmithDecomposition:
             r[i] += k * r[j]
         for r in V:
             r[i] += k * r[j]
+        V_inv[j] = [x - k * y for x, y in zip(V_inv[j], V_inv[i])]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
@@ -187,7 +193,7 @@ def smith(m) -> SmithDecomposition:
             want = d[i] if (i == j and i < len(d)) else 0
             if prod[i][j] != want:
                 raise AssertionError("SNF round trip failed")
-    return SmithDecomposition(d, U, V)
+    return SmithDecomposition(d, U, V, V_inv)
 
 
 def _matmul(A, B):
@@ -239,8 +245,8 @@ def _radical_split(L: GramLattice):
     and the others are span_basis(L).  A generator vector x has coordinates
     x V on the rows of W, so its class in L/rad is (x V)[r:]."""
     kernel = kernel_relation(L)
+    ident = [[int(i == j) for j in range(L.n)] for i in range(L.n)]
     if not kernel:
-        ident = [[int(i == j) for j in range(L.n)] for i in range(L.n)]
         return ident, ident, 0
     # with U K V = D and D = (I 0) for a saturated K, the rows of K span the
     # same lattice as the first r rows of V^-1
@@ -248,7 +254,9 @@ def _radical_split(L: GramLattice):
     for x in snf.d:
         if x not in (0, 1):
             raise AssertionError("radical is not saturated")
-    return snf.V, _int_inverse(snf.V), len(kernel)
+    if _matmul(snf.V, snf.V_inv) != ident:
+        raise AssertionError("V V^-1 is not the identity")
+    return snf.V, snf.V_inv, len(kernel)
 
 
 def span_basis(L: GramLattice):
@@ -257,28 +265,6 @@ def span_basis(L: GramLattice):
     quotiented away exactly (unimodular completion of the kernel)."""
     _, W, r = _radical_split(L)
     return W[r:]
-
-
-def _int_inverse(M):
-    """Inverse of a unimodular integer matrix, exact."""
-    n = len(M)
-    a = [[Fraction(M[i][j]) for j in range(n)] + \
-         [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = [[a[i][n + j] for j in range(n)] for i in range(n)]
-    for row in out:
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular over Z")
-    return [[int(x) for x in row] for row in out]
 
 
 def _reduced_gram(L: GramLattice, basis):

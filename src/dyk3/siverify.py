@@ -230,15 +230,6 @@ def predict_counts(p: int, constants=None) -> CountPrediction:
     return CountPrediction(p, a, mu, count1, t_p, count2)
 
 
-def predicted_count(p: int, n: int, constants=None) -> int:
-    pred = predict_counts(p, constants)
-    if n == 1:
-        return pred.count1
-    if n == 2:
-        return pred.count2
-    raise ValueError("prediction implemented for n = 1, 2")
-
-
 def simultaneous_twist_check(p: int, constants=None) -> dict:
     """Predictions from (E1, E2) and from their kappa-twists coincide.
 

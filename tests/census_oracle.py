@@ -1,0 +1,219 @@
+"""Oracles for the Kodaira census, kept out of the package.
+
+brute_force_fibres is the exhaustive search that the constructive one in
+dyk3.kodaira is checked against: it classifies every connected subset of
+curves whose restricted Gram matrix is singular.  _e_type is the
+pure-Python E~ arm search that the numpy row blocks of kodaira._e_rows
+replaced; it yields each diagram's components, in the same order.
+"""
+
+from fractions import Fraction
+from functools import cache
+from itertools import combinations, permutations
+from math import gcd, lcm
+
+from dyk3.kodaira import _E_ARMS, CurveSet, FibreConfig, _arms_from
+from dyk3.lattice import bareiss_det
+
+
+def _e_type(adj1, nz, n, kind):
+    """Affine E diagrams: three disjoint, mutually untouching chordless arms
+    from a center.  Arms of equal length are taken in increasing list order,
+    so each diagram is found once, in the order of its first arm triple."""
+    center_mult, arm_mults = _E_ARMS[kind]
+    L1, L2, L3 = (len(a) for a in arm_mults)
+    for c in range(n):
+        arms = {L: _arms_from(adj1, nz, c, L) for L in {L1, L2, L3}}
+        A1, A2, A3 = arms[L1], arms[L2], arms[L3]
+        for i, (a1, _, r1) in enumerate(A1):
+            for j in range(i + 1 if L2 == L1 else 0, len(A2)):
+                a2, m2, r2 = A2[j]
+                if r1 & m2:
+                    continue
+                r12 = r1 | r2
+                for k in range(j + 1 if L3 == L2 else 0, len(A3)):
+                    a3, m3, _ = A3[k]
+                    if r12 & m3:
+                        continue
+                    comps = [(c, center_mult)]
+                    for arm, mults in zip((a1, a2, a3), arm_mults):
+                        comps.extend(zip(arm, mults))
+                    yield kind, comps
+
+
+
+@cache
+def _diagram(kind):
+    """Adjacency + multiplicities of the affine diagram as a small graph."""
+    if kind.startswith("I"):
+        raise ValueError("cycles handled separately")
+    if kind.startswith("D"):
+        m = int(kind[1:])
+        # chain of m-3 double vertices, two forks each end
+        mults = {v: 2 for v in range(m - 3)}
+        edges = [(v, v + 1) for v in range(m - 4)]
+        for k, end in enumerate((0, 0, m - 4, m - 4)):
+            mults[m - 3 + k] = 1
+            edges.append((end, m - 3 + k))
+        return edges, mults
+    edges = []
+    center_m, arms = _E_ARMS[kind]
+    mults = {0: center_m}
+    nxt = 1
+    for arm in arms:
+        prev = 0
+        for m in arm:
+            mults[nxt] = m
+            edges.append((prev, nxt))
+            prev = nxt
+            nxt += 1
+    return edges, mults
+
+
+def brute_force_fibres(S: CurveSet, max_mult: int = 6, max_n: int = 16):
+    """Exhaustive oracle, independent of the constructive search.
+
+    For every connected subset, the multiplicity vector of a fibre must span
+    the kernel of the restricted Gram matrix (D.C_i = 0 for all components);
+    corank-1 subsets with a positive primitive kernel vector bounded by
+    max_mult are then classified against the affine diagrams directly.
+    """
+    n = S.n
+    g = S.gram
+    found = set()
+    for size in range(2, n + 1):
+        for sub in combinations(range(n), size):
+            if not _connected(g, sub):
+                continue
+            sub_gram = [[g[i][j] for j in sub] for i in sub]
+            if bareiss_det(sub_gram) != 0:
+                continue        # a fibre's support has corank 1
+            kern = _int_kernel(sub_gram)
+            if len(kern) != 1:
+                continue
+            m = kern[0]
+            if any(x == 0 for x in m):
+                continue
+            if all(x < 0 for x in m):
+                m = [-x for x in m]
+            if any(x <= 0 for x in m) or max(m) > max_mult or min(m) != 1:
+                continue
+            comps = tuple(zip(sub, m))
+            if not S.check_config(comps):
+                continue
+            kind = _classify_config(S, comps, max_n)
+            if kind is None:
+                continue
+            found.add((kind, tuple(sorted(comps))))
+    return {FibreConfig(k, c) for k, c in found}
+
+
+def _int_kernel(mat):
+    """Primitive integer basis of the kernel of a small integer matrix."""
+    n = len(mat)
+    a = [[Fraction(x) for x in row] for row in mat]
+    pivots = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, n) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(n):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    free = [c for c in range(n) if c not in pivots]
+    out = []
+    for fc in free:
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for ri, c in enumerate(pivots):
+            v[c] = -a[ri][fc]
+        den = lcm(*(x.denominator for x in v))
+        iv = [int(x * den) for x in v]
+        gg = gcd(*iv)
+        out.append([x // gg for x in iv])
+    return out
+
+
+def _connected(g, sub):
+    seen = {sub[0]}
+    frontier = [sub[0]]
+    while frontier:
+        v = frontier.pop()
+        for w in sub:
+            if w not in seen and g[v][w] != 0:
+                seen.add(w)
+                frontier.append(w)
+    return len(seen) == len(sub)
+
+
+def _classify_config(S, comps, max_n):
+    """Match the weighted support against a Kodaira diagram, or None."""
+    g = S.gram
+    idx = [i for i, _ in comps]
+    mults = {i: m for i, m in comps}
+    size = len(idx)
+    edges = [(a, b) for k, a in enumerate(idx) for b in idx[k + 1:]
+             if g[a][b] != 0]
+    if all(m == 1 for m in mults.values()):
+        if size == 2 and g[idx[0]][idx[1]] == 2:
+            return "I2"
+        # cycle: every vertex degree 2 with unit edges
+        if size >= 3 and size <= max_n and len(edges) == size and \
+                all(g[a][b] == 1 for a, b in edges):
+            deg = {i: 0 for i in idx}
+            for a, b in edges:
+                deg[a] += 1
+                deg[b] += 1
+            if all(d == 2 for d in deg.values()):
+                return f"I{size}"
+        return None
+    # weighted tree types: D~_m has m + 1 vertices, E~_k has k + 1
+    if size < 5:
+        return None
+    for kind in [f"D{size - 1}"] + ([f"E{size - 1}"] if 7 <= size <= 9 else []):
+        if _matches_diagram(S, comps, kind):
+            return kind
+    return None
+
+
+def _matches_diagram(S, comps, kind):
+    edges, mults = _diagram(kind)
+    g = S.gram
+    idx = [i for i, _ in comps]
+    want = sorted(mults.values())
+    have = sorted(m for _, m in comps)
+    if want != have:
+        return False
+    k = len(idx)
+    eset = {(min(a, b), max(a, b)) for a, b in edges}
+    cm = {i: m for i, m in comps}
+    for perm in permutations(range(k)):
+        ok = True
+        for pos in range(k):
+            if cm[idx[perm[pos]]] != mults[pos]:
+                ok = False
+                break
+        if not ok:
+            continue
+        for a in range(k):
+            for b in range(a + 1, k):
+                want_edge = (a, b) in eset
+                val = g[idx[perm[a]]][idx[perm[b]]]
+                if want_edge and val != 1:
+                    ok = False
+                    break
+                if not want_edge and val != 0:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return True
+    return False

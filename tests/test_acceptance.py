@@ -229,7 +229,8 @@ def test_criterion_9_isogeny():
 
 
 def test_criterion_10a_search_unconditional():
-    from dyk3.kodaira import CurveSet, brute_force_fibres, find_fibres
+    from census_oracle import brute_force_fibres
+    from dyk3.kodaira import CurveSet, find_fibres
     rng = random.Random(116)
     ok = True
     for trial in range(200):

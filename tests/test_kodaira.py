@@ -2,11 +2,14 @@ import gc
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 
+from census_oracle import _e_type, brute_force_fibres
 from dyk3.fixtures import load_gram
-from dyk3.kodaira import (CurveSet, FibreConfig, _generated_group,
-                          brute_force_fibres, fibre_key, find_fibres,
+from dyk3.kodaira import (_E_ARMS, CurveSet, FibreConfig, _e_rows,
+                          _generated_group, _keys, _neighbors,
+                          _nonzero_masks, fibre_key, find_fibres,
                           find_sections, group_fibrations, orbit_count)
 
 
@@ -350,3 +353,112 @@ def test_group_fibrations_refuses_meeting_fibres_with_one_key():
         ref_group_fibrations([cfg, cfg], S)
     with pytest.raises(ValueError):
         group_fibrations([cfg, cfg], S)
+
+
+def _e_rows_and_oracle(S):
+    """(rows, oracle rows) per E~ kind: kodaira's numpy row blocks, and the
+    divisors of the pure-Python arm search in census_oracle, in its order."""
+    adj1, nz = _neighbors(S), _nonzero_masks(S)
+    for kind in _E_ARMS:
+        oracle = [FibreConfig(kind, tuple(sorted(comps))).divisor(S.n)
+                  for _, comps in _e_type(adj1, nz, S.n, kind)]
+        yield kind, _e_rows(adj1, nz, S.n, kind).tolist(), oracle
+
+
+def test_e_rows_match_the_arm_search_oracle():
+    sets = [load_gram(name) for name in ("curves34", "lemma_partial")]
+    sets = [CurveSet(fix.labels, fix.gram) for fix in sets]
+    rng = random.Random(116)                # criterion 10a's 200 sets
+    for _ in range(200):
+        n = rng.randrange(3, 10)
+        sets.append(CurveSet([f"c{i}" for i in range(n)], random_gram(rng, n)))
+    rng = random.Random(4)                  # the doubled sets
+    for _ in range(100):
+        g = doubled_gram(rng, rng.randrange(3, 8))
+        sets.append(CurveSet([f"c{i}" for i in range(len(g))], g))
+    random_rows = 0
+    for k, S in enumerate(sets):
+        for kind, rows, oracle in _e_rows_and_oracle(S):
+            assert rows == oracle, (k, kind)
+            if k == 0:
+                assert len(rows) == {"E6": 6388, "E7": 26780, "E8": 47480}[kind]
+            random_rows += (k >= 2) * len(rows)
+    assert random_rows > 0
+
+
+def test_e_rows_beyond_63_curves():
+    # masks of 64 or more bits: an affine E8 and E7 on the last curves of 70
+    n = 70
+    g = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for a, b in ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (5, 8)):
+        g[61 + a][61 + b] = g[61 + b][61 + a] = 1
+    for a, b in ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (3, 7)):
+        g[50 + a][50 + b] = g[50 + b][50 + a] = 1
+    S = CurveSet([f"c{i}" for i in range(n)], g)
+    for kind, rows, oracle in _e_rows_and_oracle(S):
+        assert rows == oracle and len(rows) == (kind != "E6"), kind
+    assert sorted(f.kind for f in find_fibres(S)) == ["E7", "E8"]
+
+
+def test_keys_equal_integer_products():
+    for name in ("curves34", "lemma_partial"):
+        fix = load_gram(name)
+        S = CurveSet(fix.labels, fix.gram)
+        fibres = find_fibres(S)
+        D = fibres.D.astype(np.int64)
+        assert np.array_equal(fibres.K, D @ np.array(S.gram, dtype=np.int64))
+        assert fibres.K.dtype == np.int16 and fibres.curves is S
+        if len(fibres) < 10 ** 4:
+            assert D.tolist() == [f.divisor(S.n) for f in fibres]
+
+
+def test_keys_refuse_a_bound_of_2_15():
+    # an I2 pair met m times each by a third curve: the bound is 2m
+    D = np.array([[1, 1, 0]], dtype=np.int8)
+    for m, exact in ((2 ** 14 - 1, True), (2 ** 14, False)):
+        S = CurveSet(list("abc"), [[-2, 2, m], [2, -2, m], [m, m, -2]])
+        if exact:
+            assert _keys(S, D).tolist() == [[0, 0, 2 * m]]
+            assert [fibre_key(S, f) for f in find_fibres(S)] == [(0, 0, 2 * m)]
+        else:
+            with pytest.raises(AssertionError):
+                _keys(S, D)
+            with pytest.raises(AssertionError):
+                find_fibres(S)
+
+
+def test_matrices_travel_with_the_sequences():
+    rng = random.Random(9)
+    for trial in range(30):
+        b = rng.randrange(3, 8)
+        g = doubled_gram(rng, b)
+        S = CurveSet([f"c{i}" for i in range(len(g))], g)
+        fibres = find_fibres(S, max_n=10)
+        with pytest.raises(ValueError):
+            fibres.D[0, 0] = 1                  # read-only
+        assert type(fibres[:]) is tuple
+        fibs = group_fibrations(fibres, S)
+        # a plain list and a copy of S take the path through the configs
+        for again in (group_fibrations(list(fibres), S),
+                      group_fibrations(fibres, CurveSet(S.labels, S.gram))):
+            assert [(f.key, f.fibres) for f in again] == \
+                [(f.key, f.fibres) for f in fibs], trial
+            assert np.array_equal(again.keys, fibs.keys)
+        assert fibs.keys.tolist() == [list(f.key) for f in fibs]
+        swap = [list(range(b, 2 * b)) + list(range(b)) + list(range(2 * b, S.n))]
+        for pred in (None, lambda f: f.has_section):
+            assert orbit_count(fibs, swap, S, predicate=pred) == \
+                orbit_count(list(fibs), swap, S, predicate=pred), trial
+
+
+def test_fibres_of_another_curve_set_are_keyed_afresh():
+    # two disjoint I2 pairs share the zero key; a curve set in which a meets c
+    # keys them apart, so matrices carried for the first set must not be used
+    g = [[-2, 2, 0, 0], [2, -2, 0, 0], [0, 0, -2, 2], [0, 0, 2, -2]]
+    S = CurveSet(list("abcd"), g)
+    fibres = find_fibres(S)
+    assert [f.key for f in group_fibrations(fibres, S)] == [(0, 0, 0, 0)]
+    g[0][2] = g[2][0] = 1
+    T = CurveSet(list("abcd"), g)
+    assert [f.key for f in group_fibrations(fibres, T)] == \
+        [(0, 0, 1, 0), (1, 0, 0, 0)]
