@@ -7,14 +7,13 @@ group them into genus-1 fibrations by their intersection key, detect
 sections, and count orbits under a small symmetry group.
 
 A census holds its fibres as one (fibres x curves) int8 divisor matrix D,
-built once, with its key matrix K = D.G.  The I_n and D~_n searches keep
-vertex sets as int bitmasks, so every chordless and disjointness test is
-one `&`, and emit flat (column, multiplicity) lists into D.  The E~ types
-are numpy row blocks: each centre's arms are tested against each other
-by broadcasting their vertex and reach masks.  find_fibres returns its
-configurations, read off D's rows, as a RowTuple carrying D and K;
-group_fibrations reuses both and returns a RowTuple carrying the key
-matrix, from which orbit_count takes its rows.
+built once, with its key matrix K = D.G; each fibre type is a row block.
+The I_n cycles, D~_n chains and E~ arms are filters on one step that
+extends every induced unit-edge path of one length at once, on vertex
+bitmasks (_Graph.extend); a lexsort puts the rows in depth-first order.
+find_fibres returns its configurations, read off D's rows, as a RowTuple
+carrying D and K; group_fibrations reuses both and returns a RowTuple
+carrying the key matrix, from which orbit_count takes its rows.
 """
 
 from __future__ import annotations
@@ -90,24 +89,18 @@ class RowTuple(tuple):
 # divisor and key matrices
 
 
-def _divisors(cols, mults, lens, n):
-    """The (len(lens) x n) int8 matrix whose row f takes the next lens[f]
-    entries of the flat lists: multiplicity mults[k] in column cols[k]."""
-    mults = np.asarray(mults, dtype=np.int64)
-    if mults.size and int(np.abs(mults).max()) > 127:
-        raise AssertionError("fibre multiplicities must fit in int8")
-    D = np.zeros((len(lens), n), dtype=np.int8)
-    D[np.repeat(np.arange(len(lens), dtype=np.intp), lens), cols] = mults
-    return D
-
-
 def _config_divisors(fibres, n):
-    """_divisors of a sequence of FibreConfig."""
+    """The (len(fibres) x n) int8 divisor matrix of a sequence of FibreConfig."""
     lens = [len(cfg.components) for cfg in fibres]
     flat = np.fromiter(
         chain.from_iterable(chain.from_iterable(cfg.components for cfg in fibres)),
         dtype=np.int64, count=2 * sum(lens))
-    return _divisors(flat[0::2], flat[1::2], lens, n)
+    mults = flat[1::2]
+    if mults.size and int(np.abs(mults).max()) > 127:
+        raise AssertionError("fibre multiplicities must fit in int8")
+    D = np.zeros((len(lens), n), dtype=np.int8)
+    D[np.repeat(np.arange(len(lens), dtype=np.intp), lens), flat[0::2]] = mults
+    return D
 
 
 def _keys(S: CurveSet, D):
@@ -169,16 +162,161 @@ def _gc_paused(fn):
 # enumeration
 
 
-def _neighbors(S: CurveSet):
-    """adj1[v]: the curves meeting v with intersection number 1, ascending."""
-    return [[u for u, x in enumerate(row) if u != v and x == 1]
-            for v, row in enumerate(S.gram)]
+def _rows(cols, mults, n):
+    """int8 divisor rows with multiplicity mults[k] in column cols[f, k]."""
+    D = np.zeros((len(cols), n), dtype=np.int8)
+    D[np.arange(len(cols))[:, None], cols] = mults
+    return D
 
 
-def _nonzero_masks(S: CurveSet):
-    """nz[v]: bitmask of the curves u != v with a nonzero intersection with v."""
-    return [sum(1 << u for u, x in enumerate(row) if u != v and x != 0)
-            for v, row in enumerate(S.gram)]
+def _cross(f, g):
+    """The index pairs (x, y) with f[x] == g[y], g ascending, ordered by x
+    and then y: a join of two row lists on their keys."""
+    cnt = np.bincount(g, minlength=int(f.max(initial=-1)) + 1)
+    rep = cnt[f]
+    x = np.repeat(np.arange(len(f)), rep)
+    first = (np.cumsum(cnt) - cnt)[f] - np.cumsum(rep) + rep
+    return x, np.repeat(first, rep) + np.arange(len(x))
+
+
+def _in_preorder(found):
+    """(kinds, int8 rows) of the items a walk emits at its paths, in the
+    pre-order of a depth-first walk visiting children in descending curve
+    order.  found holds (kind, paths, tails, rows) per path length, a tail
+    ordering the items of one path.  Keys (v0, -v1, ..., -vk, sentinel,
+    tail), the sentinel below every -v, put a path before its extensions."""
+    width = 1 + max(P.shape[1] + T.shape[1] for _, P, T, _ in found)
+    kinds, keys = [], []
+    for kind, P, T, _ in found:
+        k = P.shape[1]
+        key = np.zeros((len(P), width), dtype=np.intp)
+        key[:, 0], key[:, 1:k] = P[:, 0], -P[:, 1:]
+        key[:, k], key[:, k + 1:k + 1 + T.shape[1]] = np.iinfo(np.intp).min, T
+        kinds += [kind] * len(P)
+        keys.append(key)
+    order = np.lexsort(np.concatenate(keys).T[::-1])
+    D = np.concatenate([rows for _, _, _, rows in found])
+    return [kinds[f] for f in order.tolist()], D[order]
+
+
+class _Graph:
+    """A curve set's unit graph, for a walk over induced paths that extends
+    all paths of one length at once.  adj1[v] lists the curves meeting v
+    once, ascending; nz1[v] is the bitmask of the curves u != v meeting v.
+    As arrays, adj lists unit neighbours in descending order, padded with
+    n; bit and nz hold each curve's bit and nz1 mask, all ones at the pad
+    n, so that a pad never passes a mask test.  Masks are int64 below 64
+    curves and Python ints (object arrays) above."""
+
+    def __init__(self, S: CurveSet):
+        n = self.n = S.n
+        self.adj1 = [[u for u, x in enumerate(row) if u != v and x == 1]
+                     for v, row in enumerate(S.gram)]
+        self.nz1 = [sum(1 << u for u, x in enumerate(row) if u != v and x)
+                    for v, row in enumerate(S.gram)]
+        word = np.int64 if n < 64 else object
+        deg = max(map(len, self.adj1), default=0)
+        self.adj = np.array([a[::-1] + [n] * (deg - len(a)) for a in self.adj1],
+                            dtype=np.intp).reshape(n, deg)
+        self.bit = np.array([1 << v for v in range(n)] + [-1], dtype=word)
+        self.nz = np.array(self.nz1 + [-1], dtype=word)
+        self.gram = np.array(S.gram, dtype=np.int64).reshape(n, n)
+
+    def extend(self, P, PM, forbid):
+        """(parent rows, paths, masks) of every one-edge extension of the
+        paths P (with vertex masks PM) whose new end is off its path and
+        meets no curve in its row of forbid, by row, then descending end."""
+        W = self.adj[P[:, -1]]
+        ok = (self.bit[W] & PM[:, None]) == 0
+        ok &= (self.nz[W] & forbid[:, None]) == 0
+        rows, k = np.nonzero(ok)
+        w = W[rows, k]
+        return rows, np.column_stack((P[rows], w)), PM[rows] | self.bit[w]
+
+    def cycles(self, max_n):
+        """I_m, 3 <= m <= max_n: each chordless unit-edge cycle once, rooted
+        at its least curve r, its second curve below its last.  A path from
+        r grows by curves above r that touch nothing of its interior; a
+        curve meeting r once closes it, a curve meeting r more ends it."""
+        bit, found = self.bit, []
+        P, PM = np.arange(self.n)[:, None], bit[:-1]
+        for k in range(2, max_n + 1):               # paths of k curves
+            _, P, PM = self.extend(P, PM, PM & ~bit[P[:, 0]] & ~bit[P[:, -1]])
+            r, w = P[:, 0], P[:, -1]
+            keep, g = w > r, self.gram[r, w]
+            C = P[keep & (g == 1) & (P[:, 1] < w)]          # none for k = 2
+            found.append((f"I{k}", C[:, :-1], C[:, -1:], _rows(C, 1, self.n)))
+            if k > 2:
+                keep &= g == 0
+            P, PM = P[keep], PM[keep]
+            if not len(P):
+                break
+        return _in_preorder(found)
+
+    def d4(self):
+        """D~4: a centre with four pairwise untouching unit neighbours."""
+        stars = [(c,) + legs for c, adj in enumerate(self.adj1)
+                 for legs in combinations(adj, 4) if not any(
+                     self.nz1[a] >> b & 1 for a, b in combinations(legs, 2))]
+        cols = np.array(stars, dtype=np.intp).reshape(-1, 5)
+        return ["D4"] * len(stars), _rows(cols, (2, 1, 1, 1, 1), self.n)
+
+    def chains(self):
+        """D~_m, 5 <= m <= 17: a chain of m - 3 curves (multiplicity 2), an
+        induced path with its first curve below its last, and at each end a
+        fork pair, two untouching unit neighbours of the end that miss the
+        rest of the chain, the two pairs untouching.  A path grows while a
+        fork pair at its first curve misses it, up to 14 curves (D~17): a
+        fibre adds at most rho - 2 = 17 to the trivial lattice's rank."""
+        bit, nz, n, found = self.bit, self.nz1, self.n, []
+        pairs = [[(a, b) for a, b in combinations(adj, 2) if not nz[a] >> b & 1]
+                 for adj in self.adj1]
+        AB = np.full((n + 1, max(map(len, pairs), default=0), 2), n, np.intp)
+        for v, ps in enumerate(pairs):
+            AB[v, :len(ps)] = np.reshape(ps, (-1, 2))
+        A, B = AB[..., 0], AB[..., 1]               # in combinations order
+        R = bit[A] | bit[B] | self.nz[A] | self.nz[B]   # pair and all it meets
+
+        def pairs_missing(P, PM, end):              # fork pairs at P[:, end]
+            x = P[:, end]
+            return (R[x] & (PM & ~bit[x])[:, None]) == 0
+
+        roots = np.flatnonzero(list(map(len, pairs)))
+        P, PM = roots[:, None], bit[roots]
+        for k in range(2, 15):                      # chains of k curves
+            _, P, PM = self.extend(P, PM, PM & ~bit[P[:, -1]])
+            left = pairs_missing(P, PM, 0)
+            keep = left.any(axis=1)
+            out = keep & (P[:, 0] < P[:, -1])
+            C = P[out]
+            f, li = np.nonzero(left[out])
+            g, ri = np.nonzero(pairs_missing(C, PM[out], -1))
+            x, y = _cross(f, g)
+            f, li, ri = f[x], li[x], ri[y]
+            s, e = C[f, 0], C[f, -1]
+            legs = np.column_stack((A[s, li], B[s, li], A[e, ri], B[e, ri]))
+            ok = (R[s, li] & (bit[legs[:, 2]] | bit[legs[:, 3]])) == 0
+            C = C[f[ok]]
+            found.append((f"D{k + 3}", C, np.column_stack((li, ri))[ok], _rows(
+                np.column_stack((C, legs[ok])), (2,) * k + (1,) * 4, n)))
+            P, PM = P[keep], PM[keep]
+            if not len(P):
+                break
+        return _in_preorder(found)
+
+    def arms(self):
+        """{L: (centres, arms, masks, reaches)}: each chordless path of L
+        curves hanging off a centre, with its vertex mask, and that mask
+        joined with every curve the arm meets.  Rows come sorted by (c,
+        -a1, ..., -aL), as each length extends the last's rows in order."""
+        bit, out = self.bit, {}
+        P, PM = np.arange(self.n)[:, None], bit[:-1]
+        U = np.zeros(self.n, dtype=PM.dtype)        # curves the arm meets
+        for L in range(1, 6):
+            rows, P, PM = self.extend(P, PM, PM & ~bit[P[:, -1]])
+            U, M = U[rows] | self.nz[P[:, -1]], PM & ~bit[P[:, 0]]
+            out[L] = (P[:, 0], P[:, 1:], M, M | U)
+        return out
 
 
 @_gc_paused
@@ -193,27 +331,16 @@ def find_fibres(S: CurveSet, max_n: int = 16):
     """
     if max_n < 2:
         raise ValueError("max_n must be >= 2")
-    g = S.gram
-    n = S.n
-    kinds, cols, mults, lens = [], [], [], []
-    # I2: intersection number exactly 2
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if g[i][j] == 2]
-    # I_m cycles, m >= 3: chordless cycles in the unit graph, where
-    # "chordless" forbids any nonzero intersection between non-neighbours
-    adj1 = _neighbors(S)
-    nz = _nonzero_masks(S)
-    cycles = _chordless_cycles(S, adj1, nz, max_n)
-    for kind, c, m in chain((("I2", p, (1, 1)) for p in pairs),
-                            ((f"I{len(c)}", c, (1,) * len(c)) for c in cycles),
-                            _d_fibres(adj1, nz, n)):
-        kinds.append(kind)
-        cols.extend(c)
-        mults.extend(m)
-        lens.append(len(c))
-    blocks = [_divisors(cols, mults, lens, n)]
+    n, T = S.n, _Graph(S)
+    pairs = np.column_stack(np.nonzero(np.triu(T.gram == 2, 1)))
+    kinds, blocks = ["I2"] * len(pairs), [_rows(pairs, 1, n)]
+    for block_kinds, block in (T.cycles(max_n), T.d4(), T.chains()):
+        kinds += block_kinds
+        blocks.append(block)
+    arms = T.arms()
     for kind in _E_ARMS:
-        blocks.append(_e_rows(adj1, nz, n, kind))
-        kinds.extend([kind] * len(blocks[-1]))
+        blocks.append(_e_rows(arms, n, kind))
+        kinds += [kind] * len(blocks[-1])
     D = np.concatenate(blocks)
     K = _keys(S, D)
     # D.C_i = 0 on every component (hence D.D = 0)
@@ -225,93 +352,6 @@ def find_fibres(S: CurveSet, max_n: int = 16):
     return RowTuple(_configs(kinds, D), curves=S, D=D, K=K)
 
 
-def _chordless_cycles(S, adj1, nz, max_n):
-    """Each chordless unit-edge cycle of length 3..max_n, found exactly once.
-
-    Canonical form: the cycle is rooted at its least vertex r with the
-    second vertex smaller than the last; all other vertices exceed r.
-    Interior vertices may touch nothing else on the path (zero intersection
-    with all non-neighbours, including weight-2 contacts).
-    """
-    for r in range(S.n):
-        gr = S.gram[r]
-        rbit = 1 << r
-        stack = [(r, (r,), rbit)]
-        while stack:
-            v, path, pm = stack.pop()
-            inner = pm & ~rbit & ~(1 << v)          # path[1:-1]
-            for w in adj1[v]:
-                if w <= r or pm >> w & 1 or nz[w] & inner:
-                    continue
-                if len(path) == 1:
-                    # first step away from the root: the r-w edge is part of
-                    # the cycle, not a chord
-                    stack.append((w, path + (w,), pm | 1 << w))
-                    continue
-                grw = gr[w]
-                if grw != 0:
-                    # w touches the root: only valid as the closing vertex
-                    if grw == 1 and path[1] < w and len(path) + 1 <= max_n:
-                        yield path + (w,)
-                    continue
-                if len(path) < max_n:
-                    stack.append((w, path + (w,), pm | 1 << w))
-
-
-def _d_fibres(adj1, nz, n):
-    """(kind, columns, multiplicities) of the D~_n (n >= 4) configurations."""
-    # D~_4: central c with four legs, pairwise disjoint
-    for c in range(n):
-        for legs in combinations(adj1[c], 4):
-            lm = sum(1 << l for l in legs)
-            if not any(nz[l] & lm for l in legs):
-                yield "D4", (c,) + legs, (2, 1, 1, 1, 1)
-
-    # D~_m, m >= 5: chain c_1 .. c_{m-3} (multiplicity 2) with fork pairs
-    # at both ends
-    for path, pm, left in _d_chains(adj1, nz, n):
-        right = _fork_pairs(adj1, nz, path[-1], pm)
-        kind, mults = f"D{len(path) + 3}", (2,) * len(path) + (1, 1, 1, 1)
-        for l1, l2, lreach in left:
-            for r1, r2, _ in right:
-                if lreach & (1 << r1 | 1 << r2):
-                    continue
-                yield kind, path + (l1, l2, r1, r2), mults
-
-
-def _d_chains(adj1, nz, n):
-    """Induced paths (length 2..14 vertices) with no extra adjacencies,
-    emitted once (first endpoint < last endpoint), with their vertex masks
-    and the fork pairs left at the first vertex.  Those pairs only shrink
-    as the path grows, so a path without any is not extended."""
-    for start in range(n):
-        stack = [(start, (start,), 1 << start,
-                  _fork_pairs(adj1, nz, start, 1 << start))]
-        while stack:
-            v, path, pm, left = stack.pop()
-            if len(path) >= 2 and path[0] < path[-1]:
-                yield path, pm, left
-            if len(path) >= 14:
-                continue
-            before = pm & ~(1 << v)                 # path[:-1]
-            for w in adj1[v]:
-                if pm >> w & 1 or nz[w] & before:
-                    continue
-                keep = [f for f in left if not f[2] >> w & 1]
-                if keep:
-                    stack.append((w, path + (w,), pm | 1 << w, keep))
-
-
-def _fork_pairs(adj1, nz, end, pm):
-    """Disjoint pairs of unit neighbours of the chain end `end` that miss
-    the rest of the chain (vertex mask pm), in combinations order.  Each
-    pair carries the mask of its vertices and of every curve they meet."""
-    rest = pm & ~(1 << end)
-    opts = [v for v in adj1[end] if not (pm >> v & 1 or nz[v] & rest)]
-    return [(a, b, 1 << a | 1 << b | nz[a] | nz[b])
-            for a, b in combinations(opts, 2) if not nz[a] >> b & 1]
-
-
 # center multiplicity and arm multiplicities (outward) of the affine E diagrams
 _E_ARMS = {
     "E6": (3, [(2, 1), (2, 1), (2, 1)]),
@@ -320,62 +360,30 @@ _E_ARMS = {
 }
 
 
-def _e_rows(adj1, nz, n, kind):
+def _e_rows(arms, n, kind):
     """The affine E diagrams of one kind as int8 divisor rows: three
-    disjoint, mutually untouching chordless arms from a center.  Arms of
-    equal length are taken in increasing list order, so each diagram is
-    found once, in the order of its first arm triple: arm pairs pass
-    r1 & m2 = 0, then triples (r1 | r2) & m3 = 0, for vertex masks m and
-    reach masks r, broadcast over each center's arms."""
+    disjoint, mutually untouching chordless arms from a centre, taken from
+    _Graph.arms.  Arms of equal length are taken in increasing row order,
+    so each diagram is found once, ordered by centre and then by its arm
+    triple: arm pairs at one centre pass r1 & m2 = 0, then triples
+    (r1 | r2) & m3 = 0, for vertex masks m and reach masks r."""
     center_mult, arm_mults = _E_ARMS[kind]
-    lengths = [len(a) for a in arm_mults]
-    mults = np.array((center_mult,) + tuple(chain(*arm_mults)), dtype=np.int8)
-    word = np.int64 if n < 64 else object       # masks of n bits
-    blocks = [np.zeros((0, n), dtype=np.int8)]
-    for c in range(n):
-        arms = {L: _arms_from(adj1, nz, c, L) for L in set(lengths)}
-        (V1, _, R1), (V2, M2, R2), (V3, M3, _) = (
-            (np.array([a for a, _, _ in arms[L]], dtype=np.intp).reshape(-1, L),
-             np.array([m for _, m, _ in arms[L]], dtype=word),
-             np.array([r for _, _, r in arms[L]], dtype=word))
-            for L in lengths)
-        ok = (R1[:, None] & M2) == 0
-        if lengths[1] == lengths[0]:
-            ok &= np.arange(len(V2)) > np.arange(len(V1))[:, None]
-        i, j = np.nonzero(ok)
-        ok = ((R1[i] | R2[j])[:, None] & M3) == 0
-        if lengths[2] == lengths[1]:
-            ok &= np.arange(len(V3)) > j[:, None]
-        t, k = np.nonzero(ok)
-        i, j = i[t], j[t]
-        cols = np.hstack([np.full((len(k), 1), c), V1[i], V2[j], V3[k]])
-        block = np.zeros((len(k), n), dtype=np.int8)
-        block[np.arange(len(k))[:, None], cols] = mults
-        blocks.append(block)
-    return np.concatenate(blocks)
-
-
-def _arms_from(adj1, nz, c, length):
-    """Chordless paths of `length` vertices hanging off c (excluding c),
-    each with its vertex mask and that mask joined with every curve it meets."""
-    out = []
-    stack = [(c, (c,), 1 << c)]
-    while stack:
-        v, path, pm = stack.pop()
-        if len(path) == length + 1:
-            arm = path[1:]
-            reach = pm & ~(1 << c)
-            mask = reach
-            for u in arm:
-                reach |= nz[u]
-            out.append((arm, mask, reach))
-            continue
-        before = pm & ~(1 << v)
-        for w in adj1[v]:
-            if pm >> w & 1 or nz[w] & before:
-                continue
-            stack.append((w, path + (w,), pm | 1 << w))
-    return out
+    (C1, V1, _, R1), (C2, V2, M2, R2), (C3, V3, M3, _) = (
+        arms[len(a)] for a in arm_mults)
+    L1, L2, L3 = map(len, arm_mults)
+    i, j = _cross(C1, C2)
+    ok = (R1[i] & M2[j]) == 0
+    if L2 == L1:
+        ok &= j > i
+    i, j = i[ok], j[ok]
+    t, k = _cross(C1[i], C3)
+    ok = ((R1[i[t]] | R2[j[t]]) & M3[k]) == 0
+    if L3 == L2:
+        ok &= k > j[t]
+    t, k = t[ok], k[ok]
+    i, j = i[t], j[t]
+    cols = np.column_stack((C1[i], V1[i], V2[j], V3[k]))
+    return _rows(cols, (center_mult,) + tuple(chain(*arm_mults)), n)
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +394,6 @@ def _arms_from(adj1, nz, c, length):
 class Fibration:
     key: tuple              # intersection vector of D against the curve set
     fibres: list
-
-    @property
-    def section_indices(self):
-        return tuple(i for i, v in enumerate(self.key) if v == 1)
 
     @property
     def has_section_in_set(self):
@@ -438,10 +442,6 @@ def group_fibrations(fibres, S: CurveSet):
                              ends[s:s + 4096]):
             out.append(Fibration(tuple(row), members[a:b]))
     return RowTuple(out, keys=U)
-
-
-def find_sections(fib: Fibration, S: CurveSet):
-    return [S.labels[i] for i in fib.section_indices]
 
 
 def orbit_count(fibrations, generators, S: CurveSet,

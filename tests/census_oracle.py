@@ -2,9 +2,11 @@
 
 brute_force_fibres is the exhaustive search that the constructive one in
 dyk3.kodaira is checked against: it classifies every connected subset of
-curves whose restricted Gram matrix is singular.  _e_type is the
-pure-Python E~ arm search that the numpy row blocks of kodaira._e_rows
-replaced; it yields each diagram's components, in the same order.
+curves whose restricted Gram matrix is singular.  The depth-first walks
+below (_chordless_cycles, _d_fibres with _d_chains and _fork_pairs, and
+_arms_from with _e_type) are the pure-Python searches that kodaira's
+level-by-level walk over numpy row blocks replaced; walk_fibres runs them
+in the order find_fibres must reproduce.
 """
 
 from fractions import Fraction
@@ -12,8 +14,152 @@ from functools import cache
 from itertools import combinations, permutations
 from math import gcd, lcm
 
-from dyk3.kodaira import _E_ARMS, CurveSet, FibreConfig, _arms_from
+from dyk3.kodaira import _E_ARMS, CurveSet, FibreConfig
 from dyk3.lattice import bareiss_det
+
+
+def walk_fibres(S: CurveSet, max_n: int = 16):
+    """(kind, components) of every fibre on S, in find_fibres' order: I2
+    pairs, I_n cycles, D~ diagrams, then the E6, E7 and E8 diagrams."""
+    g, n = S.gram, S.n
+    adj1, nz = _neighbors(S), _nonzero_masks(S)
+    found = [("I2", (i, j), (1, 1)) for i in range(n)
+             for j in range(i + 1, n) if g[i][j] == 2]
+    found += [(f"I{len(c)}", c, (1,) * len(c))
+              for c in _chordless_cycles(S, adj1, nz, max_n)]
+    found += list(_d_fibres(adj1, nz, n))
+    out = [(kind, tuple(sorted(zip(c, m)))) for kind, c, m in found]
+    for kind in _E_ARMS:
+        out += [(kind, tuple(sorted(comps)))
+                for _, comps in _e_type(adj1, nz, n, kind)]
+    return out
+
+
+def find_sections(fib, S: CurveSet):
+    """Labels of the curves that meet the fibration's fibre once."""
+    return [S.labels[i] for i, v in enumerate(fib.key) if v == 1]
+
+
+def _neighbors(S: CurveSet):
+    """adj1[v]: the curves meeting v with intersection number 1, ascending."""
+    return [[u for u, x in enumerate(row) if u != v and x == 1]
+            for v, row in enumerate(S.gram)]
+
+
+def _nonzero_masks(S: CurveSet):
+    """nz[v]: bitmask of the curves u != v with a nonzero intersection with v."""
+    return [sum(1 << u for u, x in enumerate(row) if u != v and x != 0)
+            for v, row in enumerate(S.gram)]
+
+
+def _chordless_cycles(S, adj1, nz, max_n):
+    """Each chordless unit-edge cycle of length 3..max_n, found exactly once.
+
+    Canonical form: the cycle is rooted at its least vertex r with the
+    second vertex smaller than the last; all other vertices exceed r.
+    Interior vertices may touch nothing else on the path (zero intersection
+    with all non-neighbours, including weight-2 contacts).
+    """
+    for r in range(S.n):
+        gr = S.gram[r]
+        rbit = 1 << r
+        stack = [(r, (r,), rbit)]
+        while stack:
+            v, path, pm = stack.pop()
+            inner = pm & ~rbit & ~(1 << v)          # path[1:-1]
+            for w in adj1[v]:
+                if w <= r or pm >> w & 1 or nz[w] & inner:
+                    continue
+                if len(path) == 1:
+                    # first step away from the root: the r-w edge is part of
+                    # the cycle, not a chord
+                    stack.append((w, path + (w,), pm | 1 << w))
+                    continue
+                grw = gr[w]
+                if grw != 0:
+                    # w touches the root: only valid as the closing vertex
+                    if grw == 1 and path[1] < w and len(path) + 1 <= max_n:
+                        yield path + (w,)
+                    continue
+                if len(path) < max_n:
+                    stack.append((w, path + (w,), pm | 1 << w))
+
+
+def _d_fibres(adj1, nz, n):
+    """(kind, columns, multiplicities) of the D~_n (n >= 4) configurations."""
+    # D~_4: central c with four legs, pairwise disjoint
+    for c in range(n):
+        for legs in combinations(adj1[c], 4):
+            lm = sum(1 << l for l in legs)
+            if not any(nz[l] & lm for l in legs):
+                yield "D4", (c,) + legs, (2, 1, 1, 1, 1)
+
+    # D~_m, m >= 5: chain c_1 .. c_{m-3} (multiplicity 2) with fork pairs
+    # at both ends
+    for path, pm, left in _d_chains(adj1, nz, n):
+        right = _fork_pairs(adj1, nz, path[-1], pm)
+        kind, mults = f"D{len(path) + 3}", (2,) * len(path) + (1, 1, 1, 1)
+        for l1, l2, lreach in left:
+            for r1, r2, _ in right:
+                if lreach & (1 << r1 | 1 << r2):
+                    continue
+                yield kind, path + (l1, l2, r1, r2), mults
+
+
+def _d_chains(adj1, nz, n):
+    """Induced paths (length 2..14 vertices) with no extra adjacencies,
+    emitted once (first endpoint < last endpoint), with their vertex masks
+    and the fork pairs left at the first vertex.  Those pairs only shrink
+    as the path grows, so a path without any is not extended."""
+    for start in range(n):
+        stack = [(start, (start,), 1 << start,
+                  _fork_pairs(adj1, nz, start, 1 << start))]
+        while stack:
+            v, path, pm, left = stack.pop()
+            if len(path) >= 2 and path[0] < path[-1]:
+                yield path, pm, left
+            if len(path) >= 14:
+                continue
+            before = pm & ~(1 << v)                 # path[:-1]
+            for w in adj1[v]:
+                if pm >> w & 1 or nz[w] & before:
+                    continue
+                keep = [f for f in left if not f[2] >> w & 1]
+                if keep:
+                    stack.append((w, path + (w,), pm | 1 << w, keep))
+
+
+def _fork_pairs(adj1, nz, end, pm):
+    """Disjoint pairs of unit neighbours of the chain end `end` that miss
+    the rest of the chain (vertex mask pm), in combinations order.  Each
+    pair carries the mask of its vertices and of every curve they meet."""
+    rest = pm & ~(1 << end)
+    opts = [v for v in adj1[end] if not (pm >> v & 1 or nz[v] & rest)]
+    return [(a, b, 1 << a | 1 << b | nz[a] | nz[b])
+            for a, b in combinations(opts, 2) if not nz[a] >> b & 1]
+
+
+def _arms_from(adj1, nz, c, length):
+    """Chordless paths of `length` vertices hanging off c (excluding c),
+    each with its vertex mask and that mask joined with every curve it meets."""
+    out = []
+    stack = [(c, (c,), 1 << c)]
+    while stack:
+        v, path, pm = stack.pop()
+        if len(path) == length + 1:
+            arm = path[1:]
+            reach = pm & ~(1 << c)
+            mask = reach
+            for u in arm:
+                reach |= nz[u]
+            out.append((arm, mask, reach))
+            continue
+        before = pm & ~(1 << v)
+        for w in adj1[v]:
+            if pm >> w & 1 or nz[w] & before:
+                continue
+            stack.append((w, path + (w,), pm | 1 << w))
+    return out
 
 
 def _e_type(adj1, nz, n, kind):

@@ -5,12 +5,13 @@ from math import gcd
 import numpy as np
 import pytest
 
-from census_oracle import _e_type, brute_force_fibres
+from census_oracle import (_chordless_cycles, _e_type, _neighbors,
+                           _nonzero_masks, brute_force_fibres, find_sections,
+                           walk_fibres)
 from dyk3.fixtures import load_gram
-from dyk3.kodaira import (_E_ARMS, CurveSet, FibreConfig, _e_rows,
-                          _generated_group, _keys, _neighbors,
-                          _nonzero_masks, fibre_key, find_fibres,
-                          find_sections, group_fibrations, orbit_count)
+from dyk3.kodaira import (_E_ARMS, CurveSet, FibreConfig, _e_rows, _Graph,
+                          _generated_group, _keys, fibre_key, find_fibres,
+                          group_fibrations, orbit_count)
 
 
 # Reference keys, grouping and orbit canonicalisation: the pure-Python
@@ -61,6 +62,30 @@ def random_gram(rng, n):
             r = rng.random()
             g[i][j] = g[j][i] = 0 if r < 0.55 else (1 if r < 0.92 else 2)
     return g
+
+
+def wide_gram(rng, n):
+    """n curves: criterion-10a blocks of 4 to 8 curves along the diagonal,
+    joined by n // 4 random unit edges, so that masks exceed 63 bits."""
+    g = [[0] * n for _ in range(n)]
+    a = 0
+    while a < n:
+        b = min(n, a + rng.randrange(4, 9))
+        for i, row in enumerate(random_gram(rng, b - a)):
+            g[a + i][a:b] = row
+        a = b
+    for _ in range(n // 4):
+        i, j = rng.sample(range(n), 2)
+        g[i][j] = g[j][i] = 1
+    return g
+
+
+@pytest.fixture(scope="module")
+def census34():
+    """The curves34 census and its walk oracle, shared by this module."""
+    fix = load_gram("curves34")
+    S = CurveSet(fix.labels, fix.gram)
+    return S, find_fibres(S), walk_fibres(S)
 
 
 def triangle():
@@ -358,16 +383,23 @@ def test_group_fibrations_refuses_meeting_fibres_with_one_key():
 def _e_rows_and_oracle(S):
     """(rows, oracle rows) per E~ kind: kodaira's numpy row blocks, and the
     divisors of the pure-Python arm search in census_oracle, in its order."""
-    adj1, nz = _neighbors(S), _nonzero_masks(S)
+    adj1, nz, arms = _neighbors(S), _nonzero_masks(S), _Graph(S).arms()
     for kind in _E_ARMS:
         oracle = [FibreConfig(kind, tuple(sorted(comps))).divisor(S.n)
                   for _, comps in _e_type(adj1, nz, S.n, kind)]
-        yield kind, _e_rows(adj1, nz, S.n, kind).tolist(), oracle
+        yield kind, _e_rows(arms, S.n, kind).tolist(), oracle
 
 
-def test_e_rows_match_the_arm_search_oracle():
-    sets = [load_gram(name) for name in ("curves34", "lemma_partial")]
-    sets = [CurveSet(fix.labels, fix.gram) for fix in sets]
+def test_e_rows_match_the_arm_search_oracle(census34):
+    S, _, walk = census34                   # the oracle's E~ rows on curves34
+    arms = _Graph(S).arms()
+    for kind in _E_ARMS:
+        rows = _e_rows(arms, S.n, kind).tolist()
+        assert rows == [FibreConfig(kind, c).divisor(S.n)
+                        for k, c in walk if k == kind], kind
+        assert len(rows) == {"E6": 6388, "E7": 26780, "E8": 47480}[kind]
+    fix = load_gram("lemma_partial")
+    sets = [CurveSet(fix.labels, fix.gram)]
     rng = random.Random(116)                # criterion 10a's 200 sets
     for _ in range(200):
         n = rng.randrange(3, 10)
@@ -380,10 +412,74 @@ def test_e_rows_match_the_arm_search_oracle():
     for k, S in enumerate(sets):
         for kind, rows, oracle in _e_rows_and_oracle(S):
             assert rows == oracle, (k, kind)
-            if k == 0:
-                assert len(rows) == {"E6": 6388, "E7": 26780, "E8": 47480}[kind]
-            random_rows += (k >= 2) * len(rows)
+            random_rows += (k >= 1) * len(rows)
     assert random_rows > 0
+
+
+def _cycles_and_oracle(S, max_n):
+    """(kinds, supports) of the I_n rows, and the walk oracle's cycles."""
+    kinds, D = _Graph(S).cycles(max_n)
+    adj1, nz = _neighbors(S), _nonzero_masks(S)
+    cycles = list(_chordless_cycles(S, adj1, nz, max_n))
+    return (kinds, [np.flatnonzero(r).tolist() for r in D]), \
+        ([f"I{len(c)}" for c in cycles], [sorted(c) for c in cycles])
+
+
+def test_find_fibres_matches_the_walk_oracles(census34):
+    # rows and kinds in the order of the depth-first walks, for each max_n;
+    # on curves34, whose census is shared, max_n = 2, 3, 10 check the I_n
+    # search, the only one that reads max_n
+    S, fibres, walk = census34
+    assert [(f.kind, f.components) for f in fibres] == walk
+    for max_n in (2, 3, 10):
+        mine, oracle = _cycles_and_oracle(S, max_n)
+        assert mine == oracle, max_n
+    fix = load_gram("lemma_partial")
+    rng = random.Random(23)
+    sets = [CurveSet(fix.labels, fix.gram),
+            CurveSet([f"c{i}" for i in range(72)], wide_gram(rng, 72))]
+    rng = random.Random(116)                # criterion 10a's 200 sets
+    for _ in range(200):
+        n = rng.randrange(3, 10)
+        sets.append(CurveSet([f"c{i}" for i in range(n)], random_gram(rng, n)))
+    rng = random.Random(4)                  # the doubled sets
+    for _ in range(100):
+        g = doubled_gram(rng, rng.randrange(3, 8))
+        sets.append(CurveSet([f"c{i}" for i in range(len(g))], g))
+    for max_n in (2, 3, 10, 16):
+        for k, S in enumerate(sets):
+            fibres = find_fibres(S, max_n)
+            assert [(f.kind, f.components) for f in fibres] == \
+                walk_fibres(S, max_n), (max_n, k)
+            if k == 1:                      # object masks, fibres past bit 63
+                assert fibres.D[:, 64:].any() and fibres.D[:, :64].any()
+
+
+def test_cycle_and_chain_caps():
+    # a 17-cycle is found at max_n = 17 only; chains stop at 14 curves, so a
+    # D~17 is found and a D~18 (a chain of 15) is not
+    g = [[-2 if i == j else int((i - j) % 17 in (1, 16)) for j in range(17)]
+         for i in range(17)]
+    S = CurveSet([f"c{i}" for i in range(17)], g)
+    assert [f.kind for f in find_fibres(S, max_n=17)] == ["I17"]
+    assert len(find_fibres(S, max_n=16)) == 0
+    for m, kinds in ((16, ["D16"]), (17, ["D17"]), (18, [])):
+        edges = [(v, v + 1) for v in range(m - 4)] + \
+            [(0, m - 3), (0, m - 2), (m - 4, m - 1), (m - 4, m)]
+        g = [[-2 if i == j else 0 for j in range(m + 1)] for i in range(m + 1)]
+        for a, b in edges:
+            g[a][b] = g[b][a] = 1
+        S = CurveSet([f"c{i}" for i in range(m + 1)], g)
+        assert [f.kind for f in find_fibres(S)] == kinds, m
+
+
+def test_sets_without_unit_edges_have_no_fibres():
+    # the empty set, one curve, and curves meeting 0 or 3 times
+    for g in ([], [[-2]], [[-2, 0, 3], [0, -2, 0], [3, 0, -2]]):
+        S = CurveSet([f"c{i}" for i in range(len(g))], g)
+        fibres = find_fibres(S)
+        assert len(fibres) == 0 and fibres.D.shape == (0, S.n)
+        assert len(group_fibrations(fibres, S)) == 0
 
 
 def test_e_rows_beyond_63_curves():
@@ -400,11 +496,10 @@ def test_e_rows_beyond_63_curves():
     assert sorted(f.kind for f in find_fibres(S)) == ["E7", "E8"]
 
 
-def test_keys_equal_integer_products():
-    for name in ("curves34", "lemma_partial"):
-        fix = load_gram(name)
-        S = CurveSet(fix.labels, fix.gram)
-        fibres = find_fibres(S)
+def test_keys_equal_integer_products(census34):
+    fix = load_gram("lemma_partial")
+    S = CurveSet(fix.labels, fix.gram)
+    for S, fibres in (census34[:2], (S, find_fibres(S))):
         D = fibres.D.astype(np.int64)
         assert np.array_equal(fibres.K, D @ np.array(S.gram, dtype=np.int64))
         assert fibres.K.dtype == np.int16 and fibres.curves is S
