@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 
 from . import __version__
@@ -163,15 +164,12 @@ def cmd_kodaira(args, out):
             from .picard_fixture import _mirror_label
             gens.append([fix.labels.index(_mirror_label(l)) for l in fix.labels])
         fibres = find_fibres(S, max_n=args.max_n)
-        kinds = {}
-        for f in fibres:
-            kinds[f.kind] = kinds.get(f.kind, 0) + 1
         rec = {"op": "kodaira", "fixture": args.fixture, "fibres": len(fibres),
-               "by_type": dict(sorted(kinds.items())),
+               "by_type": dict(sorted(Counter(fibres.kinds).items())),
                **_meta(fix.meta.get("provenance", "unknown"))}
         fibs = group_fibrations(fibres, S)
         rec["fibrations"] = len(fibs)
-        rec["with_section_in_set"] = sum(1 for f in fibs if f.has_section_in_set)
+        rec["with_section_in_set"] = int(fibs.has_section_in_set.sum())
         if gens:
             rec["orbits"] = orbit_count(fibs, gens, S)
             rec["orbits_with_section"] = orbit_count(

@@ -11,18 +11,18 @@ built once, with its key matrix K = D.G; each fibre type is a row block.
 The I_n cycles, D~_n chains and E~ arms are filters on one step that
 extends every induced unit-edge path of one length at once, on vertex
 bitmasks (_Graph.extend); a lexsort puts the rows in depth-first order.
-find_fibres returns its configurations, read off D's rows, as a RowTuple
-carrying D and K; group_fibrations reuses both and returns a RowTuple
-carrying the key matrix, from which orbit_count takes its rows.
+The census is counted off arrays: FibreConfigs are read off D only when
+indexed, fibrations are views of the sorted key matrix, and orbit_count
+canonicalises that matrix once per symmetry group.
 """
 
 from __future__ import annotations
 
 import gc
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import wraps
-from itertools import chain, combinations
-from math import gcd
+from itertools import chain, combinations, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -32,15 +32,9 @@ class FibreConfig:
     kind: str                 # "I3", "D4", "D5", ..., "E6", "E7", "E8"
     components: tuple         # ((index, multiplicity), ...) sorted by index
 
-    @property
-    def support(self):
-        return tuple(i for i, _ in self.components)
-
     def divisor(self, n):
-        v = [0] * n
-        for i, m in self.components:
-            v[i] = m
-        return v
+        mult = dict(self.components)
+        return [mult.get(i, 0) for i in range(n)]
 
 
 class CurveSet:
@@ -69,20 +63,27 @@ class CurveSet:
         return all(sum(g[i][j] * mj for j, mj in comps) == 0 for i, _ in comps)
 
 
-class RowTuple(tuple):
-    """A tuple that carries, as attributes, matrices with one row per item:
-    find_fibres' configurations carry their divisor matrix D and key matrix
-    K and the CurveSet `curves` they belong to; group_fibrations'
-    fibrations carry their uint8 key matrix `keys`.  The matrices are
-    read-only, and a slice of a RowTuple is a plain tuple."""
+class Fibres(Sequence):
+    """find_fibres' fibres on the CurveSet `curves`: their kinds and their
+    read-only int8 divisor matrix D and int16 key matrix K, a row per fibre.
+    Its items, FibreConfigs read off D's rows, are built on the first index
+    or iteration and kept; a slice is a plain tuple."""
 
-    def __new__(cls, items, **carried):
-        self = super().__new__(cls, items)
-        for value in carried.values():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-        vars(self).update(carried)
-        return self
+    def __init__(self, kinds, D, K, curves):
+        D.flags.writeable = K.flags.writeable = False
+        self.kinds, self.D, self.K, self.curves = tuple(kinds), D, K, curves
+        self._items = None
+
+    def __len__(self):
+        return len(self.kinds)
+
+    def __getitem__(self, k):
+        if self._items is None:
+            self._items = tuple(_configs(self.kinds, self.D))
+        return self._items[k]
+
+    def __iter__(self):
+        return iter(self[:])
 
 
 # ---------------------------------------------------------------------------
@@ -115,47 +116,30 @@ def _keys(S: CurveSet, D):
     return (D.astype(np.float32) @ G.astype(np.float32)).astype(np.int16)
 
 
-def _matrices(fibres, S: CurveSet):
-    """(D, K) of a fibre sequence: those find_fibres(S) carries, or else
-    built from the configurations."""
-    if isinstance(fibres, RowTuple) and getattr(fibres, "curves", None) is S:
-        return fibres.D, fibres.K
-    D = _config_divisors(fibres, S.n)
-    return D, _keys(S, D)
-
-
 def _configs(kinds, D):
     """A FibreConfig per row of D, its components the row's nonzero entries
-    in column order; equal (index, multiplicity) pairs are one tuple."""
-    rows, cols = np.nonzero(D)
-    codes = cols * 128 + D[rows, cols]                  # multiplicities > 0
-    pairs = [None] * (128 * D.shape[1])
-    for c in np.flatnonzero(np.bincount(codes)).tolist():
-        pairs[c] = (c >> 7, c & 127)
-    flat = list(map(pairs.__getitem__, codes.tolist()))
-    ends = np.cumsum(np.bincount(rows, minlength=len(D))).tolist()
-    return [FibreConfig(kind, tuple(flat[a:b]))
-            for kind, a, b in zip(kinds, [0] + ends, ends)]
+    in column order; equal (index, multiplicity) pairs are one tuple.  The
+    objects hold no cycles, so the cyclic collector is paused meanwhile."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rows, cols = np.nonzero(D)
+        codes = cols * 128 + D[rows, cols]              # multiplicities > 0
+        pairs = [None] * (128 * D.shape[1])
+        for c in np.flatnonzero(np.bincount(codes)).tolist():
+            pairs[c] = (c >> 7, c & 127)
+        flat = list(map(pairs.__getitem__, codes.tolist()))
+        ends = np.cumsum(np.bincount(rows, minlength=len(D))).tolist()
+        return [FibreConfig(kind, tuple(flat[a:b]))
+                for kind, a, b in zip(kinds, [0] + ends, ends)]
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def fibre_key(S: CurveSet, cfg: FibreConfig):
     """Intersection vector (D.C_0, ..., D.C_{n-1}) of the fibre divisor D."""
     return tuple(_keys(S, _config_divisors([cfg], S.n))[0].tolist())
-
-
-def _gc_paused(fn):
-    """fn with the cyclic collector paused, its state restored after, on
-    errors too: the searches build 10^5 small objects holding no cycles."""
-    @wraps(fn)
-    def paused(*args, **kwargs):
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            if was_enabled:
-                gc.enable()
-    return paused
 
 
 # ---------------------------------------------------------------------------
@@ -319,15 +303,13 @@ class _Graph:
         return out
 
 
-@_gc_paused
 def find_fibres(S: CurveSet, max_n: int = 16):
     """All Kodaira fibres supported on S with I_n cycles up to length max_n.
 
     I2 = pairs meeting with intersection number 2; I_n (n >= 3) = chordless
     unit-edge cycles; D~_n and E~_6/7/8 by explicit diagram matching.  Each
     search finds every configuration once.  Every emitted configuration is
-    re-verified against the Gram matrix.  The result is a RowTuple carrying
-    the divisor matrix D, the key matrix K and S.
+    re-verified against the Gram matrix, and all are returned as Fibres.
     """
     if max_n < 2:
         raise ValueError("max_n must be >= 2")
@@ -349,7 +331,7 @@ def find_fibres(S: CurveSet, max_n: int = 16):
         f = int(bad.argmax())
         raise AssertionError("enumerated config fails the invariants: "
                              f"{_configs(kinds[f:f + 1], D[f:f + 1])[0]}")
-    return RowTuple(_configs(kinds, D), curves=S, D=D, K=K)
+    return Fibres(kinds, D, K, S)
 
 
 # center multiplicity and arm multiplicities (outward) of the affine E diagrams
@@ -390,58 +372,83 @@ def _e_rows(arms, n, kind):
 # grouping into fibrations
 
 
-@dataclass(slots=True)
-class Fibration:
-    key: tuple              # intersection vector of D against the curve set
-    fibres: list
+class Fibrations(Sequence):
+    """group_fibrations' fibrations: the read-only uint8 matrix `keys` of
+    their sorted keys, its masks has_section (gcd 1) and has_section_in_set
+    (an entry 1), and orbit_count's labels per symmetry group.  Fibration
+    k holds fibres[i] for i in order[ends[k - 1]:ends[k]]; item k is a
+    _Fibration view, and a slice a tuple of views."""
+
+    def __init__(self, keys, fibres, order, ends):
+        keys.flags.writeable = False
+        self.keys, self._fibres, self._order, self._ends = keys, fibres, order, ends
+        self.has_section = np.gcd.reduce(keys, axis=1) == 1
+        self.has_section_in_set = (keys == 1).any(axis=1)
+        self._orbits = {}
+
+    def __len__(self):
+        return len(self.keys)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return tuple(self)[k]
+        k = range(len(self))[k]
+        return _Fibration((self, k, bool(self.has_section[k]),
+                           bool(self.has_section_in_set[k])))
+
+    def __iter__(self):
+        return map(_Fibration, zip(repeat(self), range(len(self)),
+                                   self.has_section.tolist(),
+                                   self.has_section_in_set.tolist()))
+
+
+class _Fibration(tuple):
+    """A view (fibrations, k, has_section, has_section_in_set) of fibration
+    k; its key and its fibres are read when asked."""
+    __slots__ = ()
+    has_section = property(itemgetter(2))
+    has_section_in_set = property(itemgetter(3))
 
     @property
-    def has_section_in_set(self):
-        return 1 in self.key
+    def key(self):          # intersection vector of D against the curve set
+        return tuple(self[0].keys[self[1]].tolist())
 
     @property
-    def has_section(self):
-        return gcd(*self.key) == 1
+    def fibres(self):       # in input order
+        of, k = self[0], self[1]
+        rows = of._order[of._ends[k - 1] if k else 0:of._ends[k]]
+        return [of._fibres[i] for i in rows.tolist()]
 
 
-@_gc_paused
 def group_fibrations(fibres, S: CurveSet):
     """Group fibres by their intersection key; check pairwise disjointness.
 
     Fibrations come out sorted by key, each listing its fibres in input
-    order, as a RowTuple carrying their uint8 key matrix.  Keys are
-    compared as byte strings: their entries are asserted to lie in
-    [0, 127], where byte order is numeric order.
+    order, as Fibrations.  Keys are compared as byte strings: their entries
+    are asserted to lie in [0, 127], where byte order is numeric order.
     """
-    n = S.n
-    if not fibres:
-        return RowTuple((), keys=np.zeros((0, n), dtype=np.uint8))
-    D, K = _matrices(fibres, S)
+    n, empty = S.n, np.zeros(0, dtype=np.intp)
+    if not len(fibres):
+        return Fibrations(np.zeros((0, n), dtype=np.uint8), fibres, empty, empty)
+    if isinstance(fibres, Fibres) and fibres.curves is S:
+        D, K = fibres.D, fibres.K
+    else:                           # configurations, or another set's fibres
+        D = _config_divisors(fibres, n)
+        K = _keys(S, D)
     if K.min() < 0 or K.max() > 127:
         raise AssertionError("fibre key entries must lie in [0, 127]")
     K = K.astype(np.uint8)
     dd = np.einsum("ij,ij->i", D, K, dtype=np.int64)      # D.D = D.key
-    uniq, inv, counts = np.unique(K.view(np.dtype((np.void, n))).ravel(),
-                                  return_inverse=True, return_counts=True)
-    order = np.argsort(inv, kind="stable")
+    order = np.argsort(K.view(np.dtype((np.void, n))).ravel(), kind="stable")
+    K = K[order]
+    same = (K[1:] == K[:-1]).all(axis=1)        # fibre and the next: one key
     # each fibre a listed before a fibre b of its group must miss it; with
     # one key per group, D_a.G.D_b = D_a.key_b = D_a.key_a = D_a.D_a
-    earlier = counts[inv] > 1
-    earlier[order[np.cumsum(counts) - 1]] = False
-    if dd[earlier].any():
-        raise ValueError(
-            "key collision with nonzero intersection: the curve "
-            "set does not span the ambient Picard lattice")
-    U = uniq.view(np.uint8).reshape(-1, n)
-    members = list(map(fibres.__getitem__, order.tolist()))
-    ends = np.cumsum(counts).tolist()
-    starts = [0] + ends[:-1]
-    out = []
-    for s in range(0, len(U), 4096):        # key tuples in small chunks
-        for row, a, b in zip(U[s:s + 4096].tolist(), starts[s:s + 4096],
-                             ends[s:s + 4096]):
-            out.append(Fibration(tuple(row), members[a:b]))
-    return RowTuple(out, keys=U)
+    if dd[order[:-1][same]].any():
+        raise ValueError("key collision with nonzero intersection: the curve "
+                         "set does not span the ambient Picard lattice")
+    ends = np.append(np.flatnonzero(~same) + 1, len(K))
+    return Fibrations(K[ends - 1], fibres, order, ends)
 
 
 def orbit_count(fibrations, generators, S: CurveSet,
@@ -451,48 +458,41 @@ def orbit_count(fibrations, generators, S: CurveSet,
     generators: label permutations as index lists; must preserve the Gram.
     The orbit representative is the lexicographically least permuted key;
     keys are compared as byte strings, so their entries must lie in [0, 255].
+    Fibrations keep the labels per group; a predicate only selects among them.
     """
     G = np.array(S.gram)
     for perm in generators:
         if not np.array_equal(G[np.ix_(perm, perm)], G):
             raise ValueError("generator does not preserve the Gram")
-    n = S.n
-    keys = _key_rows(fibrations, predicate, n)
-    if not len(keys):
+    group = _generated_group(generators, S.n)
+    if not len(fibrations):
         return 0
+    if not isinstance(fibrations, Fibrations):      # a sequence of keyed items
+        keys = np.array([f.key for f in fibrations], dtype=np.uint8)
+        labels = _orbit_labels(keys, group)
+    elif group in fibrations._orbits:
+        labels = fibrations._orbits[group]
+    else:
+        labels = fibrations._orbits[group] = _orbit_labels(fibrations.keys, group)
+    if predicate is not None:
+        labels = labels[[k for k, f in enumerate(fibrations) if predicate(f)]]
+    return int(np.count_nonzero(np.bincount(labels)))
+
+
+def _orbit_labels(keys, group):
+    """A label per key row, shared by the rows of one orbit of the group:
+    the rank of the row's least permuted key among all of them."""
     canon = None
-    for p in _generated_group(generators, n):
-        moved = np.ascontiguousarray(keys[:, p]).view(f"S{n}").ravel()
+    for p in group:
+        moved = np.ascontiguousarray(keys[:, p]).view(f"S{keys.shape[1]}").ravel()
         canon = moved if canon is None else np.where(moved < canon, moved, canon)
-    return len(np.unique(canon.view(np.dtype((np.void, n)))))
-
-
-def _key_rows(fibrations, predicate, n):
-    """uint8 key rows of the fibrations that satisfy the predicate: taken
-    from group_fibrations' key matrix, or else packed from the keys."""
-    if isinstance(fibrations, RowTuple) and hasattr(fibrations, "keys"):
-        if predicate is None:
-            return fibrations.keys
-        return fibrations.keys[[k for k, f in enumerate(fibrations)
-                                if predicate(f)]]
-    fibs = [f for f in fibrations if predicate is None or predicate(f)]
-    keys = np.empty((len(fibs), n), dtype=np.uint8)
-    for s in range(0, len(fibs), 4096):
-        block = b"".join(bytes(f.key) for f in fibs[s:s + 4096])
-        keys[s:s + 4096] = np.frombuffer(block, dtype=np.uint8).reshape(-1, n)
-    return keys
+    return np.unique(canon, return_inverse=True)[1]
 
 
 def _generated_group(generators, n):
-    ident = tuple(range(n))
-    group = {ident}
-    frontier = [ident]
-    gens = [tuple(g) for g in generators]
-    while frontier:
-        g = frontier.pop()
-        for h in gens:
-            comp = tuple(g[h[i]] for i in range(n))
-            if comp not in group:
-                group.add(comp)
-                frontier.append(comp)
-    return sorted(group)
+    """The permutations of range(n) that the generators generate, sorted."""
+    group, new = set(), {tuple(range(n))}
+    while new:
+        group |= new
+        new = {tuple(g[i] for i in h) for g in new for h in generators} - group
+    return tuple(sorted(group))

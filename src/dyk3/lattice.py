@@ -9,6 +9,8 @@ the index-2 overlattice candidate search over F_2, and C2 group cohomology.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import prod
 
 
 def _check_symmetric(m):
@@ -97,24 +99,34 @@ class SmithDecomposition:
     d: list          # full diagonal, including trailing zeros
     U: list
     V: list
-    V_inv: list      # the exact integer inverse of V
+    col_ops: list    # smith's column operations (i, j, k), in order
 
     @property
     def elementary_divisors(self):
         return [x for x in self.d if x not in (0, 1)]
 
+    @cached_property
+    def V_inv(self):
+        """The exact integer inverse of V, built when first read: each column
+        operation on V is the inverse row operation on V^-1."""
+        W = [[int(i == j) for j in range(len(self.V))] for i in range(len(self.V))]
+        for i, j, k in self.col_ops:
+            if k is None:                           # columns i and j swapped
+                W[i], W[j] = W[j], W[i]
+            else:                                   # column i += k * column j
+                W[j] = [x - k * y for x, y in zip(W[j], W[i])]
+        return W
+
 
 def smith(m) -> SmithDecomposition:
-    """U*M*V = D diagonal with the divisibility chain, det U, V = +-1.
-
-    V^-1 is kept alongside V: a column operation on V is the inverse row
-    operation on V^-1."""
+    """U*M*V = D diagonal with the divisibility chain, det U, V = +-1; the
+    column operations are recorded, and V^-1 is built from them if read."""
     a = [list(map(int, row)) for row in m]
     rows = len(a)
     cols = len(a[0]) if rows else 0
     U = [[int(i == j) for j in range(rows)] for i in range(rows)]
     V = [[int(i == j) for j in range(cols)] for i in range(cols)]
-    V_inv = [row[:] for row in V]
+    col_ops = []
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -125,7 +137,7 @@ def smith(m) -> SmithDecomposition:
             r[i], r[j] = r[j], r[i]
         for r in V:
             r[i], r[j] = r[j], r[i]
-        V_inv[i], V_inv[j] = V_inv[j], V_inv[i]
+        col_ops.append((i, j, None))
 
     def add_row(i, j, k):
         a[i] = [x + k * y for x, y in zip(a[i], a[j])]
@@ -136,7 +148,7 @@ def smith(m) -> SmithDecomposition:
             r[i] += k * r[j]
         for r in V:
             r[i] += k * r[j]
-        V_inv[j] = [x - k * y for x, y in zip(V_inv[j], V_inv[i])]
+        col_ops.append((i, j, k))
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
@@ -193,7 +205,7 @@ def smith(m) -> SmithDecomposition:
             want = d[i] if (i == j and i < len(d)) else 0
             if prod[i][j] != want:
                 raise AssertionError("SNF round trip failed")
-    return SmithDecomposition(d, U, V, V_inv)
+    return SmithDecomposition(d, U, V, col_ops)
 
 
 def _matmul(A, B):
@@ -222,22 +234,17 @@ def kernel_relation(L: GramLattice):
 def rank_det(L: GramLattice):
     """(rank, det of the spanned lattice).
 
-    For nondegenerate input the determinant is the full Gram determinant;
-    degenerate presentations are reduced to a basis of the span first.
+    The rank is n minus the rank of the radical.  For nondegenerate input
+    the determinant is the full Gram determinant; degenerate presentations
+    are reduced to a basis of the span first.
     """
-    rank = matrix_rank(L.gram)
-    if rank == L.n:
-        det = bareiss_det(L.gram)
-        snf_prod = 1
-        for x in smith(L.gram).d:
-            snf_prod *= x
-        if abs(det) != abs(snf_prod):
-            raise AssertionError("Bareiss and SNF determinants disagree")
-        return rank, det
-    basis = span_basis(L)
-    red = _reduced_gram(L, basis)
-    det = bareiss_det(red)
-    return rank, det
+    _, W, r = _radical_split(L)
+    if r:
+        return L.n - r, bareiss_det(_reduced_gram(L, W[r:]))
+    det = bareiss_det(L.gram)
+    if abs(det) != abs(prod(smith(L.gram).d)):
+        raise AssertionError("Bareiss and SNF determinants disagree")
+    return L.n, det
 
 
 def _radical_split(L: GramLattice):
@@ -295,14 +302,11 @@ def span_action(L: GramLattice, perm):
 
 def discriminant_group(L: GramLattice):
     """Elementary divisors != 1 of the Gram on a basis of the span."""
-    rank = matrix_rank(L.gram)
-    if rank == L.n:
-        red = L.gram
-    else:
-        red = _reduced_gram(L, span_basis(L))
-    if matrix_rank(red) != len(red):
+    _, W, r = _radical_split(L)
+    snf = smith(_reduced_gram(L, W[r:]) if r else L.gram)
+    if 0 in snf.d:
         raise ValueError("degenerate restriction")
-    return smith(red).elementary_divisors
+    return snf.elementary_divisors
 
 
 def index2_overlattice_candidates(L: GramLattice, reduce_span=True):
@@ -312,12 +316,9 @@ def index2_overlattice_candidates(L: GramLattice, reduce_span=True):
     filtered by the mod-8 condition.  Returns representative integer
     vectors in the basis used (span basis for degenerate presentations).
     """
-    if reduce_span and matrix_rank(L.gram) != L.n:
-        basis = span_basis(L)
-        red = _reduced_gram(L, basis)
-    else:
-        basis = None
-        red = L.gram
+    _, W, r = _radical_split(L) if reduce_span else (None, None, 0)
+    basis = W[r:] if r else None
+    red = _reduced_gram(L, basis) if r else L.gram
     n = len(red)
     # solve G x = 0 mod 2
     rows = [[red[i][j] % 2 for j in range(n)] for i in range(n)]
@@ -380,7 +381,7 @@ def c2_cohomology(gram, sigma):
 def _kernel_basis(M):
     """Integer basis of ker(M) on Z^n (saturated)."""
     snf = smith(M)
-    n = len(M[0])
+    n = len(M[0]) if M else 0
     rank = sum(1 for x in snf.d if x != 0)
     return [[snf.V[i][j] for i in range(n)] for j in range(rank, n)]
 

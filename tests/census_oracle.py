@@ -7,14 +7,25 @@ below (_chordless_cycles, _d_fibres with _d_chains and _fork_pairs, and
 _arms_from with _e_type) are the pure-Python searches that kodaira's
 level-by-level walk over numpy row blocks replaced; walk_fibres runs them
 in the order find_fibres must reproduce.
+
+RowTuple, Fibration, group_fibrations, orbit_count, _key_rows and
+_generated_group are the object path that the census took before it was
+counted off arrays: a Fibration per key with its member list, and keys
+read back from the objects.  They are kept unchanged, with _gc_paused, as
+the oracle of kodaira's Fibres and Fibrations.
 """
 
+import gc
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, wraps
 from itertools import combinations, permutations
 from math import gcd, lcm
 
-from dyk3.kodaira import _E_ARMS, CurveSet, FibreConfig
+import numpy as np
+
+from dyk3.kodaira import (_E_ARMS, CurveSet, FibreConfig, _config_divisors,
+                          _keys)
 from dyk3.lattice import bareiss_det
 
 
@@ -363,3 +374,155 @@ def _matches_diagram(S, comps, kind):
         if ok:
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# the object path of the grouping and the orbit counts
+
+
+class RowTuple(tuple):
+    """A tuple that carries, as attributes, matrices with one row per item:
+    find_fibres' configurations carry their divisor matrix D and key matrix
+    K and the CurveSet `curves` they belong to; group_fibrations'
+    fibrations carry their uint8 key matrix `keys`.  The matrices are
+    read-only, and a slice of a RowTuple is a plain tuple."""
+
+    def __new__(cls, items, **carried):
+        self = super().__new__(cls, items)
+        for value in carried.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        vars(self).update(carried)
+        return self
+
+
+def _matrices(fibres, S: CurveSet):
+    """(D, K) of a fibre sequence: those find_fibres(S) carries, or else
+    built from the configurations."""
+    if isinstance(fibres, RowTuple) and getattr(fibres, "curves", None) is S:
+        return fibres.D, fibres.K
+    D = _config_divisors(fibres, S.n)
+    return D, _keys(S, D)
+
+
+@dataclass(slots=True)
+class Fibration:
+    key: tuple              # intersection vector of D against the curve set
+    fibres: list
+
+    @property
+    def has_section_in_set(self):
+        return 1 in self.key
+
+    @property
+    def has_section(self):
+        return gcd(*self.key) == 1
+
+
+def _gc_paused(fn):
+    """fn with the cyclic collector paused, its state restored after, on
+    errors too: the searches build 10^5 small objects holding no cycles."""
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+    return paused
+
+
+@_gc_paused
+def group_fibrations(fibres, S: CurveSet):
+    """Group fibres by their intersection key; check pairwise disjointness.
+
+    Fibrations come out sorted by key, each listing its fibres in input
+    order, as a RowTuple carrying their uint8 key matrix.  Keys are
+    compared as byte strings: their entries are asserted to lie in
+    [0, 127], where byte order is numeric order.
+    """
+    n = S.n
+    if not fibres:
+        return RowTuple((), keys=np.zeros((0, n), dtype=np.uint8))
+    D, K = _matrices(fibres, S)
+    if K.min() < 0 or K.max() > 127:
+        raise AssertionError("fibre key entries must lie in [0, 127]")
+    K = K.astype(np.uint8)
+    dd = np.einsum("ij,ij->i", D, K, dtype=np.int64)      # D.D = D.key
+    uniq, inv, counts = np.unique(K.view(np.dtype((np.void, n))).ravel(),
+                                  return_inverse=True, return_counts=True)
+    order = np.argsort(inv, kind="stable")
+    # each fibre a listed before a fibre b of its group must miss it; with
+    # one key per group, D_a.G.D_b = D_a.key_b = D_a.key_a = D_a.D_a
+    earlier = counts[inv] > 1
+    earlier[order[np.cumsum(counts) - 1]] = False
+    if dd[earlier].any():
+        raise ValueError(
+            "key collision with nonzero intersection: the curve "
+            "set does not span the ambient Picard lattice")
+    U = uniq.view(np.uint8).reshape(-1, n)
+    members = list(map(fibres.__getitem__, order.tolist()))
+    ends = np.cumsum(counts).tolist()
+    starts = [0] + ends[:-1]
+    out = []
+    for s in range(0, len(U), 4096):        # key tuples in small chunks
+        for row, a, b in zip(U[s:s + 4096].tolist(), starts[s:s + 4096],
+                             ends[s:s + 4096]):
+            out.append(Fibration(tuple(row), members[a:b]))
+    return RowTuple(out, keys=U)
+
+
+def orbit_count(fibrations, generators, S: CurveSet,
+                predicate=None) -> int:
+    """Orbits of the induced action on fibration keys.
+
+    generators: label permutations as index lists; must preserve the Gram.
+    The orbit representative is the lexicographically least permuted key;
+    keys are compared as byte strings, so their entries must lie in [0, 255].
+    """
+    G = np.array(S.gram)
+    for perm in generators:
+        if not np.array_equal(G[np.ix_(perm, perm)], G):
+            raise ValueError("generator does not preserve the Gram")
+    n = S.n
+    keys = _key_rows(fibrations, predicate, n)
+    if not len(keys):
+        return 0
+    canon = None
+    for p in _generated_group(generators, n):
+        moved = np.ascontiguousarray(keys[:, p]).view(f"S{n}").ravel()
+        canon = moved if canon is None else np.where(moved < canon, moved, canon)
+    return len(np.unique(canon.view(np.dtype((np.void, n)))))
+
+
+def _key_rows(fibrations, predicate, n):
+    """uint8 key rows of the fibrations that satisfy the predicate: taken
+    from group_fibrations' key matrix, or else packed from the keys."""
+    if isinstance(fibrations, RowTuple) and hasattr(fibrations, "keys"):
+        if predicate is None:
+            return fibrations.keys
+        return fibrations.keys[[k for k, f in enumerate(fibrations)
+                                if predicate(f)]]
+    fibs = [f for f in fibrations if predicate is None or predicate(f)]
+    keys = np.empty((len(fibs), n), dtype=np.uint8)
+    for s in range(0, len(fibs), 4096):
+        block = b"".join(bytes(f.key) for f in fibs[s:s + 4096])
+        keys[s:s + 4096] = np.frombuffer(block, dtype=np.uint8).reshape(-1, n)
+    return keys
+
+
+def _generated_group(generators, n):
+    ident = tuple(range(n))
+    group = {ident}
+    frontier = [ident]
+    gens = [tuple(g) for g in generators]
+    while frontier:
+        g = frontier.pop()
+        for h in gens:
+            comp = tuple(g[h[i]] for i in range(n))
+            if comp not in group:
+                group.add(comp)
+                frontier.append(comp)
+    return sorted(group)

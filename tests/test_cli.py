@@ -97,6 +97,37 @@ def test_kodaira_partial():
     assert rec["by_type"]["E8"] >= 2
 
 
+# The whole record of `dyk3 kodaira --fixture curves34 --group`, as the
+# census printed it before it was counted off arrays.
+KODAIRA_CURVES34_GROUP = {
+    "by_type": {"D10": 3302, "D12": 1416, "D14": 896, "D16": 72, "D4": 419,
+                "D5": 2010, "D6": 3304, "D7": 3880, "D8": 3357, "D9": 1604,
+                "E6": 6388, "E7": 26780, "E8": 47480, "I10": 1046, "I11": 416,
+                "I12": 352, "I13": 188, "I14": 328, "I16": 158, "I2": 13,
+                "I3": 4, "I4": 114, "I5": 116, "I6": 319, "I7": 624, "I8": 806,
+                "I9": 464},
+    "fibrations": 104600, "fibres": 105856, "fixture": "curves34",
+    "fixture_provenance": (
+        "derived (computed from the printed curve equations: sheet matching "
+        "at intersection points and exact series analysis of the resolution "
+        "at the five singular points; certified against the printed census "
+        "counts and lattice invariants)"),
+    "op": "kodaira", "orbits": 29111, "orbits_with_section": 27807,
+    "orbits_with_section_in_set": 24270, "tool": "dyk3", "version": "0.1.0",
+    "with_section_in_set": 86416}
+
+
+def test_kodaira_census_record_in_process(capsys):
+    # in-process through cli.main, sparing a second interpreter
+    from dyk3.cli import main
+    assert main(["kodaira", "--fixture", "curves34", "--group"]) == 0
+    assert capsys.readouterr().out == \
+        json.dumps(KODAIRA_CURVES34_GROUP, sort_keys=True) + "\n"
+    assert main(["kodaira", "--fixture", "lemma_partial", "--group"]) == 3
+    assert jsonl(capsys.readouterr().out) == [
+        {"op": "kodaira", "error": "generator does not preserve the Gram"}]
+
+
 @pytest.mark.parametrize("text", [
     "a b\na -3 1\nb 1 -2\n",
     "# galois-swap: a z\na b\na -2 1\nb 1 -2\n",

@@ -5,13 +5,16 @@ from math import gcd
 import numpy as np
 import pytest
 
+import census_oracle
 from census_oracle import (_chordless_cycles, _e_type, _neighbors,
                            _nonzero_masks, brute_force_fibres, find_sections,
                            walk_fibres)
 from dyk3.fixtures import load_gram
-from dyk3.kodaira import (_E_ARMS, CurveSet, FibreConfig, _e_rows, _Graph,
+from dyk3.kodaira import (_E_ARMS, CurveSet, FibreConfig, Fibrations,
+                          _config_divisors, _configs, _e_rows, _Graph,
                           _generated_group, _keys, fibre_key, find_fibres,
                           group_fibrations, orbit_count)
+from dyk3.picard_fixture import _mirror_label
 
 
 # Reference keys, grouping and orbit canonicalisation: the pure-Python
@@ -247,14 +250,21 @@ def test_group_fibrations_disjoint_vs_meeting():
 
 
 def test_search_restores_the_collector_state():
-    # find_fibres and group_fibrations pause the cyclic collector while they
-    # run; after a normal return and after an error it is as it was before
+    # reading the configurations off D (_configs) pauses the cyclic
+    # collector; after a normal return and after an error, it is as it was
+    # before, and the searches and the grouping leave it as it is
     S = triangle()
     bad = [FibreConfig("I2", ((0, 1), (5, 1)))]    # curve 5 is not in S
     try:
         for enabled in (True, False):
             (gc.enable if enabled else gc.disable)()
-            assert len(group_fibrations(find_fibres(S), S)) == 1
+            fibres = find_fibres(S)
+            assert len(group_fibrations(fibres, S)) == 1
+            assert gc.isenabled() is enabled
+            assert [f.kind for f in fibres] == ["I3"]
+            assert gc.isenabled() is enabled
+            with pytest.raises(ValueError):         # a negative multiplicity
+                _configs(["I2"], np.array([[-1, 1]], dtype=np.int8))
             assert gc.isenabled() is enabled
             with pytest.raises(ValueError):
                 find_fibres(S, max_n=1)
@@ -304,7 +314,9 @@ def test_orbit_generator_must_preserve_gram():
 
 
 def test_section_gcd_semantics():
-    from dyk3.kodaira import Fibration
+    # the object path's Fibration, and the masks of a Fibrations holding the
+    # same keys (the zero key padded to three entries)
+    from census_oracle import Fibration
     f_even = Fibration((0, 2, 4), [])
     assert not f_even.has_section and not f_even.has_section_in_set
     f_unit = Fibration((0, 1, 2), [])
@@ -313,6 +325,14 @@ def test_section_gcd_semantics():
     assert f_coprime.has_section and not f_coprime.has_section_in_set
     f_zero = Fibration((0, 0), [])
     assert not f_zero.has_section
+    keys = np.array([(0, 2, 4), (0, 1, 2), (0, 2, 3), (0, 0, 0)], dtype=np.uint8)
+    fibs = Fibrations(keys, (), np.zeros(0, dtype=np.intp), np.zeros(4, dtype=np.intp))
+    assert fibs.has_section.tolist() == [False, True, True, False]
+    assert fibs.has_section_in_set.tolist() == [False, True, False, False]
+    assert [(f.key, f.fibres, f.has_section, f.has_section_in_set)
+            for f in fibs] == [(tuple(k), [], s, i) for k, s, i in zip(
+                keys.tolist(), fibs.has_section.tolist(),
+                fibs.has_section_in_set.tolist())]
 
 
 def doubled_gram(rng, b):
@@ -425,34 +445,109 @@ def _cycles_and_oracle(S, max_n):
         ([f"I{len(c)}" for c in cycles], [sorted(c) for c in cycles])
 
 
+# The census counted off arrays against the object path it replaced
+# (census_oracle.group_fibrations, orbit_count), in order.
+
+PREDICATES = (None, lambda f: f.has_section, lambda f: f.has_section_in_set)
+
+
+def _oracle_sets():
+    """(S, generator lists) for lemma_partial (its Galois swap does not
+    preserve the matrix, so both paths refuse it), the 72-curve set with
+    object masks, criterion 10a's 200 sets and the doubled sets."""
+    fix = load_gram("lemma_partial")
+    mirror = [fix.labels.index(_mirror_label(l)) for l in fix.labels]
+    sets = [(CurveSet(fix.labels, fix.gram),
+             [[mirror], [fix.galois_permutation()]])]
+    rng = random.Random(23)
+    sets.append((CurveSet([f"c{i}" for i in range(72)], wide_gram(rng, 72)),
+                 [[list(range(72))]]))
+    rng = random.Random(116)                # criterion 10a's 200 sets
+    for _ in range(200):
+        n = rng.randrange(3, 10)
+        sets.append((CurveSet([f"c{i}" for i in range(n)], random_gram(rng, n)),
+                     [[list(range(n))]]))
+    rng = random.Random(4)                  # the doubled sets
+    for _ in range(100):
+        b = rng.randrange(3, 8)
+        g = doubled_gram(rng, b)
+        swap = list(range(b, 2 * b)) + list(range(b)) + list(range(2 * b, len(g)))
+        sets.append((CurveSet([f"c{i}" for i in range(len(g))], g), [[swap]]))
+    return sets
+
+
+def _orbit_counts(count, fibs, gens, S):
+    """The three orbit counts, or the error that refuses the generators."""
+    try:
+        return tuple(count(fibs, gens, S, predicate=p) for p in PREDICATES)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _assert_census_matches_the_oracle(S, fibres, generator_sets, label):
+    """Kinds, D, K, keys, member lists, section flags and orbit counts equal
+    the object path's, which reads D and K off the configurations."""
+    configs = list(fibres)
+    assert fibres.kinds == tuple(f.kind for f in configs), label
+    D = _config_divisors(configs, S.n)
+    K = _keys(S, D)
+    assert np.array_equal(fibres.D, D) and np.array_equal(fibres.K, K), label
+    fibs = group_fibrations(fibres, S)
+    want = census_oracle.group_fibrations(
+        census_oracle.RowTuple(configs, curves=S, D=D, K=K), S)
+    assert np.array_equal(fibs.keys, want.keys), label
+    if len(fibs) < 10 ** 4:
+        assert [(f.key, f.fibres, f.has_section, f.has_section_in_set)
+                for f in fibs] == [(f.key, f.fibres, f.has_section,
+                                    f.has_section_in_set) for f in want], label
+    else:                       # the members in one list, and the group sizes
+        assert [configs[i] for i in fibs._order.tolist()] == \
+            [c for f in want for c in f.fibres], label
+        assert np.diff(fibs._ends, prepend=0).tolist() == \
+            [len(f.fibres) for f in want], label
+        assert fibs.has_section.tolist() == \
+            [f.has_section for f in want], label
+        assert fibs.has_section_in_set.tolist() == \
+            [f.has_section_in_set for f in want], label
+    for gens in generator_sets:
+        assert _orbit_counts(orbit_count, fibs, gens, S) == \
+            _orbit_counts(census_oracle.orbit_count, want, gens, S), (label, gens)
+    return fibs
+
+
 def test_find_fibres_matches_the_walk_oracles(census34):
     # rows and kinds in the order of the depth-first walks, for each max_n;
     # on curves34, whose census is shared, max_n = 2, 3, 10 check the I_n
-    # search, the only one that reads max_n
+    # search, the only one that reads max_n; at max_n = 16 each census also
+    # equals the object path's (curves34's in the next test)
     S, fibres, walk = census34
     assert [(f.kind, f.components) for f in fibres] == walk
     for max_n in (2, 3, 10):
         mine, oracle = _cycles_and_oracle(S, max_n)
         assert mine == oracle, max_n
-    fix = load_gram("lemma_partial")
-    rng = random.Random(23)
-    sets = [CurveSet(fix.labels, fix.gram),
-            CurveSet([f"c{i}" for i in range(72)], wide_gram(rng, 72))]
-    rng = random.Random(116)                # criterion 10a's 200 sets
-    for _ in range(200):
-        n = rng.randrange(3, 10)
-        sets.append(CurveSet([f"c{i}" for i in range(n)], random_gram(rng, n)))
-    rng = random.Random(4)                  # the doubled sets
-    for _ in range(100):
-        g = doubled_gram(rng, rng.randrange(3, 8))
-        sets.append(CurveSet([f"c{i}" for i in range(len(g))], g))
+    sets = _oracle_sets()
     for max_n in (2, 3, 10, 16):
-        for k, S in enumerate(sets):
+        for k, (S, generator_sets) in enumerate(sets):
             fibres = find_fibres(S, max_n)
             assert [(f.kind, f.components) for f in fibres] == \
                 walk_fibres(S, max_n), (max_n, k)
             if k == 1:                      # object masks, fibres past bit 63
                 assert fibres.D[:, 64:].any() and fibres.D[:, :64].any()
+            if max_n == 16:
+                _assert_census_matches_the_oracle(S, fibres, generator_sets, k)
+
+
+def test_census_matches_the_object_path_oracle(census34):
+    S, fibres, _ = census34
+    fix = load_gram("curves34")
+    galois = fix.galois_permutation()
+    mirror = [fix.labels.index(_mirror_label(l)) for l in fix.labels]
+    fibs = _assert_census_matches_the_oracle(S, fibres, [[galois, mirror]],
+                                             "curves34")
+    # the generators in the other order: the labels kept for their group
+    assert _orbit_counts(orbit_count, fibs, [mirror, galois], S) == \
+        (29111, 27807, 24270)
+    assert len(fibs._orbits) == 1
 
 
 def test_cycle_and_chain_caps():
@@ -531,8 +626,15 @@ def test_matrices_travel_with_the_sequences():
         fibres = find_fibres(S, max_n=10)
         with pytest.raises(ValueError):
             fibres.D[0, 0] = 1                  # read-only
+        with pytest.raises(ValueError):
+            fibres.K[0, 0] = 1
         assert type(fibres[:]) is tuple
         fibs = group_fibrations(fibres, S)
+        with pytest.raises(ValueError):
+            fibs.keys[0, 0] = 1
+        assert type(fibs[:]) is tuple and list(fibs[1:3]) == list(fibs)[1:3]
+        assert [f.key for f in fibs[::-1]] == [fibs[-1 - k].key
+                                               for k in range(len(fibs))]
         # a plain list and a copy of S take the path through the configs
         for again in (group_fibrations(list(fibres), S),
                       group_fibrations(fibres, CurveSet(S.labels, S.gram))):
@@ -557,3 +659,23 @@ def test_fibres_of_another_curve_set_are_keyed_afresh():
     T = CurveSet(list("abcd"), g)
     assert [f.key for f in group_fibrations(fibres, T)] == \
         [(0, 0, 1, 0), (1, 0, 0, 0)]
+
+
+def test_orbit_labels_are_kept_per_generated_group():
+    rng = random.Random(5)
+    seen = 0
+    for trial in range(20):
+        b = rng.randrange(3, 8)
+        g = doubled_gram(rng, b)
+        S = CurveSet([f"c{i}" for i in range(len(g))], g)
+        ident = list(range(S.n))
+        swap = ident[b:2 * b] + ident[:b] + ident[2 * b:]
+        fibres = find_fibres(S, max_n=10)
+        fibs = group_fibrations(fibres, S)
+        want = census_oracle.group_fibrations(list(fibres), S)
+        for gens in ([ident], [swap], [swap, ident], [ident, swap], [ident]):
+            assert _orbit_counts(orbit_count, fibs, gens, S) == _orbit_counts(
+                census_oracle.orbit_count, want, gens, S), (trial, gens)
+        assert len(fibs._orbits) == (2 if len(fibs) else 0), trial
+        seen += orbit_count(fibs, [swap], S) < len(fibs)
+    assert seen > 0                         # the swap merges some orbits

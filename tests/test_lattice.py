@@ -265,3 +265,73 @@ def test_span_basis_reduces_correctly():
     sub = GramLattice([f"v{i}" for i in range(19)], red)
     assert discriminant_group(sub) == [2, 2, 6]
     assert discriminant_group(L) == [2, 2, 6]
+
+
+def _degenerate_gram(rng, n, m):
+    """The Gram of n random vectors in Z^m under a random symmetric form:
+    of rank at most m, so degenerate for m < n."""
+    B = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i, m):
+            B[i][j] = B[j][i] = rng.randrange(-3, 4)
+    vs = [[rng.randrange(-2, 3) for _ in range(m)] for _ in range(n)]
+    return _matmul(_matmul(vs, B), [list(c) for c in zip(*vs)])
+
+
+def _invariants(lib, L, perms):
+    """Every invariant the one-split lattice code changed, as lib computes it;
+    a raised error stands for its message.  The unreduced overlattice search
+    runs on small lattices only: it enumerates 2^corank classes mod 2."""
+    out = []
+    raw = [] if L.n > 10 else [
+        lambda L: lib.index2_overlattice_candidates(L, reduce_span=False)]
+    for f in (lib.rank_det, lib.discriminant_group, lib.span_basis,
+              lib.index2_overlattice_candidates, *raw,
+              *[lambda L, p=p: lib.span_action(L, p) for p in perms]):
+        try:
+            out.append(f(L))
+        except (ValueError, AssertionError) as exc:
+            out.append(repr(exc))
+    return out
+
+
+def test_one_split_invariants_match_the_parent_code():
+    import lattice_oracle
+    import dyk3.lattice as lib
+    cases = []
+    for name in ("curves34", "lambda24", "lemma_partial"):
+        fix = load_gram(name)
+        perms = [fix.galois_permutation() if fix.meta.get("galois-swap")
+                 else list(range(len(fix.labels)))]
+        cases.append((GramLattice.from_fixture(fix), perms))
+    rng = random.Random(27)
+    for _ in range(40):
+        n = rng.randrange(1, 8)
+        g = _degenerate_gram(rng, n, rng.randrange(1, n + 2))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        cases.append((GramLattice([f"g{i}" for i in range(n)], g),
+                      [list(range(n)), perm]))
+    degenerate = 0
+    for k, (L, perms) in enumerate(cases):
+        assert _invariants(lib, L, perms) == \
+            _invariants(lattice_oracle, L, perms), k
+        degenerate += bool(lattice_oracle.kernel_relation(L))
+    assert degenerate > 15
+    # the empty lattice, whose radical the parent code could not split
+    E = GramLattice([], [])
+    for f in (rank_det, discriminant_group, index2_overlattice_candidates):
+        assert f(E) == getattr(lattice_oracle, f.__name__)(E)
+    assert span_basis(E) == [] and span_action(E, []) == ([], [])
+
+
+def test_smith_builds_the_inverse_of_V_when_read():
+    rng = random.Random(28)
+    for _ in range(20):
+        rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
+        M = [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
+        snf = smith(M)
+        assert "V_inv" not in vars(snf)
+        ident = [[int(i == j) for j in range(cols)] for i in range(cols)]
+        assert _matmul(snf.V, snf.V_inv) == ident
+        assert snf.V_inv is snf.V_inv
