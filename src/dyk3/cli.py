@@ -161,8 +161,7 @@ def cmd_kodaira(args, out):
         if args.group and fix.meta.get("galois-swap"):
             gens.append(fix.galois_permutation())
         if args.group and fix.meta.get("mirror-swap"):
-            from .picard_fixture import _mirror_label
-            gens.append([fix.labels.index(_mirror_label(l)) for l in fix.labels])
+            gens.append(fix.mirror_permutation())
         fibres = find_fibres(S, max_n=args.max_n)
         rec = {"op": "kodaira", "fixture": args.fixture, "fibres": len(fibres),
                "by_type": dict(sorted(Counter(fibres.kinds).items())),

@@ -149,6 +149,25 @@ class GramFixture:
                 perm[ia], perm[ib] = perm[ib], perm[ia]
         return perm
 
+    def mirror_permutation(self):
+        """Index permutation of the mirror that the '# mirror-swap:'
+        metadata line names; ValueError if a label's image is missing."""
+        return [self.labels.index(mirror_label(l)) for l in self.labels]
+
+
+def mirror_label(label: str) -> str:
+    """The image of a curve of the 34 under the w -> -w mirror: L <-> Lt,
+    C <-> Ct and Eipj <-> Eimj; E11 and E30 are fixed."""
+    if label.startswith("Lt"):
+        return "L" + label[2:]
+    if label.startswith("L"):
+        return "Lt" + label[1:]
+    if label.startswith("Ct"):
+        return "C" + label[2:]
+    if label.startswith("C"):
+        return "Ct" + label[1:]
+    return label.replace("p", "X").replace("m", "p").replace("X", "m")
+
 
 def load_gram(name: str) -> GramFixture:
     return _load(name if name.endswith(".gram") else name + ".gram", GramFixture)

@@ -120,16 +120,20 @@ def third_fibration_i1_quartic() -> Poly:
     return Poly(TOWER, [TOWER.one, c31, c2, c31, TOWER.one])
 
 
+# p, q2 and q0 of the pulled-back fibration, as (c1, c_s5) pairs
+INOSE_COEFFS = ((Fraction(-71, 6), Fraction(-45, 6)),
+                (Fraction(3, 2), Fraction(-1, 2)),
+                (Fraction(-551, 27), Fraction(-189, 27)))
+
+
 def inose_surface() -> EllipticSurface:
     """The pulled-back fibration with fibre
-    y^2 = x^3 + (1/6)(-45 sqrt5 - 71) t^4 x + (1/2)(3-sqrt5) t^8
-        + (1/27)(-189 sqrt5 - 551) t^6 + (1/2)(3-sqrt5) t^4."""
-    c4x = TowerElement.k4(Fraction(-71, 6), 0, Fraction(-45, 6), 0)
-    c8 = TowerElement.k4(Fraction(3, 2), 0, Fraction(-1, 2), 0)
-    c6 = TowerElement.k4(Fraction(-551, 27), 0, Fraction(-189, 27), 0)
-    z = TOWER.zero
-    a4 = Poly(TOWER, [z, z, z, z, c4x])
-    a6 = Poly(TOWER, [z, z, z, z, c8, z, c6, z, c8])
+    y^2 = x^3 + p t^4 x + q2 t^8 + q0 t^6 + q2 t^4, where (INOSE_COEFFS)
+    p = (1/6)(-45 sqrt5 - 71), q2 = (1/2)(3-sqrt5), q0 = (1/27)(-189 sqrt5 - 551)."""
+    p, q2, q0 = INOSE_COEFFS
+    z = (0, 0)
+    a4 = _tpoly([z, z, z, z, p])
+    a6 = _tpoly([z, z, z, z, q2, z, q0, z, q2])
     return EllipticSurface(TOWER, Poly(TOWER, []), a4, a6, chi=2, name="Inose")
 
 

@@ -446,31 +446,17 @@ def sqrt_in_quadratic(s: Fraction, t: Fraction, d: int):
 # the coefficient-matching system for the product-abelian-surface fibration
 
 
-SI_EQUATION_CONSTANTS = (
-    # each row: (c0, cA, monomial label) with equation c0 + cA*A + m = 0
-    (Fraction(0), Fraction(0), "A^2-5"),
-    (Fraction(1411985089), Fraction(-631459755), "18ac"),
-    (Fraction(131587540863282), Fraction(-58847737271814), "108c^3+729d^2"),
-    (Fraction(-238992218766044), Fraction(106880569389324), "-1458bd"),
-    (Fraction(131587540863282), Fraction(-58847737271814), "108a^3+729b^2"),
-)
-
-
-def si_system_residuals(A: TowerElement, a: TowerElement, b: TowerElement,
-                        c: TowerElement, d: TowerElement):
-    """Exact left-hand sides of the five coefficient-match equations."""
-    return [
-        A * A - 5,
-        1411985089 - 631459755 * A + 18 * a * c,
-        131587540863282 - 58847737271814 * A + 108 * c ** 3 + 729 * d * d,
-        -238992218766044 + 106880569389324 * A - 1458 * b * d,
-        131587540863282 + 108 * a ** 3 - 58847737271814 * A + 729 * b * b,
-    ]
-
-
 def verify_si_system(A, a, b, c, d):
-    """Evaluate the five equations; report each residual and its vanishing."""
-    res = si_system_residuals(A, a, b, c, d)
-    labels = [row[2] for row in SI_EQUATION_CONSTANTS]
-    return [{"equation": i + 1, "label": labels[i], "zero": r.is_zero(),
-             "residual": r} for i, r in enumerate(res)]
+    """Evaluate the five equations c0 + cA*A + m = 0; report each residual,
+    labelled by its monomial part m, and its vanishing."""
+    residuals = [
+        ("A^2-5", A * A - 5),
+        ("18ac", 1411985089 - 631459755 * A + 18 * a * c),
+        ("108c^3+729d^2",
+         131587540863282 - 58847737271814 * A + 108 * c ** 3 + 729 * d * d),
+        ("-1458bd", -238992218766044 + 106880569389324 * A - 1458 * b * d),
+        ("108a^3+729b^2",
+         131587540863282 + 108 * a ** 3 - 58847737271814 * A + 729 * b * b),
+    ]
+    return [{"equation": i, "label": label, "zero": r.is_zero(), "residual": r}
+            for i, (label, r) in enumerate(residuals, 1)]

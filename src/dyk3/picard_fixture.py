@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .fixtures import mirror_label as _mirror_label
 from .numfield import TOWER, TowerElement
 from .poly import Poly
 from .siverify import sqrt_in_k4
@@ -782,20 +783,6 @@ def same_curve_pairings(curves_by_name, engine_out):
         tname = ("Lt" + name[1:]) if name.startswith("L") else ("Ct" + name[1:])
         out[(name, tname)] = off
     return out
-
-
-def _mirror_label(l):
-    if l.startswith("Lt"):
-        return "L" + l[2:]
-    if l.startswith("L"):
-        return "Lt" + l[1:]
-    if l.startswith("Ct"):
-        return "C" + l[2:]
-    if l.startswith("C"):
-        return "Ct" + l[1:]
-    if l in ("E11", "E30"):
-        return l
-    return l.replace("p", "X").replace("m", "p").replace("X", "m")
 
 
 def derive_matrices(verbose=False):

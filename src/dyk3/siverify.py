@@ -5,25 +5,14 @@ traces at split primes, and the closed point-count formulas."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .elliptic import WeierstrassModel
 from .ffield import kronecker
 from .fixtures import load_tower_constants
-from .models import kummer_surface
+from .models import INOSE_COEFFS, kummer_surface
 from .numfield import (TOWER, SplitEmbedding, TowerElement,
                        sqrt_in_quadratic, verify_si_system)
 from .poly import Poly, RationalFunc
-
-
-def _inose_normalized_coeffs():
-    """Laurent data of the pulled-back fibration after x -> t^2 X, y -> t^3 Y:
-    Y^2 = X^3 + p X + (q2 t^2 + q0 + qm2 / t^2)."""
-    p = TowerElement.k4(Fraction(-71, 6), 0, Fraction(-45, 6), 0)
-    q2 = TowerElement.k4(Fraction(3, 2), 0, Fraction(-1, 2), 0)
-    q0 = TowerElement.k4(Fraction(-551, 27), 0, Fraction(-189, 27), 0)
-    qm2 = q2
-    return p, q2, q0, qm2
 
 
 def sqrt_in_k4(x: TowerElement):
@@ -70,12 +59,14 @@ def verify_kummer_match(constants=None) -> dict:
     cst = constants or load_tower_constants()
     system = verify_si_system(cst.A, cst.a, cst.b, cst.c, cst.d)
     _, laurent = kummer_surface(cst.a, cst.b, cst.c, cst.d)
-    pI, q2I, q0I, qm2I = _inose_normalized_coeffs()
+    # the pulled-back fibration after x -> t^2 X, y -> t^3 Y:
+    # Y^2 = X^3 + pI X + (q2I t^2 + q0I + q2I / t^2)
+    pI, q2I, q0I = (TowerElement.k4(c1, 0, c5, 0) for c1, c5 in INOSE_COEFFS)
     lam4 = laurent["x_coeff"] / pI
     lam6 = laurent["const"] / q0I
     cube_square_ok = (lam6 * lam6) == (lam4 ** 3)
     nu2 = lam6 * q2I / laurent["u2"]
-    fourth_ok = laurent["um2"] / nu2 == lam6 * qm2I
+    fourth_ok = laurent["um2"] / nu2 == lam6 * q2I
     lam2 = lam6 / lam4
     lam = sqrt_in_k4(lam2)
     return {

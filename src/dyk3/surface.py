@@ -35,7 +35,7 @@ from .elliptic import weierstrass_discriminant
 from .ffield import ExtField, build_extension, rational_mod_p
 from .fixtures import SurfaceFixture, load_surface
 from .poly import Poly, QQ
-from .tate import COMPONENTS, EllipticSurface, LocalFibreData, Place
+from .tate import EllipticSurface, LocalFibreData, Place
 
 @dataclass
 class SurfaceCount:
@@ -298,30 +298,29 @@ def bad_fiber_points(surface: EllipticSurface, fib: LocalFibreData) -> int:
     rational legs of I0*.  The k rational components of an additive fibre
     are lines forming a tree, k (q + 1) - (k - 1) = 1 + k q points.
     """
-    q = surface.fieldad.q
-    sym, n = fib.kodaira, fib.n
-    if sym == "I0":
+    q, t = surface.fieldad.q, fib.type
+    if not fib.vdelta:
         raise ValueError("fibre is smooth after minimalisation")
-    if sym[1:].isdigit():
+    if t.family == "I":
         if fib.split is None:
             raise AssertionError("multiplicative fibre without a unique node")
         # a split n-gon has n (q - 1) smooth points and n nodes.  Otherwise
         # Frobenius reflects it: the identity component gives q + 1 points
         # and what lies opposite a node (odd n) or a component (even n)
-        return n * q if fib.split else 2 + q * (2 - n % 2)
-    if sym == "I0*":
+        return t.n * q if fib.split else 2 + q * t.unsplit
+    if fib.legs_rational is not None:
+        # I0*: the centre and the rational legs, the identity's among them
         rational = 1 + fib.legs_rational
-    elif sym in ("IV", "IV*"):
-        # every component, or only the identity arm: IV's identity
-        # component, IV*'s identity component, its neighbour and the centre
-        split = surface.iv_split(fib.place)
-        rational = COMPONENTS[sym] if split else {"IV": 1, "IV*": 3}[sym]
-    elif sym in COMPONENTS:
-        # II, III, III*, II*: no symmetry of the dual graph fixes the
-        # identity and moves another component, so every one is rational
-        rational = COMPONENTS[sym]
+    elif t.unsplit is None:
+        raise NotImplementedError(f"fibre counting for type {t.symbol} not implemented")
+    elif t.unsplit < t.components and not surface.iv_split(fib.place):
+        # IV, IV* not split: only the identity arm, IV's identity component,
+        # IV*'s identity component, its neighbour and the centre
+        rational = t.unsplit
     else:
-        raise NotImplementedError(f"fibre counting for type {sym} not implemented")
+        # split, or II, III, III*, II*: no symmetry of the dual graph fixes
+        # the identity and moves another component, so every one is rational
+        rational = t.components
     return 1 + q * rational
 
 

@@ -161,35 +161,87 @@ class Place:
         return "Place(inf)" if self.infinity else f"Place({self.poly})"
 
 
-CONTR_NONID = {
-    "II": Fraction(0), "III": Fraction(1, 2), "IV": Fraction(2, 3),
-    "I0*": Fraction(1), "IV*": Fraction(4, 3), "III*": Fraction(3, 2),
-    "II*": Fraction(0),
+# The additive types other than I_n*: canonical (v c4, v c6, v Delta) of a
+# minimal model, components, determinant of the root lattice (A_1, A_2,
+# E_6, E_7, E_8, negative definite; 1 when there is none), the height
+# correction of a simple non-identity component, and the components that
+# are rational when the fibre is not split.
+_ADDITIVE = {
+    "II": ((1, 1, 2), 1, 1, Fraction(0), 1),
+    "III": ((1, 2, 3), 2, -2, Fraction(1, 2), 2),
+    "IV": ((2, 2, 4), 3, 3, Fraction(2, 3), 1),
+    "IV*": ((3, 4, 8), 7, 3, Fraction(4, 3), 3),
+    "III*": ((3, 5, 9), 8, -2, Fraction(3, 2), 8),
+    "II*": ((4, 5, 10), 9, 1, Fraction(0), 9),
 }
 
-COMPONENTS = {"I0": 1, "II": 1, "III": 2, "IV": 3, "I0*": 5,
-              "IV*": 7, "III*": 8, "II*": 9}
+
+class KodairaType:
+    """What a Kodaira symbol fixes about a tame fibre: its family, "I" for
+    I_n, "I*" for I_n* and the symbol itself otherwise, n, and the columns
+    of _ADDITIVE.  contr is None where the simple non-identity components
+    have different corrections (I_n, and I_n* for n >= 1); unsplit is None
+    for I_n*, whose rational components are not tabulated."""
+    # a plain class: a dataclass would add about 0.5 ms to importing tate
+    __slots__ = ("symbol", "family", "n", "vals", "components", "det", "contr", "unsplit")
+
+    def __init__(self, symbol, family, n, vals, components, det, contr, unsplit):
+        self.symbol, self.family, self.n, self.vals = symbol, family, n, vals
+        self.components, self.det, self.contr, self.unsplit = components, det, contr, unsplit
+
+    @property
+    def vdelta(self) -> int:
+        return self.vals[2]
+
+    @property
+    def menu(self) -> set:
+        """The height corrections a section can take at this fibre, for
+        the grid; I_n* for n >= 1 is given 0 only."""
+        if self.family == "I":
+            return {Fraction(k * (self.n - k), self.n) for k in range(self.n)} or {Fraction(0)}
+        return {Fraction(0), self.contr or Fraction(0)}
+
+
+def kodaira_type(symbol: str) -> KodairaType:
+    """The facts of a Kodaira symbol: the one place where one is parsed."""
+    star = symbol.endswith("*")
+    digits = symbol[1:-1] if star else symbol[1:]
+    if symbol.startswith("I") and digits.isdigit():
+        n = int(digits)
+        if star:     # D_{n+4}
+            return KodairaType(symbol, "I*", n, (2, 3, 6 + n), 5 + n, (-1) ** n * 4,
+                               None if n else Fraction(1), None)
+        # A_{n-1}; a non-split n-gon keeps the identity component, and the
+        # opposite one when n is even
+        return KodairaType(symbol, "I", n, (0, 0, n), max(1, n),
+                           (-1) ** (n - 1) * n if n else 1, None, 2 - n % 2)
+    if symbol not in _ADDITIVE:
+        raise ValueError(f"unknown Kodaira symbol {symbol!r}")
+    return KodairaType(symbol, symbol, 0, *_ADDITIVE[symbol])
+
+
+# additive symbol by v(Delta); I_n* is told apart from IV*, III*, II* first
+_BY_VDELTA = {vals[2]: sym for sym, (vals, *_) in _ADDITIVE.items()} | {6: "I0*"}
 
 
 @dataclass
 class LocalFibreData:
     place: Place
-    kodaira: str
+    type: KodairaType
     vc4: int
     vc6: int
     vdelta: int
-    n: int = 0                 # n for I_n and I_n*
     split: object = None       # True/False/None (multiplicative only)
     legs_rational: object = None  # I0*: 1 + number of rational step-6 cubic roots
-    minimal_twists: int = 0
 
     @property
-    def components(self):
-        if self.kodaira.startswith("I") and self.kodaira[1:].isdigit():
-            return max(1, self.n)
-        if self.kodaira.endswith("*") and self.kodaira[1:-1].isdigit():
-            return 5 + self.n
-        return COMPONENTS[self.kodaira]
+    def kodaira(self) -> str:
+        return self.type.symbol
+
+    @property
+    def n(self) -> int:
+        """n of I_n and I_n*, else 0."""
+        return self.type.n
 
     def __repr__(self):
         extra = "" if self.split is None else (" split" if self.split else " nonsplit")
@@ -198,26 +250,12 @@ class LocalFibreData:
 
 def classify_tame(vc4, vc6, vdelta):
     """Kodaira symbol from minimal valuations, residue characteristic 0 or >= 5."""
-    if vdelta == 0:
-        return "I0", 0
-    if vc4 == 0:
+    if vc4 == 0 or vdelta == 0:
         return f"I{vdelta}", vdelta
-    if vdelta == 2:
-        return "II", 0
-    if vdelta == 3:
-        return "III", 0
-    if vdelta == 4:
-        return "IV", 0
-    if vdelta == 6:
-        return "I0*", 0
     if vc4 == 2 and vc6 == 3 and vdelta >= 7:
         return f"I{vdelta - 6}*", vdelta - 6
-    if vdelta == 8:
-        return "IV*", 0
-    if vdelta == 9:
-        return "III*", 0
-    if vdelta == 10:
-        return "II*", 0
+    if vdelta in _BY_VDELTA:
+        return _BY_VDELTA[vdelta], 0
     raise ValueError(f"valuations (vc4={vc4}, vc6={vc6}, vdelta={vdelta}) "
                      "match no tame Kodaira type")
 
@@ -330,12 +368,11 @@ class EllipticSurface:
     def local_type(self, place: Place) -> LocalFibreData:
         surf, pi = self._chart(place)
         m = surf._local_minimal(pi)
-        sym, n = classify_tame(m.vc4, m.vc6, m.vdelta)
-        data = LocalFibreData(place, sym, min(m.vc4, 12), min(m.vc6, 12),
-                              m.vdelta, n, minimal_twists=m.e)
-        if sym.startswith("I") and not sym.endswith("*") and n >= 1:
-            data.split = m.model._multiplicative_split(pi, n)
-        if sym == "I0*":
+        t = kodaira_type(classify_tame(m.vc4, m.vc6, m.vdelta)[0])
+        data = LocalFibreData(place, t, min(m.vc4, 12), min(m.vc6, 12), m.vdelta)
+        if t.family == "I" and t.n:
+            data.split = m.model._multiplicative_split(pi, t.n)
+        if t.family == "I*" and not t.n:
             data.legs_rational = m.model._i0star_legs(pi)
         return data
 
@@ -518,14 +555,11 @@ def section_component_data(P: SectionPoint, place: Place, fib: LocalFibreData):
     if local.e:
         x = x / RationalFunc(pi ** (2 * local.e))
     vx = x.valuation(pi)
-    if vx < 0:
-        return ("identity", 0)
-    sym = fib.kodaira
-    if sym == "I0":
+    if vx < 0 or not fib.vdelta:
         return ("identity", 0)
     N = fib.vdelta + 4
     R = LocalRing(pi, N)
-    if sym.startswith("I") and not sym.endswith("*"):
+    if fib.type.family == "I":
         n = fib.n
         x0 = local.model._node_residue(pi)
         if x0 is None:
@@ -555,11 +589,12 @@ def local_contribution(P: SectionPoint, place: Place, fib: LocalFibreData) -> Fr
         return Fraction(0)
     if kind == "cycle":
         return Fraction(m * (fib.n - m), fib.n)
-    c = CONTR_NONID.get(fib.kodaira)
+    c = fib.type.contr
     if c is None:
         raise NotImplementedError(f"correction term for {fib.kodaira} unsupported")
-    if fib.kodaira == "II*" and kind == "nonidentity":
-        raise AssertionError("a section cannot meet a multiple component of II*")
+    if abs(fib.type.det) == 1:
+        raise AssertionError("a section cannot meet a multiple component of "
+                             f"{fib.kodaira}")
     return c
 
 
@@ -589,7 +624,7 @@ def mw_height(E: EllipticSurface, P: SectionPoint,
         bad = E.bad_fibres()
     h = Fraction(2 * E.chi) + 2 * section_zero_intersection(P)
     for place, fib in bad:
-        if fib.kodaira in ("I0", "I1", "II", "II*"):
+        if abs(fib.type.det) == 1:     # the identity is the only simple component
             continue
         h -= place.degree * local_contribution(P, place, fib)
     return h
@@ -630,31 +665,7 @@ def trivial_lattice_disc(bad) -> int:
     """Determinant of U + sum of the fibre root lattices (negative definite)."""
     disc = -1
     for place, fib in bad:
-        sym, n = fib.kodaira, fib.n
-        if sym.startswith("I") and not sym.endswith("*"):
-            if n >= 2:
-                per = (-1) ** (n - 1) * n  # A_{n-1}(-1)
-            else:
-                continue
-        elif sym == "I0*":
-            per = 4            # D4(-1)
-        elif sym.endswith("*") and sym[1:-1].isdigit():
-            per = (-1) ** (4 + n) * 4   # D_{4+n}(-1)
-        elif sym == "II*":
-            per = 1            # E8(-1)
-        elif sym == "III*":
-            per = -2           # E7(-1)
-        elif sym == "IV*":
-            per = 3            # E6(-1)
-        elif sym in ("II", "I0", "I1"):
-            continue
-        elif sym == "III":
-            per = -2
-        elif sym == "IV":
-            per = 3
-        else:
-            raise NotImplementedError(sym)
-        disc *= per ** place.degree
+        disc *= fib.type.det ** place.degree
     return disc
 
 
@@ -688,26 +699,11 @@ def torsion_two_divisibility(E: EllipticSurface, T: SectionPoint) -> dict:
 def min_positive_height_on_grid(bad, chi: int = 2) -> Fraction:
     """Minimum positive value of 2 chi - sum of correction terms over the
     grid of allowed per-fibre correction values (P.O = 0)."""
-    menus = []
-    for place, fib in bad:
-        sym, n = fib.kodaira, fib.n
-        if sym.startswith("I") and sym[1:].isdigit() and n >= 2:
-            menu = sorted({Fraction(k * (n - k), n) for k in range(n)})
-        elif sym in CONTR_NONID and sym not in ("II", "II*"):
-            menu = [Fraction(0), CONTR_NONID[sym]]
-        else:
-            continue
-        for _ in range(place.degree):
-            menus.append(menu)
-    best = None
     totals = {Fraction(0)}
-    for menu in menus:
-        totals = {t + m for t in totals for m in menu}
-    for t in totals:
-        h = Fraction(2 * chi) - t
-        if h > 0 and (best is None or h < best):
-            best = h
-    return best
+    for place, fib in bad:
+        for _ in range(place.degree):
+            totals = {t + m for t in totals for m in fib.type.menu}
+    return min((h for t in totals if (h := 2 * chi - t) > 0), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -735,12 +731,6 @@ def quartic_to_weierstrass(coeffs, fieldad, chi: int = 2, name: str = ""):
 # genus-1 quartics analysed through the t = s^2 base change
 
 
-_CANONICAL_VALS = {
-    "II": (1, 1, 2), "III": (1, 2, 3), "IV": (2, 2, 4), "I0*": (2, 3, 6),
-    "IV*": (3, 4, 8), "III*": (3, 5, 9), "II*": (4, 5, 10),
-}
-
-
 def compose_t_squared(p: Poly) -> Poly:
     """p(s^2) as a polynomial in s."""
     F = p.field
@@ -750,35 +740,21 @@ def compose_t_squared(p: Poly) -> Poly:
     return Poly(F, out)
 
 
-def ramified_double_image(sym: str, n: int = 0) -> str:
+def ramified_double_image(sym: str) -> str:
     """Kodaira type of the pullback of a fibre under a double cover
     ramified at the place (valuations double, then minimalise)."""
-    if sym == "I0":
-        return "I0"
-    if sym.startswith("I") and not sym.endswith("*") and sym[1:].isdigit():
-        return f"I{2 * int(sym[1:])}"
-    if sym.endswith("*") and sym[1:-1].isdigit():
-        k = int(sym[1:-1])
-        return "I0" if k == 0 else f"I{2 * k}"
-    a, b, d = _CANONICAL_VALS[sym]
-    a, b, d = 2 * a, 2 * b, 2 * d
+    a, b, d = (2 * v for v in kodaira_type(sym).vals)
     while a >= 4 and b >= 6 and d >= 12:
         a, b, d = a - 4, b - 6, d - 12
-    return classify_tame(a if a else 0, b, d)[0]
+    return classify_tame(a, b, d)[0]
 
 
 def ramified_double_preimages(sym_s: str):
-    """All downstairs types whose ramified double-cover pullback is sym_s."""
-    cands = []
-    for sym in list(_CANONICAL_VALS) + ["I0*", "I0"]:
-        if ramified_double_image(sym) == sym_s and sym not in cands:
-            cands.append(sym)
-    # multiplicative upstairs of even order come from I_{n/2} or I_{n/2}*
-    if sym_s.startswith("I") and not sym_s.endswith("*") and sym_s[1:].isdigit():
-        k = int(sym_s[1:])
-        if k % 2 == 0:
-            cands.extend([f"I{k // 2}", f"I{k // 2}*"] if k else ["I0*", "I0"])
-    return cands
+    """All downstairs types whose ramified double-cover pullback is sym_s:
+    I_n and I_n* pull back to I_2n."""
+    k = kodaira_type(sym_s).n // 2
+    cands = dict.fromkeys([*_ADDITIVE, "I0*", "I0", f"I{k}", f"I{k}*"])
+    return [sym for sym in cands if ramified_double_image(sym) == sym_s]
 
 
 def analyze_quartic_double_cover(quartic_coeffs, fieldad=TOWER, chi: int = 2):
@@ -829,28 +805,16 @@ def analyze_quartic_double_cover(quartic_coeffs, fieldad=TOWER, chi: int = 2):
     solutions = []
     for c0 in cands0:
         for ci in candsinf:
-            v0 = _vdelta_of(c0)
-            vi = _vdelta_of(ci)
-            if v0 + vi == budget:
+            if kodaira_type(c0).vdelta + kodaira_type(ci).vdelta == budget:
                 solutions.append((c0, ci))
     if len(solutions) != 1:
         raise AssertionError(f"Euler budget does not pin the ramified types: "
                              f"{solutions}")
     c0, ci = solutions[0]
     report = [(Place(Poly.x(F)), c0, 0), (Place(infinity=True), ci, 0)] + t_entries
-    total = sum(_vdelta_of(sym) * pl.degree for pl, sym, _n in report)
+    total = sum(kodaira_type(sym).vdelta * pl.degree for pl, sym, _n in report)
     return {"s_model": jac, "s_table": bad_s, "t_table": report,
             "t_locus": t_locus.monic(), "total_vdelta": total}
-
-
-def _vdelta_of(sym: str) -> int:
-    if sym == "I0":
-        return 0
-    if sym.startswith("I") and not sym.endswith("*") and sym[1:].isdigit():
-        return int(sym[1:])
-    if sym.endswith("*") and sym[1:-1].isdigit():
-        return 6 + int(sym[1:-1])
-    return _CANONICAL_VALS[sym][2]
 
 
 def reduce_fiber(E: EllipticSurface, t0, field, emb=None):

@@ -11,7 +11,7 @@ from dyk3.elliptic import (cubic_node, depressed_cubic, weierstrass_c4_c6,
                            weierstrass_discriminant)
 from dyk3.ffield import ExtField, find_roots
 from dyk3.poly import OpRing, Poly
-from dyk3.tate import classify_tame
+from kodaira_type_oracle import classify_tame
 
 
 def bad_fiber_points_oracle(field: ExtField, a2: Poly, a4: Poly, a6: Poly) -> int:

@@ -128,11 +128,30 @@ def test_kodaira_census_record_in_process(capsys):
         {"op": "kodaira", "error": "generator does not preserve the Gram"}]
 
 
+def test_kodaira_mirror_comes_from_the_fixture(tmp_path):
+    # the mirror permutation is the fixture's: picard_fixture, which
+    # derives the matrices, and the tate, models and siverify it imports
+    # stay unloaded
+    (tmp_path / "pair.gram").write_text(
+        "# provenance: test\n# mirror-swap: all\nL1 Lt1\nL1 -2 2\nLt1 2 -2\n")
+    code = ("import sys; from dyk3.cli import main; "
+            "main(['kodaira', '--fixture', 'pair', '--group']); "
+            "print(' '.join(m for m in sys.modules if m.startswith('dyk3.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=600, env={**os.environ, "DYK3_FIXTURE_DIR": str(tmp_path)})
+    assert proc.returncode == 0, proc.stderr
+    record, modules = proc.stdout.splitlines()
+    assert json.loads(record)["orbits"] == 1
+    assert not {"dyk3.picard_fixture", "dyk3.tate", "dyk3.models",
+                "dyk3.siverify"} & set(modules.split())
+
+
 @pytest.mark.parametrize("text", [
     "a b\na -3 1\nb 1 -2\n",
     "# galois-swap: a z\na b\na -2 1\nb 1 -2\n",
     "# galois-swap: a b\na b c\na -2 1 0\nb 1 -2 1\nc 0 1 -2\n",
-], ids=["diagonal", "unknown-label", "not-a-symmetry"])
+    "# mirror-swap: all\nL1 C1\nL1 -2 1\nC1 1 -2\n",
+], ids=["diagonal", "unknown-label", "not-a-symmetry", "unknown-mirror"])
 def test_kodaira_malformed_gram_exit_code(tmp_path, text):
     (tmp_path / "bad.gram").write_text("# provenance: test\n" + text)
     p = run_cli("kodaira", "--fixture", "bad", "--group",

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -227,7 +228,6 @@ def test_min_height_grid():
 
 
 def _grid_sums(bad):
-    from dyk3.tate import CONTR_NONID
     menus = []
     for place, fib in bad:
         n = fib.n
@@ -493,3 +493,122 @@ def test_surface_over_fq_labels_its_field():
     assert models.e1_surface().base_label == "QQ"
     assert models.e1_surface("tower").base_label == "Qsqrt5"
     assert models.inose_surface().base_label == "Qsqrt5"
+
+
+# every additive type, I_n for n <= 24 and I_n* for n <= 18
+KODAIRA_SYMBOLS = list(dict.fromkeys(
+    ["II", "III", "IV", "I0*", "IV*", "III*", "II*"]
+    + [f"I{n}" for n in range(25)] + [f"I{n}*" for n in range(19)]))
+
+
+def _outcome(f, *args):
+    """f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except (ValueError, AssertionError, NotImplementedError) as exc:
+        return type(exc), str(exc)
+
+
+def _parent_disc(old, bad):
+    """The parent's trivial_lattice_disc with the A_1 of III and the A_2 of
+    IV that it left out: both symbols start with "I" and do not end with
+    "*", so it took them for I_0, and its branches for them never ran."""
+    disc = old.trivial_lattice_disc(bad)
+    for place, fib in bad:
+        disc *= {"III": -2, "IV": 3}.get(fib.kodaira, 1) ** place.degree
+    return disc
+
+
+class _CountingSurface:
+    """What bad_fiber_points reads of a surface: q, and iv_split's answer."""
+
+    def __init__(self, q, iv_split):
+        self.fieldad = SimpleNamespace(q=q)
+        self.iv_split = lambda place: iv_split
+
+
+def test_kodaira_table_matches_the_parent_code():
+    import kodaira_type_oracle as old
+    from dyk3.surface import bad_fiber_points
+    from dyk3.tate import (LocalFibreData, classify_tame, kodaira_type,
+                           ramified_double_preimages)
+    places = [Place(Poly.x(QQ)), Place(Poly.from_ints(QQ, [-1, 1, 1]))]
+    fibres = []
+    for sym in KODAIRA_SYMBOLS:
+        t = kodaira_type(sym)
+        assert t.symbol == sym and t.vdelta == old._vdelta_of(sym)
+        assert classify_tame(*t.vals) == old.classify_tame(*t.vals) == (sym, t.n)
+        assert t.components == old.components(sym, t.n)
+        assert t.contr == old.CONTR_NONID.get(sym)
+        assert (abs(t.det) == 1) == (sym in old.MW_HEIGHT_SKIPS)
+        assert ramified_double_image(sym) == old.ramified_double_image(sym)
+        assert ramified_double_preimages(sym) \
+            == list(dict.fromkeys(old.ramified_double_preimages(sym)))
+        for place in places:
+            fib = LocalFibreData(place, t, *t.vals)
+            fibres.append((place, fib))
+            for chi in (1, 2):
+                assert min_positive_height_on_grid([(place, fib)], chi) \
+                    == old.min_positive_height_on_grid([(place, fib)], chi), sym
+            assert trivial_lattice_disc([(place, fib)]) == _parent_disc(old, [(place, fib)]) \
+                == -t.det ** place.degree, sym
+        # the data local_type attaches: split at I_n, the legs at I0*
+        splits = (True, False, None) if t.family == "I" else (None,)
+        for split in splits:
+            for legs in ((1, 2, 4) if sym == "I0*" else (None,)):
+                fib = LocalFibreData(places[0], t, *t.vals, split=split,
+                                     legs_rational=legs)
+                for iv_split in (True, False):
+                    S = _CountingSurface(49, iv_split)
+                    assert _outcome(bad_fiber_points, S, fib) \
+                        == _outcome(old.bad_fiber_points, S, fib), (sym, split, legs)
+    for bad in ("", "I", "I*", "V", "IIII", "I-1", "Ia*"):
+        with pytest.raises(ValueError):
+            kodaira_type(bad)
+    # tables of up to four fibres, kept to grids of at most 4000 points
+    rng = random.Random(28)
+    for _ in range(300):
+        bad = rng.sample(fibres, rng.randrange(1, 5))
+        size = 1
+        for place, fib in bad:
+            size *= len(fib.type.menu) ** place.degree
+        if size > 4000:
+            continue
+        chi = rng.choice((1, 2, 3))
+        assert min_positive_height_on_grid(bad, chi) \
+            == old.min_positive_height_on_grid(bad, chi), bad
+        assert trivial_lattice_disc(bad) == _parent_disc(old, bad), bad
+    # every (v c4, v c6, v Delta) near the tame range, inf where c4 or c6 is 0
+    inf = float("inf")
+    for vc4 in [*range(7), inf]:
+        for vc6 in [*range(9), inf]:
+            for vd in range(27):
+                assert _outcome(classify_tame, vc4, vc6, vd) \
+                    == _outcome(old.classify_tame, vc4, vc6, vd), (vc4, vc6, vd)
+
+
+def test_heights_at_iv_and_iv_star_fibres():
+    # y^2 = x^3 + t^2 has IV at t = 0 and IV* at infinity, and (0, t) runs
+    # through both cusps: it is 3-torsion, 2 - 2/3 - 4/3 = 0.  The parent
+    # took IV for a multiplicative fibre here and found no node, and left
+    # A_2 out of the trivial lattice; NS is unimodular, -9 / 3^2 = -1.
+    t = Poly.x(QQ)
+    E = EllipticSurface(QQ, Poly(QQ, []), Poly(QQ, []), t * t, chi=1)
+    bad = E.bad_fibres()
+    assert [fib.kodaira for _, fib in bad] == ["IV", "IV*"]
+    P = SectionPoint(E, Poly(QQ, []), t)
+    assert [component_index(E, P, place, bad) for place, _ in bad] \
+        == [("nonidentity", 1)] * 2
+    assert mw_height(E, P, bad) == 0
+    assert trivial_lattice_disc(bad) == -9
+    assert shioda_tate_disc(0, -9, Fraction(1), 3) == -1
+
+
+def test_local_type_at_an_i_n_star_fibre():
+    # y^2 = x^3 + t x^2 + t^4: v(c4, c6, Delta) = (2, 3, 7) at t = 0, I1*;
+    # the step-6 legs are read at I0* only, and no splitness is asked
+    t = Poly.x(QQ)
+    E = EllipticSurface(QQ, t, Poly(QQ, []), t ** 4, chi=1)
+    fib = E.local_type(Place(t))
+    assert (fib.kodaira, fib.n, fib.vdelta) == ("I1*", 1, 7)
+    assert fib.legs_rational is None and fib.split is None
