@@ -151,8 +151,17 @@ class GramFixture:
 
     def mirror_permutation(self):
         """Index permutation of the mirror that the '# mirror-swap:'
-        metadata line names; ValueError if a label's image is missing."""
+        metadata line names.  The one mirror known is mirror_label's rule,
+        named "all" or by curves34's spelling of it; ValueError for any
+        other value, or if a label's image is missing."""
+        rule = self.meta.get("mirror-swap")
+        if rule not in _MIRROR_RULES:
+            raise ValueError(f"unknown mirror-swap rule {rule!r}")
         return [self.labels.index(mirror_label(l)) for l in self.labels]
+
+
+# the '# mirror-swap:' values that name mirror_label's rule
+_MIRROR_RULES = ("all", "all L<->Lt, C<->Ct, Eipj<->Eimj")
 
 
 def mirror_label(label: str) -> str:

@@ -238,20 +238,24 @@ def rank_det(L: GramLattice):
     the determinant is the full Gram determinant; degenerate presentations
     are reduced to a basis of the span first.
     """
-    _, W, r = _radical_split(L)
-    if r:
+    snf = smith(L.gram)
+    kernel = _kernel_basis(L.gram, snf)
+    if kernel:
+        _, W, r = _radical_split(L, kernel)
         return L.n - r, bareiss_det(_reduced_gram(L, W[r:]))
     det = bareiss_det(L.gram)
-    if abs(det) != abs(prod(smith(L.gram).d)):
+    if abs(det) != abs(prod(snf.d)):
         raise AssertionError("Bareiss and SNF determinants disagree")
     return L.n, det
 
 
-def _radical_split(L: GramLattice):
+def _radical_split(L: GramLattice, kernel=None):
     """(V, W, r): W = V^-1 is unimodular, its first r rows span the radical
     and the others are span_basis(L).  A generator vector x has coordinates
-    x V on the rows of W, so its class in L/rad is (x V)[r:]."""
-    kernel = kernel_relation(L)
+    x V on the rows of W, so its class in L/rad is (x V)[r:].  kernel is
+    kernel_relation(L), when the caller has it."""
+    if kernel is None:
+        kernel = kernel_relation(L)
     ident = [[int(i == j) for j in range(L.n)] for i in range(L.n)]
     if not kernel:
         return ident, ident, 0
@@ -378,9 +382,10 @@ def c2_cohomology(gram, sigma):
     return h0, h1, h2
 
 
-def _kernel_basis(M):
-    """Integer basis of ker(M) on Z^n (saturated)."""
-    snf = smith(M)
+def _kernel_basis(M, snf=None):
+    """Integer basis of ker(M) on Z^n (saturated), read off M's Smith form
+    snf (taken here when the caller has not)."""
+    snf = snf or smith(M)
     n = len(M[0]) if M else 0
     rank = sum(1 for x in snf.d if x != 0)
     return [[snf.V[i][j] for i in range(n)] for j in range(rank, n)]

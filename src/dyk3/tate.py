@@ -196,10 +196,13 @@ class KodairaType:
     @property
     def menu(self) -> set:
         """The height corrections a section can take at this fibre, for
-        the grid; I_n* for n >= 1 is given 0 only."""
+        the grid.  At I_n* it meets the identity, a near simple component
+        (1) or a far one (1 + n/4); for I0* the last two agree."""
         if self.family == "I":
             return {Fraction(k * (self.n - k), self.n) for k in range(self.n)} or {Fraction(0)}
-        return {Fraction(0), self.contr or Fraction(0)}
+        if self.family == "I*":
+            return {Fraction(0), Fraction(1), 1 + Fraction(self.n, 4)}
+        return {Fraction(0), self.contr}
 
 
 def kodaira_type(symbol: str) -> KodairaType:
@@ -293,6 +296,7 @@ class EllipticSurface:
         self._delta = None
         self._inf = None
         self._minimal = {}
+        self._critical = {}
         if self.delta().is_zero():
             raise ValueError("discriminant vanishes identically")
         # effective chart weight: smallest w with deg a_i <= i*w; exceeding
@@ -364,6 +368,20 @@ class EllipticSurface:
             self.fieldad, a2, a4, a6, chi=self.chi, base_label=self.base_label)
         self._minimal[key] = LocalModel(model, e, vc4, vc6, vd)
         return self._minimal[key]
+
+    def _critical_point(self, pi: Poly):
+        """(R, xs): the critical point over the node of the I_n fibre at pi,
+        mod pi^N in R with N = max(1, (n + 1)//2); built once per pi."""
+        key = tuple(pi.coeffs)
+        if key not in self._critical:
+            local = self._local_minimal(pi)
+            m = local.model
+            x0 = m._node_residue(pi)
+            if x0 is None:
+                raise RuntimeError("no node found at a multiplicative place")
+            R = LocalRing(pi, max(1, (local.vdelta + 1) // 2))    # n = v(Delta)
+            self._critical[key] = R, critical_point(R, m.a2, m.a4, x0)
+        return self._critical[key]
 
     def local_type(self, place: Place) -> LocalFibreData:
         surf, pi = self._chart(place)
@@ -547,26 +565,24 @@ def critical_point(R: LocalRing, a2: Poly, a4: Poly, x0: Poly) -> Poly:
 
 def section_component_data(P: SectionPoint, place: Place, fib: LocalFibreData):
     """(kind, m) where kind in {'identity','cycle','nonidentity'};
-    for I_n, m = min(k, n-k) identifies the unordered component pair."""
+    for I_n, m = min(k, n-k) identifies the unordered component pair.
+
+    Only v_pi(x - xs) up to (n + 1)//2 is read at I_n, and only v >= 1 at
+    an additive place, so x is compared mod pi^N for that N alone: the
+    Hensel lift over the node is unique, and min(v, N) is the same at any
+    higher precision."""
     E, pi = P.surface._chart(place)
     x = _x_at_infinity(P) if place.infinity else P.x
     local = E._local_minimal(pi)
-    a2, a4 = local.model.a2, local.model.a4
     if local.e:
         x = x / RationalFunc(pi ** (2 * local.e))
     vx = x.valuation(pi)
     if vx < 0 or not fib.vdelta:
         return ("identity", 0)
-    N = fib.vdelta + 4
-    R = LocalRing(pi, N)
     if fib.type.family == "I":
         n = fib.n
-        x0 = local.model._node_residue(pi)
-        if x0 is None:
-            raise RuntimeError("no node found at a multiplicative place")
-        xs = critical_point(R, a2, a4, x0)
-        xloc = R.from_rational(x)
-        m = R.valuation(xloc - xs)
+        R, xs = E._critical_point(pi)
+        m = R.valuation(R.from_rational(x) - xs)
         if m == 0:
             return ("identity", 0)
         if m >= (n + 1) // 2:
@@ -576,10 +592,9 @@ def section_component_data(P: SectionPoint, place: Place, fib: LocalFibreData):
         return ("cycle", m)
     # additive: through the cusp or not
     F = E.fieldad
-    s = a2 * F.inv(F.from_int(3))
-    xc = -s  # exact triple-root shift
-    xloc = R.from_rational(x)
-    v = R.valuation(xloc - R.red(xc))
+    R = LocalRing(pi, 1)
+    xc = -(local.model.a2 * F.inv(F.from_int(3)))  # exact triple-root shift
+    v = R.valuation(R.from_rational(x) - R.red(xc))
     return ("nonidentity", 1) if v >= 1 else ("identity", 0)
 
 

@@ -128,6 +128,21 @@ def test_kodaira_census_record_in_process(capsys):
         {"op": "kodaira", "error": "generator does not preserve the Gram"}]
 
 
+# The whole record of `dyk3 height --model e2`, as it was printed before
+# each surface kept one critical point per place.
+HEIGHT_E2 = {
+    "disc_NS": "24", "disc_triv": -640, "fixture_provenance": "paper-text",
+    "height_P3": "3/20", "height_T": "0", "min_positive_grid_height": "1/10",
+    "model": "e2", "op": "height", "squarefree_part_coeffs": ["0", "-1", "1", "1"],
+    "tool": "dyk3", "torsion_two_divisible": False, "version": "0.1.0"}
+
+
+def test_height_record_in_process(capsys):
+    from dyk3.cli import main
+    assert main(["height", "--model", "e2"]) == 0
+    assert capsys.readouterr().out == json.dumps(HEIGHT_E2, sort_keys=True) + "\n"
+
+
 def test_kodaira_mirror_comes_from_the_fixture(tmp_path):
     # the mirror permutation is the fixture's: picard_fixture, which
     # derives the matrices, and the tate, models and siverify it imports
@@ -151,7 +166,9 @@ def test_kodaira_mirror_comes_from_the_fixture(tmp_path):
     "# galois-swap: a z\na b\na -2 1\nb 1 -2\n",
     "# galois-swap: a b\na b c\na -2 1 0\nb 1 -2 1\nc 0 1 -2\n",
     "# mirror-swap: all\nL1 C1\nL1 -2 1\nC1 1 -2\n",
-], ids=["diagonal", "unknown-label", "not-a-symmetry", "unknown-mirror"])
+    "# mirror-swap: none\nL1 Lt1\nL1 -2 2\nLt1 2 -2\n",
+], ids=["diagonal", "unknown-label", "not-a-symmetry", "unknown-mirror",
+        "unnamed-mirror-rule"])
 def test_kodaira_malformed_gram_exit_code(tmp_path, text):
     (tmp_path / "bad.gram").write_text("# provenance: test\n" + text)
     p = run_cli("kodaira", "--fixture", "bad", "--group",

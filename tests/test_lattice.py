@@ -335,3 +335,18 @@ def test_smith_builds_the_inverse_of_V_when_read():
         ident = [[int(i == j) for j in range(cols)] for i in range(cols)]
         assert _matmul(snf.V, snf.V_inv) == ident
         assert snf.V_inv is snf.V_inv
+
+
+def test_rank_det_takes_the_gram_smith_form_once(monkeypatch):
+    # the Bareiss cross-check reads the diagonal that the radical was read
+    # off; a degenerate Gram adds only the Smith form of its radical
+    import dyk3.lattice as lib
+    L = GramLattice.from_fixture(load_gram("lambda24"))
+    S = GramLattice([f"b{i}" for i in range(19)], lib._reduced_gram(L, span_basis(L)))
+    sizes = []
+    monkeypatch.setattr(lib, "smith", lambda m: sizes.append(len(m)) or smith(m))
+    assert rank_det(S) == (19, bareiss_det(S.gram)) and abs(bareiss_det(S.gram)) == 24
+    assert sizes == [19]
+    sizes.clear()
+    assert rank_det(L) == (19, 24)
+    assert sizes == [24, 5]

@@ -440,8 +440,9 @@ def test_node_residue_is_a_double_root_at_every_multiplicative_place():
 
 def test_critical_point_is_lifted_to_full_precision():
     # the critical point that places a section on the I_n cycle solves
-    # f'(xs) = 0 mod pi^N at the precision section_component_data uses, and
-    # lies over the node
+    # f'(xs) = 0 mod pi^N at the precision section_component_data uses,
+    # N = max(1, (n + 1)//2), and at v(Delta) + 4 as it did before; the two
+    # agree mod pi^N and lie over the node
     from dyk3.tate import LocalRing, critical_point
     lifted = 0
     for name, surface in _surfaces_for_local_models():
@@ -453,12 +454,89 @@ def test_critical_point_is_lifted_to_full_precision():
             if local.vdelta == 0 or local.vc4 != 0 or pi.degree() > 2:
                 continue
             m, x0 = local.model, local.model._node_residue(pi)
-            R = LocalRing(pi, local.vdelta + 4)
-            xs = critical_point(R, m.a2, m.a4, x0)
-            assert R.red(3 * xs * xs + 2 * m.a2 * xs + m.a4).is_zero(), name
-            assert ((xs - x0) % pi).is_zero(), name
+            n = surface.local_type(place).n
+            R, xs = chart._critical_point(pi)
+            assert R.N == max(1, (n + 1) // 2) and R.pi == pi, name
+            assert chart._critical_point(pi)[1] is xs, name
+            Rfull = LocalRing(pi, local.vdelta + 4)
+            xfull = critical_point(Rfull, m.a2, m.a4, x0)
+            for ring, x in ((R, xs), (Rfull, xfull)):
+                assert ring.red(3 * x * x + 2 * m.a2 * x + m.a4).is_zero(), name
+                assert ((x - x0) % pi).is_zero(), name
+            assert R.red(xfull - xs).is_zero(), name
             lifted += not ((xs - x0) % pi ** 2).is_zero()
     assert lifted > 0
+
+
+def _sections_for_heights():
+    """(surface, sections) pairs whose heights and component data are
+    checked against the parent code."""
+    E2 = models.e2_surface()
+    T, P3 = models.e2_sections(E2)
+    yield E2, [P3, T, P3 + T, P3.mult(2), P3.mult(3), P3.mult(2) + T, -P3]
+    E1 = models.e1_surface("tower")
+    T, P1, P2 = models.e1_sections(E1)
+    yield E1, [T, P1, P2, P1 + P2, P1 + T, P2.mult(2), P1.mult(2) + P2]
+    # two of the tate workload's translations t -> t + c
+    for c in (Fraction(1, 2), Fraction(-2, 3)):
+        E = EllipticSurface(QQ, E2.a2.shift(c), E2.a4.shift(c), E2.a6.shift(c),
+                            chi=E2.chi)
+        T, P3 = (SectionPoint(E, P.x.num.shift(c), P.y.num.shift(c))
+                 for P in models.e2_sections(E2))
+        yield E, [P3, T, P3 + T]
+    E = models.rational_elliptic_test_surface("free-section")
+    P = SectionPoint(E, Poly(QQ, []), Poly.from_ints(QQ, [1]))
+    yield E, [P, -P, P.mult(2), P.mult(3)]
+
+
+def test_heights_and_components_match_the_parent_code(monkeypatch):
+    import height_oracle as old
+    from dyk3.tate import section_component_data
+    # the oracle's heights read the component data it is compared on here:
+    # each is computed once
+    seen = {}
+    parent = old.section_component_data
+    monkeypatch.setattr(old, "section_component_data", lambda P, place, fib: seen[
+        id(P), repr(place)] if (id(P), repr(place)) in seen else parent(P, place, fib))
+    kinds = set()
+    for E, sections in _sections_for_heights():
+        bad = E.bad_fibres()
+        for P in sections:
+            for place, fib in bad:
+                want = _outcome(parent, P, place, fib)
+                got = _outcome(section_component_data, P, place, fib)
+                assert got == want, (E.name, place)
+                if isinstance(got[0], str):
+                    seen[id(P), repr(place)] = got
+                    kinds.add((fib.type.family, got[0]))
+                    kind, m = got
+                    assert component_index(E, P, place, bad) == (
+                        (kind, frozenset({m, fib.n - m})) if kind == "cycle" else got)
+            assert mw_height(E, P, bad) == old.mw_height(E, P, bad)
+    # both outcomes at an additive place, and a cycle component
+    assert {("I*", "identity"), ("I*", "nonidentity"), ("III*", "nonidentity"),
+            ("III*", "identity"), ("I", "cycle")} <= kinds
+
+
+def test_critical_point_is_computed_once_per_place(monkeypatch):
+    # P3, T and the three heights of their pairing share one critical point
+    # per multiplicative place where a section leaves the identity component
+    from dyk3 import tate
+    E2 = models.e2_surface()
+    bad = E2.bad_fibres()
+    T, P3 = models.e2_sections(E2)
+    calls = []
+    lift = tate.critical_point
+    monkeypatch.setattr(tate, "critical_point",
+                        lambda R, *args: calls.append(R.pi) or lift(R, *args))
+    assert (mw_height(E2, P3, bad), mw_height(E2, T, bad),
+            mw_pairing(E2, P3, T, bad)) == (Fraction(3, 20), 0, 0)
+    made = list(calls)
+    left = [place for place, fib in bad if fib.type.family == "I" and any(
+        component_index(E2, S, place, bad)[0] != "identity" for S in (P3, T, P3 + T))]
+    assert len(made) == len(left) == 5
+    assert sorted(map(repr, made)) == sorted(
+        repr(Poly.x(QQ) if place.infinity else place.poly) for place in left)
 
 
 def test_surface_caches_are_reused():
@@ -519,6 +597,21 @@ def _parent_disc(old, bad):
     return disc
 
 
+def _parent_grid(old, bad, chi):
+    """The parent's grid minimum with the corrections it left out at I_n*,
+    n >= 1: its menu there was {0}, where a section can meet a near simple
+    component with 1 and a far one with 1 + n/4.  Each choice of those
+    corrections lowers 2 chi by their sum; the rest of the grid is the
+    parent's."""
+    shifts = {Fraction(0)}
+    for place, fib in bad:
+        if fib.type.family == "I*" and fib.n:
+            for _ in range(place.degree):
+                shifts = {s + c for s in shifts for c in (0, 1, 1 + Fraction(fib.n, 4))}
+    heights = (old.min_positive_height_on_grid(bad, chi - s / 2) for s in shifts)
+    return min((h for h in heights if h is not None), default=None)
+
+
 class _CountingSurface:
     """What bad_fiber_points reads of a surface: q, and iv_split's answer."""
 
@@ -549,7 +642,7 @@ def test_kodaira_table_matches_the_parent_code():
             fibres.append((place, fib))
             for chi in (1, 2):
                 assert min_positive_height_on_grid([(place, fib)], chi) \
-                    == old.min_positive_height_on_grid([(place, fib)], chi), sym
+                    == _parent_grid(old, [(place, fib)], chi), sym
             assert trivial_lattice_disc([(place, fib)]) == _parent_disc(old, [(place, fib)]) \
                 == -t.det ** place.degree, sym
         # the data local_type attaches: split at I_n, the legs at I0*
@@ -576,7 +669,7 @@ def test_kodaira_table_matches_the_parent_code():
             continue
         chi = rng.choice((1, 2, 3))
         assert min_positive_height_on_grid(bad, chi) \
-            == old.min_positive_height_on_grid(bad, chi), bad
+            == _parent_grid(old, bad, chi), bad
         assert trivial_lattice_disc(bad) == _parent_disc(old, bad), bad
     # every (v c4, v c6, v Delta) near the tame range, inf where c4 or c6 is 0
     inf = float("inf")
@@ -585,6 +678,22 @@ def test_kodaira_table_matches_the_parent_code():
             for vd in range(27):
                 assert _outcome(classify_tame, vc4, vc6, vd) \
                     == _outcome(old.classify_tame, vc4, vc6, vd), (vc4, vc6, vd)
+
+
+def test_min_height_grid_at_an_i2_star_fibre():
+    # I2* (D6): a section meets the identity, a near simple component (1)
+    # or a far one (1 + 2/4 = 3/2).  Alone at chi = 1 the least positive
+    # 2 - c is 2 - 3/2 = 1/2; the parent's menu {0} gave 2.  With an I6
+    # (0, 5/6, 4/3, 3/2) the least is 2 - (1 + 5/6) = 1/6, where the
+    # parent gave 2 - 3/2 = 1/2.
+    from dyk3.tate import LocalFibreData, kodaira_type
+    t = Poly.x(QQ)
+    fibres = [(Place(t - k), kodaira_type(sym)) for k, sym in ((0, "I2*"), (1, "I6"))]
+    i2s, i6 = [(place, LocalFibreData(place, kt, *kt.vals)) for place, kt in fibres]
+    assert i2s[1].type.menu == {0, 1, Fraction(3, 2)}
+    assert min_positive_height_on_grid([i2s], chi=1) == Fraction(1, 2)
+    assert min_positive_height_on_grid([i2s, i6], chi=1) == Fraction(1, 6)
+    assert kodaira_type("I0*").menu == {0, 1}
 
 
 def test_heights_at_iv_and_iv_star_fibres():
