@@ -19,13 +19,16 @@ Every character sum is one call of _VecFq.char_sum: over the x of the
 chart z = 1, the t of the good fibres, the line z = 0 and the fibre at
 infinity.  The sextic and a2, a4, a6 have F_p coefficients, so it takes
 one row per Frobenius orbit x ~ x^p, weighted by the orbit's size, and
-sums over y by a float64 matrix product that asserts its own exactness
-bound.  Scalar ExtField versions of both routes live in the tests as the
+sums over y by one matrix product whose entries are integers of at most
+n (B + 1) (p - 1)^2: in float32 when that is below 2^24, as at every
+n >= 2 counted, and in float64 otherwise, where it asserts that it is below
+2^53.  Scalar ExtField versions of both routes live in the tests as the
 differential oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -165,29 +168,43 @@ class _VecFq:
 
         C[b] is an element tuple of arrays, one entry per row r, or of
         scalars shared by every row.  c -> c y^b is F_p-linear, so the
-        coordinates of every sum are one float64 product A @ M: row r of A
+        coordinates of every sum are one floating product A @ M: row r of A
         holds the coordinates of C[0][r], C[1][r], ..., and column (y, j)
-        of M the j-th coordinates of x^i y^b.  Its entries are integers
-        below n (B + 1) (p - 1)^2 < 2^53, exact in float64, and so is their
-        reduction F - floor(F / p) p.  The product is taken a block of rows
-        by a slab of y at a time, each slab reused over every row.
+        of M the j-th coordinates of x^i y^b.  The product is taken a block
+        of rows by a slab of y at a time, each slab reused over every row.
+
+        Every entry of A @ M, and every partial sum of it, is an integer
+        from 0 to m (p - 1)^2, m = n (B + 1).  The kernel runs in float32
+        when m (p - 1)^2 < 2^24 (and q <= 2^24, as every q counted at is),
+        and in float64 otherwise, where it asserts m (p - 1)^2 < 2^53.
+        Below its dtype's bound 2^d (d = 24 or 53):
+          * A @ M is exact in any summation order, with or without FMA:
+            every term and partial sum is representable;
+          * for F = k p + r, 0 <= r < p, floor(fl(F / p)) = k.  k <= F / p
+            and k is representable, and k + 1 - F / p = (p - r) / p >= 1/p,
+            more than half an ulp of F / p, which is at most
+            (F / p) 2^-d < 1/p;
+          * so T p and F - T p are exact, and so is the encoded index:
+            its terms and partial sums are integers below q.
         """
         n, p, q = self.n, self.p, self.q
         m = n * len(C)
-        assert m * (p - 1) ** 2 < 2 ** 53, f"q = {p}^{n} overflows the float64 kernel"
+        bound = m * (p - 1) ** 2
+        assert bound < 2 ** 53, f"q = {p}^{n} overflows the float64 kernel"
+        dt = np.float32 if bound < 2 ** 24 and q <= 2 ** 24 else np.float64
         weights = np.asarray(weights, dtype=np.int64)
-        A = np.empty((len(weights), m))
-        M = np.empty((m, q, n))
+        A = np.empty((len(weights), m), dtype=dt)
+        M = np.empty((m, q, n), dtype=dt)
         yb = tuple(np.full(q, c) for c in self.field.one)
         for b, c in enumerate(C):
             for i, e in enumerate(self.basis):
                 A[:, b * n + i] = c[i]
                 M[b * n + i] = np.stack(self.mul(e, yb), axis=1)
             yb = self.mul(yb, self.elements)
-        encode = np.array(self.weights, dtype=float)
+        encode = np.array(self.weights, dtype=dt)
         ys = min(q, SLAB)
         rows = max(1, BLOCK // (ys * n))
-        buf, low = np.empty(rows * ys * n), np.empty(rows * ys * n)
+        buf, low = (np.empty(rows * ys * n, dtype=dt) for _ in range(2))
         total = 0
         for y in range(0, q, ys):
             Ms = M[:, y:y + ys].reshape(m, -1)
@@ -265,8 +282,12 @@ def count_smooth(fix: SurfaceFixture, field: ExtField) -> SurfaceCount:
 
 def _assert_point_singular(fix, point):
     """The profile point must be singular on the sextic over Q:
-    f = df/dx = df/dy = df/dz = 0 there."""
-    x, y, z = (Fraction(c) for c in point)
+    f = df/dx = df/dy = df/dz = 0 there.  f and its partials are
+    homogeneous, so they are evaluated in integers, at the point scaled by
+    the lcm of its denominators."""
+    coords = [Fraction(c) for c in point]
+    scale = math.lcm(*(c.denominator for c in coords))
+    x, y, z = (int(c * scale) for c in coords)
     vals = [0, 0, 0, 0]
     for e, coef in fix.monomials:
         vals[0] += coef * x ** e[0] * y ** e[1] * z ** e[2]

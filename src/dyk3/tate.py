@@ -554,10 +554,17 @@ def _x_at_infinity(P: SectionPoint) -> RationalFunc:
 
 def critical_point(R: LocalRing, a2: Poly, a4: Poly, x0: Poly) -> Poly:
     """The root mod pi^N of f' = 3x^2 + 2 a2 x + a4 over the node x0: Newton
-    on f', keeping v = 1/f''(xs) by v (2 - f'' v), until f'(xs) = 0 mod pi^N."""
+    on f', keeping v = 1/f''(xs) by v (2 - f'' v), until f'(xs) = 0 mod pi^N.
+
+    Over a simple root of f' mod pi the precision doubles with each step, so
+    N.bit_length() + 1 steps suffice; ValueError if they do not."""
     A2, A4 = R.red(a2), R.red(a4)
     xs, v = x0, R.inv(6 * x0 + 2 * A2)
+    steps = R.N.bit_length() + 1
     while not (fp := R.red(3 * xs * xs + 2 * A2 * xs + A4)).is_zero():
+        if not steps:
+            raise ValueError("x0 is not over a simple root of f' mod pi")
+        steps -= 1
         xs = R.red(xs - fp * v)
         v = R.red(v * (2 - R.red((6 * xs + 2 * A2) * v)))
     return xs

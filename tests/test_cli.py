@@ -143,6 +143,42 @@ def test_height_record_in_process(capsys):
     assert capsys.readouterr().out == json.dumps(HEIGHT_E2, sort_keys=True) + "\n"
 
 
+# The whole records of `dyk3 count`, as they were printed while the count
+# kernel ran in float64 at every q.  At p = 1847 the sextic's sums run in
+# float64 and the fibration's in float32.
+COUNT_RECORDS = {
+    "-p 71 -n 1 2": [
+        '{"agree": true, "count_fibration": 6464, "count_raw": 5470,'
+         ' "count_smooth": 6464, "fixture_provenance": "paper-text", "n": 1,'
+         ' "op": "count", "p": 71, "q": 71, "tool": "dyk3", "version": "0.1.0"}',
+        '{"agree": true, "count_fibration": 25502424, "count_raw": 25431850,'
+         ' "count_smooth": 25502424, "fixture_provenance": "paper-text", "n": 2,'
+         ' "op": "count", "p": 71, "q": 5041, "tool": "dyk3", "version": "0.1.0"}',
+    ],
+    "-p 7 -n 3 4": [
+        '{"agree": true, "count_fibration": 122474, "count_raw": 117672,'
+         ' "count_smooth": 122474, "fixture_provenance": "paper-text", "n": 3,'
+         ' "op": "count", "p": 7, "q": 343, "tool": "dyk3", "version": "0.1.0"}',
+        '{"agree": true, "count_fibration": 5809176, "count_raw": 5775562,'
+         ' "count_smooth": 5809176, "fixture_provenance": "paper-text", "n": 4,'
+         ' "op": "count", "p": 7, "q": 2401, "tool": "dyk3", "version": "0.1.0"}',
+    ],
+    "-p 1847 -n 1": [
+        '{"agree": true, "count_fibration": 3441482, "count_raw": 3415624,'
+         ' "count_smooth": 3441482, "fixture_provenance": "paper-text", "n": 1,'
+         ' "op": "count", "p": 1847, "q": 1847, "tool": "dyk3",'
+         ' "version": "0.1.0"}',
+    ],
+}
+
+
+@pytest.mark.parametrize("args", list(COUNT_RECORDS))
+def test_count_records_in_process(args, capsys):
+    from dyk3.cli import main
+    assert main(["count", *args.split()]) == 0
+    assert capsys.readouterr().out.splitlines() == COUNT_RECORDS[args]
+
+
 def test_kodaira_mirror_comes_from_the_fixture(tmp_path):
     # the mirror permutation is the fixture's: picard_fixture, which
     # derives the matrices, and the tate, models and siverify it imports

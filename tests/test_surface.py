@@ -153,7 +153,8 @@ def test_frobenius_orbits(p, n):
 def test_char_sum_bound_admits_every_count_made():
     # both routes sum polynomials of degree B <= 6 in y: the sextic's
     # charts and the fibre cubic; the float64 product needs
-    # n (B + 1) (p - 1)^2 < 2^53, the int64 kernel 2 n^2 p^3 < 2^63
+    # n (B + 1) (p - 1)^2 < 2^53, the int64 kernel 2 n^2 p^3 < 2^63, and
+    # every count at n >= 2 runs in float32, n (B + 1) (p - 1)^2 < 2^24
     fix = load_surface()
     assert max(sum(e) for e, _ in fix.monomials) == 6
     for n in range(1, 5):
@@ -161,20 +162,19 @@ def test_char_sum_bound_admits_every_count_made():
             if p ** n <= MAX_Q and is_prime(p):
                 assert n * 7 * (p - 1) ** 2 < 2 ** 53, (p, n)
                 assert 2 * n * n * p ** 3 < 2 ** 63, (p, n)
+                assert n == 1 or n * 7 * (p - 1) ** 2 < 2 ** 24, (p, n)
 
 
-def test_char_sum_exact_at_the_largest_prime():
-    # p = 32,749 is the largest p <= MAX_Q; an all-(p - 1) row gives the
-    # largest entries of A @ M
-    p = 32749
-    assert is_prime(p) and not any(map(is_prime, range(p + 1, MAX_Q + 1)))
+def _char_sum_at(p, rows, weights, monkeypatch):
+    """(K.char_sum, the scalar sum, the dtypes of the products) at n = 1."""
     F = build_extension(p, 1)
-    K = _VecFq(F)
-    rng = random.Random(4)
-    rows = [[p - 1] * 7, [rng.randrange(p) for _ in range(7)],
-            [0, 1, 0, 0, 0, 0, rng.randrange(1, p)]]
-    weights = [1, 3, 2]
-    C = [(np.array([row[b] for row in rows]),) for b in range(7)]
+    dtypes = set()
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul",
+                        lambda a, b, out: dtypes.add(out.dtype) or matmul(a, b, out=out))
+    C = [(np.array([row[b] for row in rows]),) for b in range(len(rows[0]))]
+    got = _VecFq(F).char_sum(C, weights)
+    monkeypatch.undo()
     expect = 0
     for row, w in zip(rows, weights):
         coeffs = [F.from_int(c) for c in row]
@@ -183,7 +183,31 @@ def test_char_sum_exact_at_the_largest_prime():
             for c in reversed(coeffs):
                 acc = F.add(F.mul(acc, y), c)
             expect += w * F.chi(acc)
-    assert K.char_sum(C, weights) == expect
+    return got, expect, dtypes
+
+
+def test_char_sum_exact_at_the_largest_prime(monkeypatch):
+    # p = 32,749 is the largest p <= MAX_Q; an all-(p - 1) row gives the
+    # largest entries of A @ M, at most (p - 1) (1 + (m - 1) (p - 1)) as y^0 = 1
+    p = 32749
+    assert is_prime(p) and not any(map(is_prime, range(p + 1, MAX_Q + 1)))
+    rng = random.Random(4)
+    rows = [[p - 1] * 7, [rng.randrange(p) for _ in range(7)],
+            [0, 1, 0, 0, 0, 0, rng.randrange(1, p)]]
+    got, expect, dtypes = _char_sum_at(p, rows, [1, 3, 2], monkeypatch)
+    assert got == expect and dtypes == {np.dtype(np.float64)}
+
+
+@pytest.mark.parametrize("p, dtype", [(1831, np.float32), (1847, np.float64)])
+def test_char_sum_exact_at_the_float32_edge(p, dtype, monkeypatch):
+    # m = 5 columns, as the sextic's chart z = 1 at n = 1: 5 (p - 1)^2 is
+    # just below 2^24 at p = 1831, and 1847 is the next prime, past it
+    assert is_prime(p) and (5 * (p - 1) ** 2 < 2 ** 24) == (dtype is np.float32)
+    assert not any(map(is_prime, range(1832, 1847)))
+    rng = random.Random(p)
+    rows = [[p - 1] * 5] + [[rng.randrange(p) for _ in range(5)] for _ in range(3)]
+    got, expect, dtypes = _char_sum_at(p, rows, [1, 3, 2, 5], monkeypatch)
+    assert got == expect and dtypes == {np.dtype(dtype)}
 
 
 def test_count_smooth_structure():
@@ -206,6 +230,27 @@ def test_smooth_profile_point_rejected():
         "bad_primes": []})
     with pytest.raises(ValueError, match="not singular"):
         count_smooth(fix, build_extension(7, 1))
+
+
+@pytest.mark.parametrize("first, singular", [
+    # (2x - z)^2 z^4 + (3y - z)^2 x^4: both squares vanish at (1/2 : 1/3 : 1)
+    ([[[2, 0, 4], 4], [[1, 0, 5], -4], [[0, 0, 6], 1]], True),
+    # (2x - z) z^5 + (3y - z)^2 x^4: f = 0 there, but df/dx = 2
+    ([[[1, 0, 5], 2], [[0, 0, 6], -1]], False)])
+def test_profile_point_with_denominators(first, singular):
+    square = [[[4, 2, 0], 9], [[4, 1, 1], -6], [[4, 0, 2], 1]]
+    fix = SurfaceFixture({
+        "provenance": "derived", "name": "drell-yan",
+        "sextic_monomials": first + square,
+        "singular_profile": [{"point": ["1/2", "1/3", "1"], "type": 1,
+                              "rational_exceptional": True}],
+        "bad_primes": []})
+    F = build_extension(7, 1)
+    if singular:
+        assert count_smooth(fix, F).correction == 7
+    else:
+        with pytest.raises(ValueError, match="not singular"):
+            count_smooth(fix, F)
 
 
 def test_bad_prime_rejected():

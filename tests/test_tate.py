@@ -468,6 +468,15 @@ def test_critical_point_is_lifted_to_full_precision():
     assert lifted > 0
 
 
+def test_critical_point_off_a_root_raises():
+    # f' = 3x^2 - 3 has no root over x0 = 2 mod t, though f''(2) = 12 is a
+    # unit: Newton runs towards 1 in Q and never reaches it
+    from dyk3.tate import LocalRing, critical_point
+    R = LocalRing(Poly.x(QQ), 8)
+    with pytest.raises(ValueError, match="simple root"):
+        critical_point(R, *(Poly.from_ints(QQ, [c]) for c in (0, -3, 2)))
+
+
 def _sections_for_heights():
     """(surface, sections) pairs whose heights and component data are
     checked against the parent code."""
