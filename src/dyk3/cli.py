@@ -88,7 +88,8 @@ def cmd_count(args, out):
 
 
 def cmd_weil(args, out):
-    from .surface import three_way_counts
+    from .ffield import build_extension
+    from .surface import count_smooth
     from .weil import (solve_transcendental, spectrum_report,
                        transcendental_traces, van_luijk)
     from .fixtures import load_surface
@@ -98,8 +99,8 @@ def cmd_weil(args, out):
         _check_q(p, (1, 2))
     specs = []
     for p in args.primes:
-        c1 = three_way_counts(p, 1, fix=fix)["count_smooth"]
-        c2 = three_way_counts(p, 2, fix=fix)["count_smooth"]
+        c1, c2 = (count_smooth(fix, build_extension(p, n)).smooth
+                  for n in (1, 2))
         mu1, mu2 = transcendental_traces(c1, c2, p)
         spec = solve_transcendental(mu1, mu2, p)
         rec = spectrum_report(spec)
@@ -265,7 +266,7 @@ def _check_split_prime(p):
 
 
 def cmd_si_verify(args, out):
-    from .fixtures import load_tower_constants
+    from .fixtures import load_surface, load_tower_constants
     from .siverify import predict_counts, verify_kummer_match
     from .surface import three_way_counts
     if not args.system:
@@ -282,10 +283,11 @@ def cmd_si_verify(args, out):
         return EXIT_OK if res["ok"] else EXIT_ASSERT
     p = args.prime
     pred = predict_counts(p, cst)
+    fix = load_surface()
     ok = True
     for n in args.ext:
         want = pred.count1 if n == 1 else pred.count2
-        got = three_way_counts(p, n)
+        got = three_way_counts(p, n, fix=fix)
         rec = {"op": "si-verify", "p": p, "n": n, "prediction": want,
                "count_smooth": got["count_smooth"],
                "count_fibration": got["count_fibration"],

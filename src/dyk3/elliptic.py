@@ -331,15 +331,7 @@ class IsogenyMap:
     def kernel_annihilates_denominator(self) -> bool:
         if self.kernel_x is None:
             return False
-        val = _eval_poly(self.kernel_x * 0, self.den_x, self.kernel_x)
-        return not val
-
-
-def _eval_poly(zero, coeffs, x):
-    acc = zero
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+        return not Poly(TOWER, self.den_x)(self.kernel_x)
 
 
 def verify_isogeny(phi: IsogenyMap, mode: str = "sampled",

@@ -18,8 +18,9 @@ from fractions import Fraction
 from itertools import combinations, islice
 from math import gcd, isqrt, lcm
 
-from .ffield import (_poly_divmod, _poly_equal_degree_split, _poly_gcd,
-                     _poly_monic, _poly_powmod, _poly_trim, is_prime)
+from .ffield import (_distinct_degree, _poly_add, _poly_divmod,
+                     _poly_equal_degree_split, _poly_monic,
+                     _poly_squarefree_part, is_prime)
 from .numfield import SQRT5, TOWER, TowerElement
 from .poly import QQ, Poly
 
@@ -46,28 +47,6 @@ def _mul(m, a, *more):
     return a
 
 
-def _add(m, a, b, sign=1):
-    """a + sign b mod m, trimmed."""
-    n = max(len(a), len(b))
-    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
-    return _poly_trim([(x + sign * y) % m for x, y in zip(a, b)])
-
-
-def _distinct_degree(f, p):
-    """[(g_d, d)] for the monic square-free f over F_p, g_d the product of
-    its irreducible factors of degree d, from gcd(x^(p^d) - x, f)."""
-    out, h, d = [], [0, 1], 0
-    while len(f) - 1 >= 2 * (d + 1):
-        d += 1
-        h = _poly_powmod(h, p, f, p)
-        g = _poly_gcd(f, _add(p, h, [0, 1], -1), p)
-        if len(g) > 1:
-            out.append((g, d))
-            f = _poly_divmod(f, g, p)[0]
-            h = _poly_divmod(h, f, p)[1]
-    return out + [(f, len(f) - 1)] * (len(f) > 1)
-
-
 def _hensel_lift(f, fac, p, P):
     """Monic u_i mod P with f = lc(f) prod u_i, from f = lc(f) prod fac mod p,
     halving the list at each level.  A pair f = g h is lifted from m to m^2
@@ -82,20 +61,20 @@ def _hensel_lift(f, fac, p, P):
     while r1:
         q, r = _poly_divmod(r0, r1, p)
         r0, r1 = r1, r
-        s, s1 = s1, _add(p, s, _mul(p, q, s1), -1)
-        t, t1 = t1, _add(p, t, _mul(p, q, t1), -1)
+        s, s1 = s1, _poly_add(p, s, _mul(p, q, s1), -1)
+        t, t1 = t1, _poly_add(p, t, _mul(p, q, t1), -1)
     s, t = _mul(p, s, [pow(r0[0], -1, p)]), _mul(p, t, [pow(r0[0], -1, p)])
     m = p
     while m < P:
         m *= m
-        e = _add(m, f, _mul(m, g, h), -1)
+        e = _poly_add(m, f, _mul(m, g, h), -1)
         q, r = _poly_divmod(_mul(m, s, e), h, m)
-        g = _add(m, g, _add(m, _mul(m, t, e), _mul(m, q, g)))
-        h = _add(m, h, r)
-        b = _add(m, _add(m, _mul(m, s, g), _mul(m, t, h)), [1], -1)
+        g = _poly_add(m, g, _poly_add(m, _mul(m, t, e), _mul(m, q, g)))
+        h = _poly_add(m, h, r)
+        b = _poly_add(m, _poly_add(m, _mul(m, s, g), _mul(m, t, h)), [1], -1)
         c, d = _poly_divmod(_mul(m, s, b), h, m)
-        s = _add(m, s, d, -1)
-        t = _add(m, t, _add(m, _mul(m, t, b), _mul(m, c, g)), -1)
+        s = _poly_add(m, s, d, -1)
+        t = _poly_add(m, t, _poly_add(m, _mul(m, t, b), _mul(m, c, g)), -1)
     return (_hensel_lift(_mul(P, g), fac[:k], p, P)
             + _hensel_lift(_mul(P, h), fac[k:], p, P))
 
@@ -119,8 +98,7 @@ def _squarefree_mod(f, p):
     if f[-1] % p == 0:
         return None
     fp = _poly_monic([c % p for c in f], p)
-    df = _poly_trim([i * c % p for i, c in enumerate(f)][1:])
-    return fp if len(_poly_gcd(fp, df, p)) == 1 else None
+    return fp if _poly_squarefree_part(fp, p) == fp else None
 
 
 def factor_integer(f, scan=10_000):

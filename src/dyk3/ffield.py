@@ -168,6 +168,36 @@ def _poly_gcd(a, b, p):
     return _poly_monic(a, p)
 
 
+def _poly_add(m, a, b, sign=1):
+    """a + sign b mod m, trimmed."""
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _poly_trim([(x + sign * y) % m for x, y in zip(a, b)])
+
+
+def _poly_squarefree_part(f, p):
+    """f / gcd(f, f') for a monic f over F_p: f itself exactly when f is
+    square-free, and the product of its distinct irreducible factors when
+    no factor repeats a multiple of p times, as when deg f < p."""
+    df = _poly_trim([i * c % p for i, c in enumerate(f)][1:])
+    return _poly_divmod(f, _poly_gcd(f, df, p), p)[0]
+
+
+def _distinct_degree(f, p):
+    """[(g_d, d)] for the monic square-free f over F_p, g_d the product of
+    its irreducible factors of degree d, from gcd(x^(p^d) - x, f)."""
+    out, h, d = [], [0, 1], 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _poly_powmod(h, p, f, p)
+        g = _poly_gcd(f, _poly_add(p, h, [0, 1], -1), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _poly_divmod(f, g, p)[0]
+            h = _poly_divmod(h, f, p)[1]
+    return out + [(f, len(f) - 1)] * (len(f) > 1)
+
+
 def _poly_equal_degree_split(g, d, p):
     """The monic irreducible factors of g, a monic product of distinct
     irreducibles of degree d over F_p (Cantor-Zassenhaus, p odd).
@@ -196,23 +226,11 @@ def _poly_equal_degree_split(g, d, p):
 
 
 def _is_irreducible(coeffs, n, p):
-    """Irreducibility of the monic degree-n poly over F_p (n <= 4)."""
-    mod = coeffs + [1]
-    x = [0, 1]
-    # x^(p^n) == x mod f
-    xp = x
-    for _ in range(n):
-        xp = _poly_powmod(xp, p, mod, p)
-    if xp != x:
-        return False
-    for d in (2, 3):
-        if n % d == 0:
-            xq = x
-            for _ in range(n // d):
-                xq = _poly_powmod(xq, p, mod, p)
-            if xq == x:
-                return False
-    return True
+    """Irreducibility of the monic degree-n poly over F_p.  A repeated
+    factor of degree d <= n/2 shows at step d of the distinct-degree
+    split, so f need not be square-free."""
+    f = coeffs + [1]
+    return _distinct_degree(f, p) == [(f, n)]
 
 
 def lex_min_irreducible(p: int, n: int):

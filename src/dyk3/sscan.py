@@ -4,14 +4,14 @@ For each prime p, the reductions of the j-invariant live among the roots of
 the integer quartic P(T) mod p inside F_{p^2}; p is a supersingular prime
 exactly when one of those roots is a supersingular j-invariant.  The roots
 are found over F_p: they are those of P's F_p-irreducible factors of degree
-1 and 2, split out by gcds with x^p - x and x^{p^2} - x on F_p coefficient
-lists, and F_{p^2} is entered only for the square roots that solve the
-quadratic factors.  The roots 0 and 1728 are decided by their congruences
-(p = 2 mod 3, p = 3 mod 4); every other root by Sutherland's 2-isogeny
-walk, O(log^2 p) operations in F_{p^2}.  Every reported prime is then
-certified by the paper's method, the Hasse-invariant coefficient of a
-curve with the witness j, so two independent algorithms agree on each
-prime the scan reports.
+1 and 2, which ffield's distinct-degree split separates on F_p coefficient
+lists once P mod p is made square-free, and F_{p^2} is entered only for
+the square roots that solve the quadratic factors.  The roots 0 and 1728
+are decided by their congruences (p = 2 mod 3, p = 3 mod 4); every other
+root by Sutherland's 2-isogeny walk, O(log^2 p) operations in F_{p^2}.
+Every reported prime is then certified by the paper's method, the
+Hasse-invariant coefficient of a curve with the witness j, so two
+independent algorithms agree on each prime the scan reports.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .elliptic import curve_with_j, is_supersingular, supersingular_walk
-from .ffield import (_poly_divmod, _poly_equal_degree_split, _poly_gcd,
-                     _poly_monic, _poly_powmod, _poly_trim, build_extension,
+from .ffield import (_distinct_degree, _poly_equal_degree_split, _poly_monic,
+                     _poly_squarefree_part, _poly_trim, build_extension,
                      is_prime)
 from .fixtures import load_tower_constants
 from .poly import Poly
@@ -51,30 +51,24 @@ def roots_in_fp2(quartic, p: int):
     """(F_{p^2}, the roots of the quartic mod p in F_{p^2}), found over F_p.
 
     An integer polynomial f has its roots in F_{p^2} on its F_p-irreducible
-    factors of degree 1 and 2.  With x^p and x^{p^2} = (x^p)^p mod f on F_p
-    coefficient lists, g1 = gcd(x^p - x, f) is the product of the distinct
-    linear factors and g2 = gcd(x^{p^2} - x, f) / g1 that of the distinct
-    irreducible quadratics.  Both are split by Cantor-Zassenhaus, and each
-    quadratic x^2 + bx + c gives (-b +- sqrt(b^2 - 4c)) / 2 in F_{p^2}.
-    Every root is checked by substitution into f over F_{p^2}.
+    factors of degree 1 and 2.  The square-free part f / gcd(f, f') has the
+    same roots, each once, when no factor of f repeats p or more times, as
+    for the quartic at p >= 7; its distinct-degree split
+    (ffield._distinct_degree) gives the product of the linear factors and
+    that of the irreducible quadratics.  Both are split by
+    Cantor-Zassenhaus, and each quadratic x^2 + bx + c gives
+    (-b +- sqrt(b^2 - 4c)) / 2 in F_{p^2}.  Every root is checked by
+    substitution into f over F_{p^2}.
     """
     F2 = build_extension(p, 2)
     f = _poly_monic(_poly_trim([c % p for c in quartic]), p)
     if not f:
         return F2, set()
-
-    def minus_x(a):
-        a = a + [0] * (2 - len(a))
-        a[1] = (a[1] - 1) % p
-        return _poly_trim(a)
-
-    xp = _poly_powmod([0, 1], p, f, p)
-    xp2 = _poly_powmod(xp, p, f, p)
-    g1 = _poly_gcd(f, minus_x(xp), p)
-    g2 = _poly_divmod(_poly_gcd(f, minus_x(xp2), p), g1, p)[0]
-    roots = {F2.from_int(-c) for c, _ in _poly_equal_degree_split(g1, 1, p)}
+    part = {d: g for g, d in _distinct_degree(_poly_squarefree_part(f, p), p)}
+    roots = {F2.from_int(-c)
+             for c, _ in _poly_equal_degree_split(part.get(1, []), 1, p)}
     half = (p + 1) // 2
-    for c, b, _ in _poly_equal_degree_split(g2, 2, p):
+    for c, b, _ in _poly_equal_degree_split(part.get(2, []), 2, p):
         r = F2.sqrt(F2.from_int(b * b - 4 * c))
         for s in (r, F2.neg(r)):
             roots.add(F2.smul(half, F2.sub(s, F2.from_int(b))))

@@ -16,7 +16,8 @@ holds throughout.  The vector F_q kernel of the surface counts is checked
 elementwise against ExtField, and ExtField's closed forms at n = 2 against
 the generic polynomial product, the Euler criterion and the powers they
 invert.  The sieve's F_p root finder is checked against an exhaustive search
-of F_{p^2} on products of irreducibles of every shape up to degree 4.  The
+of F_{p^2} on products of irreducibles of every shape up to degree 4, and
+the distinct-degree split against the shape of the square-free ones.  The
 truncated series of the intersection-matrix derivation are
 checked against untruncated Poly composition, and the Smith normal form
 against unimodular changes of basis.
@@ -37,8 +38,9 @@ from dyk3 import numfield as nf
 from dyk3 import picard_fixture as pf
 from dyk3.elliptic import (cubic_node, depressed_cubic, weierstrass_c4_c6,
                            weierstrass_discriminant)
-from dyk3.ffield import (FqPoly, _is_irreducible, _poly_mulmod,
-                         build_extension, find_roots)
+from dyk3.ffield import (FqPoly, _distinct_degree, _is_irreducible,
+                         _poly_monic, _poly_mulmod, build_extension,
+                         find_roots)
 from dyk3.lattice import _kernel_basis, _matmul, matrix_rank, smith
 from dyk3.numfield import TOWER, TowerElement, rational_sqrt, sqrt_in_quadratic
 from dyk3.poly import OpRing, Poly, QQ
@@ -467,8 +469,9 @@ def _irreducible_quartic_from(k, p):
 
 @st.composite
 def _split_case(draw):
-    """(p, f, shape): f is a scalar times distinct monic irreducibles over
-    F_p with the degrees in shape, and maybe the square of the first."""
+    """(p, f, shape, squared): f is a scalar times distinct monic
+    irreducibles over F_p with the degrees in shape, times the square of
+    the first when squared."""
     p = draw(st.sampled_from(_SPLIT_PRIMES))
     shape = draw(st.sampled_from(_SPLIT_SHAPES))
     factors = []
@@ -481,19 +484,25 @@ def _split_case(draw):
         picks = st.lists(st.integers(0, len(pool) - 1), min_size=shape.count(d),
                          max_size=shape.count(d), unique=True)
         factors += [pool[i] for i in draw(picks)]
+    squared = draw(st.booleans())
     f = [draw(st.integers(1, p - 1))]
-    for g in factors + factors[:draw(st.integers(0, 1))]:
+    for g in factors + factors[:squared]:
         f = [int(c) for c in np.convolve(f, g)]
-    return p, f, shape
+    return p, f, shape, squared
 
 
 @settings(max_examples=100, deadline=None)
 @given(_split_case())
 def test_fp_root_finder_matches_fp2_search(case):
-    p, f, shape = case
+    p, f, shape, squared = case
     F2, roots = roots_in_fp2(f, p)
     assert roots == find_roots(FqPoly.from_ints(F2, f), F2, exhaustive=True)
     assert len(roots) == sum(d for d in shape if d <= 2)
+    if not squared:
+        # one (product, d) per degree d in shape, in increasing d
+        ddf = _distinct_degree(_poly_monic(f, p), p)
+        assert [(len(g) - 1, d) for g, d in ddf] == [
+            (d * shape.count(d), d) for d in sorted(set(shape))]
 
 
 @settings(max_examples=20, deadline=None)

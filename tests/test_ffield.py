@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from dyk3.ffield import (ExtField, FqPoly, _is_irreducible, build_extension,
-                         find_roots, is_prime, kronecker, lex_min_irreducible,
-                         rational_mod_p, sqrt_mod)
+from dyk3.ffield import (ExtField, FqPoly, _is_irreducible, _poly_powmod,
+                         build_extension, find_roots, is_prime, kronecker,
+                         lex_min_irreducible, rational_mod_p, sqrt_mod)
 
 
 def test_kronecker_examples():
@@ -61,6 +61,38 @@ def test_quadratic_modulus_matches_the_scan():
             scan = next([k % p, k // p] for k in range(p * p)
                         if _is_irreducible([k % p, k // p], 2, p))
             assert lex_min_irreducible(p, 2) == tuple(scan), p
+
+
+def _is_irreducible_by_frobenius(coeffs, n, p):
+    """The x^(p^k) tests that decided irreducibility before the
+    distinct-degree split did: f | x^(p^n) - x, and f does not divide
+    x^(p^(n/d)) - x for d = 2, 3 dividing n."""
+    mod = coeffs + [1]
+    x = [0, 1]
+    xp = x
+    for _ in range(n):
+        xp = _poly_powmod(xp, p, mod, p)
+    if xp != x:
+        return False
+    for d in (2, 3):
+        if n % d == 0:
+            xq = x
+            for _ in range(n // d):
+                xq = _poly_powmod(xq, p, mod, p)
+            if xq == x:
+                return False
+    return True
+
+
+def test_irreducibility_matches_the_frobenius_tests():
+    # every monic polynomial of degree 2..4 over small fields, square-free
+    # or not
+    for p in (3, 5, 7, 11):
+        for n in (2, 3, 4):
+            for k in range(p ** n):
+                c = [(k // p ** i) % p for i in range(n)]
+                assert (_is_irreducible(c, n, p)
+                        == _is_irreducible_by_frobenius(c, n, p)), (p, c)
 
 
 def test_rational_mod_p():

@@ -44,18 +44,22 @@ def test_scan_range_3500():
 
 def test_roots_match_the_fp2_route():
     # the F_p route against Cantor-Zassenhaus over F_{p^2} on every prime
-    # up to 3500 and on the 40 primes from 4520; the quartic's discriminant
-    # is 2^82 3^4 5^2 13^12 29^4 953^2 15973^2, so it has repeated roots
-    # mod 13, 29 and 953, all three supersingular
+    # up to 3500, on the 40 primes from 4520 and at 15973; the quartic's
+    # discriminant is 2^82 3^4 5^2 13^12 29^4 953^2 15973^2, so it has
+    # repeated roots mod 13, 29, 953 and 15973, all four supersingular.  Mod
+    # 953 and 15973 it is a squared linear factor times an irreducible
+    # quadratic, whose conjugate pair the distinct-degree split finds only
+    # on the square-free part
     quartic = load_tower_constants().j_min_poly
     primes = [p for p in range(7, 3501) if is_prime(p)]
-    primes += [p for p in range(4520, 5000) if is_prime(p)][:40]
-    assert {13, 29, 953} <= set(primes) and primes[-1] > 4871
+    primes += [p for p in range(4520, 5000) if is_prime(p)][:40] + [15973]
+    assert {13, 29, 953} <= set(primes) and 4871 in primes
     for p in primes:
         F2, roots = roots_in_fp2(quartic, p)
         f = FqPoly.from_ints(F2, [c % p for c in quartic])
         assert roots == find_roots(f, F2, exhaustive=False), p
-    assert [len(roots_in_fp2(quartic, p)[1]) for p in (13, 29, 953)] == [1, 2, 3]
+    assert [len(roots_in_fp2(quartic, p)[1])
+            for p in (13, 29, 953, 15973)] == [1, 2, 3, 3]
 
 
 def test_root_finding_off_the_fp2_polynomial_path(monkeypatch):
