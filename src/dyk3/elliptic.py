@@ -12,7 +12,7 @@ from_int is a coefficient field of poly.Poly.  The rings that serve it:
   * poly.OpRing, for elements with arithmetic operators: Fraction (QQ),
     TowerElement (numfield.TOWER) and Poly over any of these fields
     (whose units are the constants);
-  * tate.LocalRing, on Poly residues mod a power of a place.
+  * poly.LocalRing, on Poly residues mod a power of a place.
 WeierstrassModel holds exact coefficients (Fraction or TowerElement);
 CurveOverFq holds ExtField ones and counts points.
 """

@@ -108,9 +108,9 @@ def factor_integer(f, scan=10_000):
     square-free at all."""
     if len(f) <= 2:
         return [f] if len(f) == 2 else []
-    good = islice((p for p in range(3, scan) if is_prime(p)
-                   and _squarefree_mod(f, p)), _PRIMES_TRIED)
-    split = [(p, _distinct_degree(_squarefree_mod(f, p), p)) for p in good]
+    good = islice(((p, fp) for p in range(3, scan) if is_prime(p)
+                   for fp in [_squarefree_mod(f, p)] if fp), _PRIMES_TRIED)
+    split = [(p, _distinct_degree(fp, p)) for p, fp in good]
     if not split:
         return None
     p, ddf = min(split, key=lambda s: sum((len(g) - 1) // d for g, d in s[1]))

@@ -313,14 +313,14 @@ def discriminant_group(L: GramLattice):
     return snf.elementary_divisors
 
 
-def index2_overlattice_candidates(L: GramLattice, reduce_span=True):
+def index2_overlattice_candidates(L: GramLattice):
     """Nonzero classes [x] in L/2L with x.y even for all y and x^2 = 0 mod 8.
 
     Enumerated by F2 linear algebra on the evenness conditions, then
     filtered by the mod-8 condition.  Returns representative integer
     vectors in the basis used (span basis for degenerate presentations).
     """
-    _, W, r = _radical_split(L) if reduce_span else (None, None, 0)
+    _, W, r = _radical_split(L)
     basis = W[r:] if r else None
     red = _reduced_gram(L, basis) if r else L.gram
     n = len(red)

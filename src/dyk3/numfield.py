@@ -12,9 +12,11 @@ nonzero basis indices only, over a denominator den > 0 with
 gcd(den, *numerators) = 1, so equal elements hold equal data.  `.co` reads
 the 24 rational coordinates.
 
-The biquadratic subfield Q(r2, r5) (coordinates supported on e3 = e4 = 0)
-is where curve coefficients, j-invariants and the eta^2 constant live;
-reduction maps to F_p at split primes are provided for the whole tower.
+The biquadratic subfield K4 = Q(r2, r5) (coordinates supported on
+e3 = e4 = 0) is where curve coefficients, j-invariants and the eta^2
+constant live; reduction maps to F_p at split primes are provided for the
+whole tower.  Square roots are decided exactly in Q(sqrt d)
+(sqrt_in_quadratic) and in K4 (sqrt_in_k4, a nested pair of them).
 """
 
 from __future__ import annotations
@@ -439,6 +441,39 @@ def sqrt_in_quadratic(s: Fraction, t: Fraction, d: int):
         if u is not None and u != 0:
             v = t / (2 * u)
             return (u, v)
+    return None
+
+
+def sqrt_in_k4(x: TowerElement):
+    """A square root of x inside Q(sqrt2, sqrt5), or None.
+
+    Writes y = u + v*sqrt5 with u, v in Q(sqrt2) and solves the nested
+    quadratic system exactly.
+    """
+    if not x.in_k4():
+        raise ValueError("element not in K4")
+    co = x.co
+    s = TowerElement.k4(co[0], co[1])   # rational + sqrt2 part
+    t = TowerElement.k4(co[2], co[3])   # coefficient of sqrt5, in Q(sqrt2)
+    if t.is_zero():
+        r = sqrt_in_quadratic(co[0], co[1], 2)
+        if r is not None:
+            return TowerElement.k4(r[0], r[1], 0, 0)
+        # maybe a sqrt5 multiple: x = 5 w^2 with w in Q(sqrt2)
+        r = sqrt_in_quadratic(co[0] / 5, co[1] / 5, 2)
+        if r is not None:
+            return TowerElement.k4(0, 0, r[0], r[1])
+        return None
+    disc = s * s - 5 * t * t        # in Q(sqrt2)
+    root = sqrt_in_quadratic(disc.co[0], disc.co[1], 2)
+    if root is None:
+        return None
+    for sign in (1, -1):
+        u2 = (s + sign * TowerElement.k4(*root)) / 2
+        u = sqrt_in_quadratic(u2.co[0], u2.co[1], 2)
+        if u is not None and u != (0, 0):
+            v = t / (2 * TowerElement.k4(*u))
+            return TowerElement.k4(u[0], u[1], v.co[0], v.co[1])
     return None
 
 

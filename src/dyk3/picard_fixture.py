@@ -2,9 +2,13 @@
 
 Inputs are the printed defining equations: the seven split lines, the three
 conics with their w-polynomials, and the A-type singular points.  Everything
-else is computed: sheet matching at intersection points away from the branch
-sextic, and exceptional-component landings at the five singular points by
-exact power-series analysis of the blown-up double cover.
+else is computed: the split f = h^2 along each curve (an exact polynomial
+identity in a parameter of the curve), sheet matching at intersection
+points away from the branch sextic, and exceptional-component landings at
+the five singular points by exact power-series analysis of the blown-up
+double cover.  The arithmetic is the library's: TowerElement coefficients,
+Poly series in s, poly.LocalRing for series inverses, numfield.sqrt_in_k4,
+and fixtures.mirror_label for every lift label.
 
 The outputs (a 24-generator matrix for the divisor-class sublattice and the
 full 34-curve matrix) ship as fixtures with "derived" provenance, and the
@@ -14,12 +18,12 @@ test suite re-validates every theoretical invariant against them.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations, product
+from math import comb
 
-from .fixtures import mirror_label as _mirror_label
-from .numfield import TOWER, TowerElement
-from .poly import Poly
-from .siverify import sqrt_in_k4
-from .tate import LocalRing
+from .fixtures import load_gram, load_surface, mirror_label as _mirror_label
+from .numfield import TOWER, TowerElement, sqrt_in_k4
+from .poly import LocalRing, OpRing, Poly
 
 ZERO = TowerElement.rational(0)
 ONE = TowerElement.rational(1)
@@ -109,15 +113,12 @@ class PlaneCurve:
         self.q = q
         self.h = h
 
-    def eval_q(self, pt):
-        return _eval_poly3(self.q, pt)
 
-    def eval_h(self, pt):
-        return _eval_poly3(self.h, pt)
-
-
-def _eval_poly3(d, pt):
-    """sum coef x^a y^b z^c, each coordinate's powers computed once."""
+def _eval_form(d, pt):
+    """The ternary form d at pt = (x, y, z), each coordinate's powers
+    computed once.  The coordinates are TowerElements, Polys in s for d
+    restricted to a parametrised curve, or Polys over UV for d in the local
+    coordinates (u, v) at a point."""
     deg = max(max(e) for e in d)
     powers = []
     for v in pt:
@@ -141,9 +142,7 @@ def _c(v):
 
 
 def sextic_poly():
-    from .fixtures import load_surface
-    fix = load_surface()
-    return {tuple(e): TowerElement.rational(c) for e, c in fix.monomials}
+    return {tuple(e): TowerElement.rational(c) for e, c in load_surface().monomials}
 
 
 def build_curves():
@@ -171,8 +170,6 @@ def build_curves():
     # conics
     def conic(name, mp):
         q = {(2, 0, 0): ONE, (1, 1, 0): mp, (1, 0, 1): mp, (0, 1, 1): ONE}
-        coef = ONE / (_k4(Fraction(3, 2), Fraction(1, 2))
-                      if mp == MP1 else _k4(Fraction(3, 2), Fraction(-1, 2)))
         # w = -(2/(3 +- sqrt5)) * (xy^2 + ((5+-sqrt5)/2) xyz
         #      + ((5+-3 sqrt5)/2) y^2 z + ((3+-sqrt5)/2) xz^2
         #      + ((5+-3 sqrt5)/2) yz^2)
@@ -198,55 +195,26 @@ def _scale_poly(d, c):
 
 
 def verify_split(curves) -> bool:
-    """f - h^2 must vanish on each curve (f = h^2 mod q)."""
-    import random
+    """f - h^2 restricts to the zero polynomial on each curve (f = h^2 mod
+    q): along s*A + B on a line, along (s*L, -C, L) on a conic y*L + C = 0,
+    whose z = 1 chart is y = -C(s, 1)/L(s, 1)."""
     f = sextic_poly()
-    rng = random.Random(17)
     for cur in curves:
-        for _ in range(12):
-            pt = _random_point_on(cur, rng)
-            if pt is None:
-                continue
-            val = _eval_poly3(f, pt) - cur.eval_h(pt) ** 2
-            if not val.is_zero():
-                return False
+        if max(sum(e) for e in cur.q) == 1:
+            pt = _on_line(*_line_param(cur))
+        else:
+            parts = [Poly(TOWER, []), Poly(TOWER, [])]
+            for (a, b, _), coef in cur.q.items():
+                if b > 1:
+                    raise AssertionError(f"{cur.name} is not linear in y")
+                parts[b] = parts[b] + S ** a * coef
+            C, L = parts
+            if L.is_zero():
+                raise AssertionError(f"{cur.name} is not linear in y")
+            pt = (S * L, -C, L)
+        if not (_eval_form(f, pt) - _eval_form(cur.h, pt) ** 2).is_zero():
+            return False
     return True
-
-
-def _random_point_on(cur, rng):
-    """A random K4 point of the curve (lines always; conics via x-slices)."""
-    for _ in range(40):
-        if all(e[0] + e[1] + e[2] == 1 for e in cur.q):
-            # line: pick two free coordinates
-            y = TowerElement.rational(rng.randrange(-9, 9))
-            z = TowerElement.rational(rng.randrange(-9, 9))
-            cx = cur.q.get((1, 0, 0), ZERO)
-            cy = cur.q.get((0, 1, 0), ZERO)
-            cz = cur.q.get((0, 0, 1), ZERO)
-            if not cx.is_zero():
-                x = -(cy * y + cz * z) / cx
-                return (x, y, z)
-            if not cy.is_zero():
-                y2 = -(cz * z) / cy
-                return (TowerElement.rational(rng.randrange(-9, 9)), y2, z)
-            return (y, z, ZERO)
-        # conic: solve for y given x, z when the y-part is linear
-        x = TowerElement.rational(rng.randrange(-9, 9))
-        z = TowerElement.rational(rng.randrange(1, 9))
-        lin = ZERO
-        const = ZERO
-        for (a, b, c), coef in cur.q.items():
-            term = coef * x ** a * z ** c
-            if b == 0:
-                const = const + term
-            elif b == 1:
-                lin = lin + term
-            else:
-                raise AssertionError("conic quadratic in y unsupported")
-        if lin.is_zero():
-            continue
-        return (x, -const / lin, z)
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +258,6 @@ def _poly2_eval_series(F, u, v):
 
 def _poly2_sub_shear(F, alpha):
     """F(u, v + alpha*u) as a dict (substituting v -> v + alpha u)."""
-    from math import comb
     out = {}
     for (i, j), coef in F.items():
         for k in range(j + 1):
@@ -428,50 +395,25 @@ def _land_node(germs, level, landings, meets):
 # germ extraction and assembly
 
 
+# the coefficient ring of local polynomials: Polys in v over Polys in u
+UV = OpRing(Poly.const(TOWER, ONE))
+
+
 def _affine_chart(point):
-    """x, y, z as (i, j) dicts in the local coordinates (u, v) at `point`."""
-    x0, y0, z0 = point
-    if not z0.is_zero():
-        iz = ONE / z0
-        return {"x": {(0, 0): x0 * iz, (1, 0): ONE},
-                "y": {(0, 0): y0 * iz, (0, 1): ONE},
-                "z": {(0, 0): ONE}}
-    if not y0.is_zero():
-        iy = ONE / y0
-        return {"x": {(0, 0): x0 * iy, (1, 0): ONE},
-                "y": {(0, 0): ONE},
-                "z": {(0, 0): z0 * iy, (0, 1): ONE}}
-    ix = ONE / x0
-    return {"x": {(0, 0): ONE},
-            "y": {(0, 0): y0 * ix, (1, 0): ONE},
-            "z": {(0, 0): z0 * ix, (0, 1): ONE}}
+    """x, y, z in the local coordinates (u, v) at `point`, as Polys in v over
+    UV: the first nonzero coordinate of z, y, x is set to 1, and the other
+    two are their values there plus u and v in turn."""
+    k = next(i for i in (2, 1, 0) if not point[i].is_zero())
+    local = iter((Poly(UV, [S]), Poly.x(UV)))      # u, then v
+    return tuple(Poly(UV, [Poly.const(TOWER, c / point[k])])
+                 + (0 if i == k else next(local)) for i, c in enumerate(point))
 
 
 def _localize(d, base):
-    """The ternary form d substituted into the chart `base`, as an (i, j) dict."""
-    def pmul(A, B):
-        C = {}
-        for ka, va in A.items():
-            for kb, vb in B.items():
-                k = (ka[0] + kb[0], ka[1] + kb[1])
-                C[k] = C.get(k, ZERO) + va * vb
-        return C
-
-    def ppow(A, e):
-        R = {(0, 0): ONE}
-        for _ in range(e):
-            R = pmul(R, A)
-        return R
-
-    out = {}
-    for (a, b, cdeg), coef in d.items():
-        term = {(0, 0): coef}
-        term = pmul(term, ppow(base["x"], a))
-        term = pmul(term, ppow(base["y"], b))
-        term = pmul(term, ppow(base["z"], cdeg))
-        for k, v in term.items():
-            out[k] = out.get(k, ZERO) + v
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    """The ternary form d substituted into the chart `base`, as an (i, j)
+    dict holding the coefficient of u^i v^j."""
+    return {(i, j): c for j, cj in enumerate(_eval_form(d, base).coeffs)
+            for i, c in enumerate(cj.coeffs) if not c.is_zero()}
 
 
 def _param_germ(qloc):
@@ -502,7 +444,7 @@ def branches_at_point(curves, point):
     Floc = _localize(sextic_poly(), base)
     branches = []
     for cur in curves:
-        if not cur.eval_q(point).is_zero():
+        if not _eval_form(cur.q, point).is_zero():
             continue
         qloc, hloc = _localize(cur.q, base), _localize(cur.h, base)
         u, v = _param_germ(qloc)
@@ -558,9 +500,10 @@ def _poly2_swap(F):
 # full matrix assembly
 
 
-CURVE_ORDER = (["L%d" % i for i in range(1, 8)]
-               + ["Lt%d" % i for i in range(1, 8)]
-               + ["C1", "C2", "C3", "Ct1", "Ct2", "Ct3"])
+LINES = ["L%d" % i for i in range(1, 8)]
+CONICS = ["C1", "C2", "C3"]
+CURVE_ORDER = (LINES + [_mirror_label(n) for n in LINES]
+               + CONICS + [_mirror_label(n) for n in CONICS])
 E_ORDER = ["E11", "E2m1", "E2p1", "E3m1", "E30", "E3p1",
            "E4m2", "E4m1", "E4p1", "E4p2", "E5m2", "E5m1", "E5p1", "E5p2"]
 LABELS34 = CURVE_ORDER + E_ORDER
@@ -573,12 +516,10 @@ E_CHAINS = [["E2m1", "E2p1"], ["E3m1", "E30", "E3p1"],
 
 def _gid_to_label(gid):
     name, sign = gid[:-1], gid[-1]
-    if sign == "+":
-        return name
-    return ("Lt" + name[1:]) if name.startswith("L") else ("Ct" + name[1:])
+    return name if sign == "+" else _mirror_label(name)
 
 
-def _landing_label(pname, atype, landing):
+def _landing_label(pname, landing):
     """Map an engine landing to the standard exceptional-curve label.
 
     Anchors: E2p1 is the component of L1+ at P2; E31 is L6+'s end at P3;
@@ -597,167 +538,114 @@ def _landing_label(pname, atype, landing):
             return "E30"
         # L6+ lands with sign -1 => E3p1 := sign -1
         return "E3p1" if landing[2] == -1 else "E3m1"
-    if pname == "P4":
+    if pname in ("P4", "P5"):
         # chain is [(1,+1), (2,+1), (2,-1), (1,-1)] by the sheet-matched
         # gluing; L6+ at (1,+1) anchors E4m2, so positions 1..4 read
-        # E4m2, E4m1, E4p1, E4p2
-        level, sign = landing[1], landing[2]
-        pos = {(1, 1): "E4m2", (2, 1): "E4m1",
-               (2, -1): "E4p1", (1, -1): "E4p2"}[(level, sign)]
-        return pos
-    if pname == "P5":
-        level, sign = landing[1], landing[2]
-        pos = {(1, 1): "E5m2", (2, 1): "E5m1",
-               (2, -1): "E5p1", (1, -1): "E5p2"}[(level, sign)]
-        return pos
+        # E4m2, E4m1, E4p1, E4p2 (and likewise at P5)
+        return "E" + pname[1] + {(1, 1): "m2", (2, 1): "m1",
+                                 (2, -1): "p1", (1, -1): "p2"}[landing[1:3]]
     raise KeyError(pname)
 
 
-def _line_param(cur):
-    """Two independent points spanning the line (projective param s*A + t*B)."""
-    c = (cur.q.get((1, 0, 0), ZERO), cur.q.get((0, 1, 0), ZERO),
-         cur.q.get((0, 0, 1), ZERO))
-    basis = []
-    for e in ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)):
-        p = (c[1] * e[2] - c[2] * e[1],
-             c[2] * e[0] - c[0] * e[2],
-             c[0] * e[1] - c[1] * e[0])
-        if not all(x.is_zero() for x in p):
-            if not basis or not _same_proj(basis[0], p):
-                basis.append(p)
-        if len(basis) == 2:
-            return basis[0], basis[1]
-    raise AssertionError("degenerate line")
-
-
-def _binary_from_poly3(d, A, B):
-    """d(s*A + B) as a Poly in s: the binary form d(s*A + t*B) at t = 1."""
-    X, Y, Z = (Poly(TOWER, [b, a]) for a, b in zip(A, B))
-    out = Poly(TOWER, [])
-    for (i, j, k), coef in d.items():
-        out = out + X ** i * Y ** j * Z ** k * coef
-    return out
-
-
-def off_singular_line_line(curves_by_name, sing_pts):
-    """Contributions to the curve-curve block from line-line intersections."""
-    out = {}
-    names = ["L%d" % i for i in range(1, 8)]
-    f = sextic_poly()
-    for a in range(len(names)):
-        for b in range(a + 1, len(names)):
-            cA = curves_by_name[names[a]]
-            cB = curves_by_name[names[b]]
-            P = _line_intersection(cA, cB)
-            if any(_same_proj(P, sp) for sp in sing_pts):
-                continue
-            fval = _eval_poly3(f, P)
-            if fval.is_zero():
-                raise NotImplementedError("line-line meeting on the branch")
-            g1 = cA.eval_h(P)
-            g2 = cB.eval_h(P)
-            if (g1 - g2).is_zero():
-                key_pairs = [(names[a], names[b]), ("Lt" + names[a][1:], "Lt" + names[b][1:])]
-            elif (g1 + g2).is_zero():
-                key_pairs = [(names[a], "Lt" + names[b][1:]), ("Lt" + names[a][1:], names[b])]
-            else:
-                raise AssertionError("sheets fail to match at an off-branch point")
-            for k in key_pairs:
-                out[k] = out.get(k, 0) + 1
-    return out
-
-
-def _line_intersection(cA, cB):
-    a = [cA.q.get((1, 0, 0), ZERO), cA.q.get((0, 1, 0), ZERO), cA.q.get((0, 0, 1), ZERO)]
-    b = [cB.q.get((1, 0, 0), ZERO), cB.q.get((0, 1, 0), ZERO), cB.q.get((0, 0, 1), ZERO)]
-    # cross product
+def _cross(a, b):
     return (a[1] * b[2] - a[2] * b[1],
             a[2] * b[0] - a[0] * b[2],
             a[0] * b[1] - a[1] * b[0])
 
 
+def _linear_coeffs(cur):
+    return tuple(cur.q.get(e, ZERO) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
 def _same_proj(P, Q):
-    return (P[0] * Q[1] - P[1] * Q[0]).is_zero() and \
-        (P[0] * Q[2] - P[2] * Q[0]).is_zero() and \
-        (P[1] * Q[2] - P[2] * Q[1]).is_zero()
+    return not any(_cross(P, Q))
 
 
-def _quadratic_roots_k4(c2, c1, c0):
-    """Roots of c2 s^2 + c1 s + c0, c2 != 0, over K4: ('pair', r1, r2) |
-    ('double', r) | ('conjugate', None)."""
-    disc = c1 * c1 - 4 * c2 * c0
-    if disc.is_zero():
-        return ("double", -c1 / (2 * c2))
-    r = sqrt_in_k4(disc)
+def _line_param(cur):
+    """Two independent points spanning the line (projective param s*A + t*B)."""
+    c = _linear_coeffs(cur)
+    basis = []
+    for e in ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO), (ZERO, ZERO, ONE)):
+        p = _cross(c, e)
+        if any(p) and not (basis and _same_proj(basis[0], p)):
+            basis.append(p)
+        if len(basis) == 2:
+            return basis[0], basis[1]
+    raise AssertionError("degenerate line")
+
+
+def _on_line(A, B):
+    """The point s*A + B of the line, as a triple of Polys in s."""
+    return tuple(Poly(TOWER, [b, a]) for a, b in zip(A, B))
+
+
+def _sheet_pairs(a, b, g, h):
+    """The lift pairs of curves a and b that meet above a point off the
+    branch sextic where w = g on a's positive lift and w = h on b's: the
+    same-sheet pairs when g = h, the crossed pairs when g = -h.  On the
+    branch (h = 0, and so g = 0 by the split) the sheets cannot be told."""
+    if h.is_zero():
+        raise NotImplementedError(f"{a} and {b} meet on the branch sextic")
+    ma, mb = _mirror_label(a), _mirror_label(b)
+    if (g - h).is_zero():
+        return [(a, b), (ma, mb)]
+    if (g + h).is_zero():
+        return [(a, mb), (ma, b)]
+    raise AssertionError(f"sheets of {a} and {b} fail to match")
+
+
+def off_singular_line_line(curves_by_name, sing_pts):
+    """Contributions to the curve-curve block from line-line intersections."""
+    out = {}
+    for a, b in combinations(LINES, 2):
+        cA, cB = curves_by_name[a], curves_by_name[b]
+        P = _cross(_linear_coeffs(cA), _linear_coeffs(cB))
+        if any(_same_proj(P, sp) for sp in sing_pts):
+            continue
+        for k in _sheet_pairs(a, b, _eval_form(cA.h, P), _eval_form(cB.h, P)):
+            out[k] = out.get(k, 0) + 1
+    return out
+
+
+def _binary_quadratic_roots(q):
+    """[(root, multiplicity)] over K4 of the binary quadratic q(s, t) in the
+    chart t = 1, None standing for the root s = infinity; or None when the
+    roots are a conjugate pair."""
+    c0, c1, c2 = q.coeff(0), q.coeff(1), q.coeff(2)
+    if c2.is_zero():
+        if q.is_zero():
+            raise AssertionError("line inside conic?")
+        return [(None, 2)] if c1.is_zero() else [(None, 1), (-c0 / c1, 1)]
+    r = sqrt_in_k4(c1 * c1 - 4 * c2 * c0)
     if r is None:
-        return ("conjugate", None)
-    inv = ONE / (2 * c2)
-    return ("pair", (-c1 + r) * inv, (-c1 - r) * inv)
+        return None
+    if r.is_zero():
+        return [(-c1 / (2 * c2), 2)]
+    return [((-c1 + r) / (2 * c2), 1), ((-c1 - r) / (2 * c2), 1)]
 
 
 def off_singular_line_conic(curves_by_name, sing_pts):
     """Line-conic contributions away from the singular points."""
     out = {}
-    lines = ["L%d" % i for i in range(1, 8)]
-    conics = ["C1", "C2", "C3"]
-    f = sextic_poly()
-    for ln in lines:
-        for cn in conics:
-            cL = curves_by_name[ln]
-            cC = curves_by_name[cn]
-            A, B = _line_param(cL)
-            qform = _binary_from_poly3(cC.q, A, B)   # degree-2 binary form
-            g3 = _binary_from_poly3(cL.h, A, B)
-            h3 = _binary_from_poly3(cC.h, A, B)
-            # roots of the binary quadratic q(s, t): work in the chart t = 1,
-            # with the s = infinity root handled via the leading coefficient
-            c2, c1, c0 = qform.coeff(2), qform.coeff(1), qform.coeff(0)
-            pts = []
-            if c2.is_zero() and c1.is_zero():
-                if c0.is_zero():
-                    raise AssertionError("line inside conic?")
-                # double root at the parameter point (1 : 0) = A
-                pts.append(("rational", None, 2))
-            elif c2.is_zero():
-                pts.append(("rational", None, 1))    # s = infinity point = A
-                pts.append(("rational", -c0 / c1, 1))
-            else:
-                kind = _quadratic_roots_k4(c2, c1, c0)
-                if kind[0] == "pair":
-                    pts.append(("rational", kind[1], 1))
-                    pts.append(("rational", kind[2], 1))
-                elif kind[0] == "double":
-                    pts.append(("rational", kind[1], 2))
-                else:
-                    pts.append(("conjugate", None, 1))
-            for tag, data, mult in pts:
-                if tag == "rational":
-                    P = A if data is None else tuple(
-                        a * data + b for a, b in zip(A, B))
-                    if any(_same_proj(P, sp) for sp in sing_pts):
-                        continue
-                    fval = _eval_poly3(f, P)
-                    gv = cL.eval_h(P)
-                    hv = cC.eval_h(P)
-                    if fval.is_zero():
-                        raise NotImplementedError(
-                            "line-conic tangency on the branch sextic")
-                    if (gv - hv).is_zero():
-                        pairs = [(ln, cn), ("Lt" + ln[1:], "Ct" + cn[1:])]
-                    elif (gv + hv).is_zero():
-                        pairs = [(ln, "Ct" + cn[1:]), ("Lt" + ln[1:], cn)]
-                    else:
-                        raise AssertionError("sheet mismatch at line-conic point")
-                    for k in pairs:
-                        out[k] = out.get(k, 0) + mult
-                else:
-                    # conjugate pair: (g - h) vanishes at both or neither,
-                    # decided by polynomial divisibility
-                    for sign, pairs in ((1, [(ln, cn), ("Lt" + ln[1:], "Ct" + cn[1:])]),
-                                        (-1, [(ln, "Ct" + cn[1:]), ("Lt" + ln[1:], cn)])):
-                        if ((g3 - sign * h3) % qform).is_zero():
-                            for k in pairs:
-                                out[k] = out.get(k, 0) + 2
+    for ln, cn in product(LINES, CONICS):
+        cL, cC = curves_by_name[ln], curves_by_name[cn]
+        A, B = _line_param(cL)
+        on_line = _on_line(A, B)
+        qform, g3, h3 = (_eval_form(d, on_line) for d in (cC.q, cL.h, cC.h))
+        roots = _binary_quadratic_roots(qform)
+        if roots is None:
+            # a conjugate pair: g = +-h at both points or at neither, read
+            # off the residues mod the quadratic
+            sheets = [(g3 % qform, h3 % qform, 2)]
+        else:
+            pts = [(A if r is None else tuple(c(r) for c in on_line), mult)
+                   for r, mult in roots]
+            sheets = [(_eval_form(cL.h, P), _eval_form(cC.h, P), mult)
+                      for P, mult in pts
+                      if not any(_same_proj(P, sp) for sp in sing_pts)]
+        for g, h, mult in sheets:
+            for k in _sheet_pairs(ln, cn, g, h):
+                out[k] = out.get(k, 0) + mult
     return out
 
 
@@ -780,12 +668,11 @@ def same_curve_pairings(curves_by_name, engine_out):
         off = total - sing
         if off < 0:
             raise AssertionError("negative off-singular tangency count")
-        tname = ("Lt" + name[1:]) if name.startswith("L") else ("Ct" + name[1:])
-        out[(name, tname)] = off
+        out[(name, _mirror_label(name))] = off
     return out
 
 
-def derive_matrices(verbose=False):
+def derive_matrices():
     """The 34x34 intersection matrix and the 24-generator sublattice matrix.
 
     Every entry is computed from the defining equations; the result is
@@ -817,9 +704,8 @@ def derive_matrices(verbose=False):
             add(a, b, 1)
     # engine landings and meets
     for pname, data in engine.items():
-        atype = data["type"]
         for gid, landing in data["landings"].items():
-            add(_gid_to_label(gid), _landing_label(pname, atype, landing), 1)
+            add(_gid_to_label(gid), _landing_label(pname, landing), 1)
         for (g1, g2), m in data["meets"].items():
             add(_gid_to_label(g1), _gid_to_label(g2), m)
     # off-singular contributions
@@ -850,7 +736,6 @@ def derive_matrices(verbose=False):
             if M[idx[a]][idx[b]] != M[idx[gal(a)]][idx[gal(b)]]:
                 raise AssertionError(f"Galois invariance fails at ({a}, {b})")
     # agreement with the printed partial data
-    from .fixtures import load_gram
     part = load_gram("lemma_partial")
     pidx = {l: i for i, l in enumerate(part.labels)}
     for a in part.labels:
@@ -864,8 +749,7 @@ def derive_matrices(verbose=False):
                     f"derived {M[idx[a]][idx[b]]}, printed {v}")
 
     # the 24-generator sublattice: H + the positive lifts + exceptional curves
-    lam_labels = (["H"] + ["L%d" % i for i in range(1, 8)] + ["C1", "C2"]
-                  + E_ORDER)
+    lam_labels = ["H"] + LINES + CONICS[:2] + E_ORDER
     m24 = [[0] * 24 for _ in range(24)]
     for i, a in enumerate(lam_labels):
         for j, b in enumerate(lam_labels):
@@ -887,46 +771,30 @@ def derive_matrices(verbose=False):
 
 def _audit_bezout(engine, M, idx):
     """Total intersection numbers downstairs must match Bezout degrees."""
-    lines = ["L%d" % i for i in range(1, 8)]
-    conics = ["C1", "C2", "C3"]
-
     def sing_idown(a, b):
-        tot = 0
-        for pname, data in engine.items():
-            key = (a, b) if a <= b else (b, a)
-            if key in data["idown"]:
-                tot += data["idown"][key]
-        return tot
+        key = (a, b) if a <= b else (b, a)
+        return sum(data["idown"].get(key, 0) for data in engine.values())
 
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            a, b = lines[i], lines[j]
-            sing = sing_idown(a, b)
-            off = 0 if sing else 1
-            if sing + off != 1:
-                raise AssertionError(f"Bezout fails for {a}, {b}")
-    for ln in lines:
-        for cn in conics:
-            sing = sing_idown(ln, cn)
-            # off-singular contributions were recorded on the matrix between
-            # all four lift pairs; their total equals twice the off part
-            off_total = 0
-            for x, y in ((ln, cn), (ln, "Ct" + cn[1:]),
-                         ("Lt" + ln[1:], cn), ("Lt" + ln[1:], "Ct" + cn[1:])):
-                off_total += M[idx[x]][idx[y]]
-            # subtract the upstairs meets that came from singular points
-            for pname, data in engine.items():
-                for (g1, g2), m in data["meets"].items():
-                    la, lb = _gid_to_label(g1), _gid_to_label(g2)
-                    if {la, lb} <= {ln, "Lt" + ln[1:], cn, "Ct" + cn[1:]} and \
-                       ({la, lb} & {ln, "Lt" + ln[1:]}) and \
-                       ({la, lb} & {cn, "Ct" + cn[1:]}):
-                        off_total -= m
-            if sing + off_total // 2 != 2:
-                raise AssertionError(f"Bezout fails for {ln}, {cn}: "
-                                     f"sing {sing}, off {off_total}")
-    for i in range(len(conics)):
-        for j in range(i + 1, len(conics)):
-            a, b = conics[i], conics[j]
-            if sing_idown(a, b) != 4:
-                raise AssertionError(f"Bezout fails for {a}, {b}")
+    for a, b in combinations(LINES, 2):
+        sing = sing_idown(a, b)
+        off = 0 if sing else 1
+        if sing + off != 1:
+            raise AssertionError(f"Bezout fails for {a}, {b}")
+    for ln, cn in product(LINES, CONICS):
+        sing = sing_idown(ln, cn)
+        lifts_l, lifts_c = {ln, _mirror_label(ln)}, {cn, _mirror_label(cn)}
+        # off-singular contributions were recorded on the matrix between
+        # all four lift pairs; their total equals twice the off part
+        off_total = sum(M[idx[x]][idx[y]] for x in lifts_l for y in lifts_c)
+        # subtract the upstairs meets that came from singular points
+        for data in engine.values():
+            for (g1, g2), m in data["meets"].items():
+                pair = {_gid_to_label(g1), _gid_to_label(g2)}
+                if pair & lifts_l and pair & lifts_c:
+                    off_total -= m
+        if sing + off_total // 2 != 2:
+            raise AssertionError(f"Bezout fails for {ln}, {cn}: "
+                                 f"sing {sing}, off {off_total}")
+    for a, b in combinations(CONICS, 2):
+        if sing_idown(a, b) != 4:
+            raise AssertionError(f"Bezout fails for {a}, {b}")

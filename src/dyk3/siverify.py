@@ -10,42 +10,9 @@ from .elliptic import WeierstrassModel
 from .ffield import kronecker
 from .fixtures import load_tower_constants
 from .models import INOSE_COEFFS, kummer_surface
-from .numfield import (TOWER, SplitEmbedding, TowerElement,
-                       sqrt_in_quadratic, verify_si_system)
+from .numfield import (TOWER, SplitEmbedding, TowerElement, sqrt_in_k4,
+                       verify_si_system)
 from .poly import Poly, RationalFunc
-
-
-def sqrt_in_k4(x: TowerElement):
-    """A square root of x inside Q(sqrt2, sqrt5), or None.
-
-    Writes y = u + v*sqrt5 with u, v in Q(sqrt2) and solves the nested
-    quadratic system exactly.
-    """
-    if not x.in_k4():
-        raise ValueError("element not in K4")
-    co = x.co
-    s = TowerElement.k4(co[0], co[1])   # rational + sqrt2 part
-    t = TowerElement.k4(co[2], co[3])   # coefficient of sqrt5, in Q(sqrt2)
-    if t.is_zero():
-        r = sqrt_in_quadratic(co[0], co[1], 2)
-        if r is not None:
-            return TowerElement.k4(r[0], r[1], 0, 0)
-        # maybe a sqrt5 multiple: x = 5 w^2 with w in Q(sqrt2)
-        r = sqrt_in_quadratic(co[0] / 5, co[1] / 5, 2)
-        if r is not None:
-            return TowerElement.k4(0, 0, r[0], r[1])
-        return None
-    disc = s * s - 5 * t * t        # in Q(sqrt2)
-    root = sqrt_in_quadratic(disc.co[0], disc.co[1], 2)
-    if root is None:
-        return None
-    for sign in (1, -1):
-        u2 = (s + sign * TowerElement.k4(*root)) / 2
-        u = sqrt_in_quadratic(u2.co[0], u2.co[1], 2)
-        if u is not None and u != (0, 0):
-            v = t / (2 * TowerElement.k4(*u))
-            return TowerElement.k4(u[0], u[1], v.co[0], v.co[1])
-    return None
 
 
 def verify_kummer_match(constants=None) -> dict:

@@ -21,83 +21,13 @@ from .factor import irreducible_factors
 from .ffield import ExtField, find_roots, rational_mod_p
 from .numfield import (TOWER, TowerElement, rational_sqrt, reduce_mod_p,
                        sqrt_in_quadratic)
-from .poly import OpRing, Poly, QQ, RationalFunc
+from .poly import LocalRing, OpRing, Poly, QQ, RationalFunc
 
 __all__ = [
     "Place", "LocalFibreData", "EllipticSurface", "SectionPoint",
     "quartic_to_weierstrass", "shioda_tate_disc", "torsion_two_divisibility",
     "min_positive_height_on_grid", "trivial_lattice_disc",
 ]
-
-
-# ---------------------------------------------------------------------------
-# polynomial extras
-
-
-def poly_ext_gcd(a: Poly, b: Poly):
-    """(g, u, v) with u*a + v*b = g, g monic."""
-    F = a.field
-    r0, r1 = a, b
-    s0, s1 = Poly.const(F, F.one), Poly(F, [])
-    t0, t1 = Poly(F, []), Poly.const(F, F.one)
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero():
-        return r0, s0, t0
-    c = F.inv(r0.lead())
-    return r0 * c, s0 * c, t0 * c
-
-
-# ---------------------------------------------------------------------------
-# local rings k[t]/(pi^N)
-
-
-class LocalRing(OpRing):
-    """Truncated local ring at an irreducible place pi, precision pi^N: the
-    ring protocol on Poly elements reduced mod pi^N."""
-
-    def __init__(self, pi: Poly, N: int):
-        super().__init__(Poly.const(pi.field, pi.field.one))
-        self.pi = pi
-        self.N = N
-        self.mod = pi ** N
-        self.field = pi.field
-
-    def red(self, p: Poly) -> Poly:
-        return p % self.mod
-
-    def mul(self, a: Poly, b: Poly) -> Poly:
-        return self.red(a * b)
-
-    def from_rational(self, rf: RationalFunc) -> Poly:
-        """Image of a rational function with nonnegative valuation."""
-        num, den = rf.num, rf.den
-        vd = den.valuation(self.pi)
-        vn = num.valuation(self.pi) if not num.is_zero() else self.N
-        if not num.is_zero() and vn - vd < 0:
-            raise ValueError("negative valuation: not in the local ring")
-        if num.is_zero():
-            return Poly(self.field, [])
-        for _ in range(vd):
-            num = num.exact_div(self.pi)
-            den = den.exact_div(self.pi)
-        return self.red(self.red(num) * self.inv(den))
-
-    def inv(self, u: Poly) -> Poly:
-        u = self.red(u)
-        g, s, _ = poly_ext_gcd(u, self.mod)
-        if g.degree() != 0:
-            raise ZeroDivisionError("not a unit in the local ring")
-        return self.red(s * self.field.inv(g.coeffs[0]))
-
-    def valuation(self, p: Poly) -> int:
-        p = self.red(p)
-        if p.is_zero():
-            return self.N
-        return p.valuation(self.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from dyk3.poly import RationalFunc
-from dyk3.tate import (LocalRing, _x_at_infinity, critical_point,
+from dyk3.poly import LocalRing, RationalFunc
+from dyk3.tate import (_x_at_infinity, critical_point,
                        section_zero_intersection)
 
 

@@ -42,12 +42,12 @@ from dyk3.ffield import (FqPoly, _distinct_degree, _is_irreducible,
                          _poly_monic, _poly_mulmod, build_extension,
                          find_roots)
 from dyk3.lattice import _kernel_basis, _matmul, matrix_rank, smith
-from dyk3.numfield import TOWER, TowerElement, rational_sqrt, sqrt_in_quadratic
-from dyk3.poly import OpRing, Poly, QQ
-from dyk3.siverify import sqrt_in_k4
+from dyk3.numfield import (TOWER, TowerElement, rational_sqrt, sqrt_in_k4,
+                           sqrt_in_quadratic)
+from dyk3.poly import LocalRing, OpRing, Poly, QQ
 from dyk3.sscan import roots_in_fp2
 from dyk3.surface import _VecFq
-from dyk3.tate import EllipticSurface, LocalRing, residue_is_square
+from dyk3.tate import EllipticSurface, residue_is_square
 from tower_oracle import TowerElement as OracleElement
 
 rationals = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 12))

@@ -181,8 +181,8 @@ def test_count_records_in_process(args, capsys):
 
 def test_kodaira_mirror_comes_from_the_fixture(tmp_path):
     # the mirror permutation is the fixture's: picard_fixture, which
-    # derives the matrices, and the tate, models and siverify it imports
-    # stay unloaded
+    # derives the matrices, stays unloaded, and so do tate, models and
+    # siverify
     (tmp_path / "pair.gram").write_text(
         "# provenance: test\n# mirror-swap: all\nL1 Lt1\nL1 -2 2\nLt1 2 -2\n")
     code = ("import sys; from dyk3.cli import main; "

@@ -189,6 +189,18 @@ def test_factor_integer_recombines_lifted_factors():
     assert factor_integer([1, 2, 1], 30) is None
 
 
+def test_factor_integer_reduces_each_kept_prime_once(monkeypatch):
+    # (x - 1)(x - 2)(x - 3) is square-free modulo 3, 5 and 7, the three
+    # primes compared: each is reduced once, for the filter and the split
+    from dyk3 import factor
+    reduce_mod = factor._squarefree_mod
+    calls = []
+    monkeypatch.setattr(factor, "_squarefree_mod",
+                        lambda f, p: calls.append(p) or reduce_mod(f, p))
+    assert sorted(factor_integer([-6, 11, -6, 1])) == [[-3, 1], [-2, 1], [-1, 1]]
+    assert calls == [3, 5, 7]
+
+
 def test_repeated_factors_are_refused():
     # the factoriser takes square-free input; factor_over_base passes it the
     # square-free part

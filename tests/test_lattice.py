@@ -280,13 +280,10 @@ def _degenerate_gram(rng, n, m):
 
 def _invariants(lib, L, perms):
     """Every invariant the one-split lattice code changed, as lib computes it;
-    a raised error stands for its message.  The unreduced overlattice search
-    runs on small lattices only: it enumerates 2^corank classes mod 2."""
+    a raised error stands for its message."""
     out = []
-    raw = [] if L.n > 10 else [
-        lambda L: lib.index2_overlattice_candidates(L, reduce_span=False)]
     for f in (lib.rank_det, lib.discriminant_group, lib.span_basis,
-              lib.index2_overlattice_candidates, *raw,
+              lib.index2_overlattice_candidates,
               *[lambda L, p=p: lib.span_action(L, p) for p in perms]):
         try:
             out.append(f(L))

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -106,6 +109,46 @@ def test_rederivation_matches_fixture():
     fix24 = load_gram("lambda24")
     assert fix24.labels == list(res["labels24"])
     assert [list(r) for r in fix24.gram] == res["gram24"]
+
+
+def test_split_check_refuses_a_perturbed_w_polynomial():
+    # f - h^2 is the zero polynomial along every bundled curve; shifting any
+    # one coefficient of any h by 1 leaves a nonzero restriction
+    from dyk3 import picard_fixture as pf
+    curves = pf.build_curves()
+    assert pf.verify_split(curves)
+    for cur in curves:
+        for e in cur.h:
+            h = {**cur.h, e: cur.h[e] + 1}
+            assert not pf.verify_split([pf.PlaneCurve(cur.name, cur.q, h)]), \
+                (cur.name, e)
+
+
+@pytest.mark.parametrize("q", [
+    {(2, 0, 0): 1, (0, 2, 0): 1, (0, 1, 1): 1},     # x^2 + y^2 + yz
+    {(2, 0, 0): 1, (0, 0, 2): -1},                  # x^2 - z^2, no y at all
+], ids=["quadratic-in-y", "no-y-term"])
+def test_split_check_refuses_a_conic_not_linear_in_y(q):
+    # the conic parametrisation (s*L, -C, L) needs q = y*L + C with L != 0
+    from dyk3 import picard_fixture as pf
+    from dyk3.numfield import TowerElement
+    c3 = {c.name: c for c in pf.build_curves()}["C3"]
+    q = {e: TowerElement.rational(c) for e, c in q.items()}
+    with pytest.raises(AssertionError, match="not linear in y"):
+        pf.verify_split([pf.PlaneCurve("C3", q, c3.h)])
+
+
+def test_import_leaves_the_elliptic_surface_modules_unloaded():
+    # the derivation runs on poly, numfield and fixtures alone
+    code = ("import sys, dyk3.picard_fixture; "
+            "print(' '.join(m for m in sys.modules if m.startswith('dyk3.')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=600, env=dict(os.environ))
+    assert proc.returncode == 0, proc.stderr
+    modules = set(proc.stdout.split())
+    assert "dyk3.picard_fixture" in modules
+    assert not {"dyk3.tate", "dyk3.siverify", "dyk3.models", "dyk3.elliptic",
+                "dyk3.factor"} & modules
 
 
 def test_branches_lie_on_their_curves_and_split_the_sextic():

@@ -1,9 +1,9 @@
 import pytest
 
 from dyk3.fixtures import load_tower_constants
-from dyk3.numfield import TowerElement
+from dyk3.numfield import TowerElement, sqrt_in_k4
 from dyk3.siverify import (predict_counts, simultaneous_twist_check,
-                           sqrt_in_k4, trace_at_split_prime,
+                           trace_at_split_prime,
                            verify_kummer_match, verify_twist_relation, _curve)
 
 

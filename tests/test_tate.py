@@ -7,7 +7,7 @@ import pytest
 from dyk3 import models
 from dyk3.fixtures import load_tower_constants
 from dyk3.numfield import TOWER, TowerElement
-from dyk3.poly import Poly, QQ, RationalFunc
+from dyk3.poly import LocalRing, Poly, QQ, RationalFunc
 from dyk3.tate import (EllipticSurface, Place, SectionPoint,
                        analyze_quartic_double_cover, component_index,
                        cubic_root_count, factor_over_base, local_contribution,
@@ -443,7 +443,7 @@ def test_critical_point_is_lifted_to_full_precision():
     # f'(xs) = 0 mod pi^N at the precision section_component_data uses,
     # N = max(1, (n + 1)//2), and at v(Delta) + 4 as it did before; the two
     # agree mod pi^N and lie over the node
-    from dyk3.tate import LocalRing, critical_point
+    from dyk3.tate import critical_point
     lifted = 0
     for name, surface in _surfaces_for_local_models():
         _, _, delta = surface.c4_c6_delta()
@@ -471,7 +471,7 @@ def test_critical_point_is_lifted_to_full_precision():
 def test_critical_point_off_a_root_raises():
     # f' = 3x^2 - 3 has no root over x0 = 2 mod t, though f''(2) = 12 is a
     # unit: Newton runs towards 1 in Q and never reaches it
-    from dyk3.tate import LocalRing, critical_point
+    from dyk3.tate import critical_point
     R = LocalRing(Poly.x(QQ), 8)
     with pytest.raises(ValueError, match="simple root"):
         critical_point(R, *(Poly.from_ints(QQ, [c]) for c in (0, -3, 2)))
@@ -558,7 +558,6 @@ def test_local_ring_inverse_over_fp2():
     # the gcd inversion divides through F.inv, so it runs over an ExtField:
     # u = 3 + a t + t^2 at the place t - a, a in F_49 outside F_7
     from dyk3.ffield import build_extension
-    from dyk3.tate import LocalRing
     F = build_extension(7, 2)
     a = (2, 5)
     pi = Poly(F, [F.neg(a), F.one])
